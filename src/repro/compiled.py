@@ -14,9 +14,11 @@ arrays (:class:`CompiledInstance`, cached on ``Instance.kernel``):
 
 * the decode order (decreasing mean upward rank, topological tie-break)
   as integer task indices,
-* a predecessor CSR (``pred_ptr``/``pred_idx``/``pred_const``) whose
-  per-edge entry is the pair-independent communication constant of the
-  uniform/zero link models,
+* a predecessor CSR (``pred_ptr``/``pred_idx``/``pred_cost``) whose
+  per-edge entry is the edge's cost operand: the pair-independent
+  constant of the uniform/zero link models, or — on per-link machines —
+  the edge's data volume, priced per processor pair through the
+  machine's q×q latency and bandwidth tables,
 * the dense ETC matrix in canonical (task, machine-proc) order.
 
 :meth:`CompiledInstance.decode_fast` then builds a whole schedule in
@@ -29,12 +31,15 @@ per call.  The slot search is the *same* helper the object path's
 operation replays the object path's float sequence exactly, so decoded
 makespans are bit-identical to
 :func:`repro.schedulers.meta.decoder.decode_assignment` (asserted over
-the 56-instance differential corpus by
-``tests/core/test_compiled_decode.py``).
+the differential corpus by ``tests/core/test_compiled_decode.py``).
 
-Machines with per-link communication models have no pair-independent
-edge constant; :func:`compile_instance` returns ``None`` there and
-callers fall back to the object path.
+Every fold that adds an edge cost adds either the uniform constant or
+``lat[src][dst] + data / bw[src][dst]`` — the exact float
+:meth:`~repro.machine.comm.LinkCommunication.time` returns — so zero,
+uniform and per-link machines all lower.  Only a custom
+:class:`~repro.machine.comm.CommunicationModel` subclass makes
+:func:`compile_instance` return ``None``; callers then fall back to the
+object path.
 """
 
 from __future__ import annotations
@@ -123,7 +128,7 @@ def reset_schedule_counters() -> None:
 
 
 def note_fallback() -> None:
-    """Record one object-path fallback (per-link comm model etc.)."""
+    """Record one object-path fallback (custom communication model)."""
     _COUNTS["fallbacks"] += 1
 
 
@@ -166,10 +171,22 @@ class CompiledInstance:
     """
 
     def __init__(self, kernel: "InstanceKernel") -> None:
-        if kernel.out_const is None:
+        consts = kernel.out_const
+        link = kernel.link_tables() if consts is None else None
+        if consts is None and link is None:
             raise SchedulingError(
-                "cannot compile an instance with a per-link communication model"
+                "cannot compile an instance with a custom communication model"
             )
+        if consts is None:
+            # Per-link: the cost operand of an edge is its data volume.
+            consts = {
+                u: {v: float(d) for v, d in row.items()}
+                for u, row in kernel.edge_data.items()
+            }
+        #: q×q per-link latency / bandwidth tables in canonical processor
+        #: order; ``None`` on uniform/zero machines, whose edge operand is
+        #: already the transfer cost.
+        self._lat, self._bw = link if link is not None else (None, None)
         self.tasks: list["TaskId"] = kernel.tasks
         self.procs: list["ProcId"] = kernel.procs
         self.n = n = len(self.tasks)
@@ -186,28 +203,28 @@ class CompiledInstance:
         self.order.flags.writeable = False
         self._order_list: list[int] = self.order.tolist()
 
-        # Predecessor CSR over canonical task indices.  ``pred_const[e]``
-        # is the uniform/zero-model edge constant — the exact float the
-        # object path's ready_time adds for a cross-processor transfer.
-        consts = kernel.out_const
+        # Predecessor CSR over canonical task indices.  ``pred_cost[e]``
+        # is the edge's cost operand: the uniform/zero constant (the
+        # exact float the object path's ready_time adds for a
+        # cross-processor transfer) or the per-link data volume.
         ptr = [0]
         idx: list[int] = []
-        const: list[float] = []
+        cost: list[float] = []
         for t in self.tasks:
             for parent in kernel.pred[t]:
                 idx.append(ti[parent])
-                const.append(consts[parent][t])
+                cost.append(consts[parent][t])
             ptr.append(len(idx))
         self.pred_ptr = np.array(ptr, dtype=np.intp)
         self.pred_idx = np.array(idx, dtype=np.intp)
-        self.pred_const = np.array(const, dtype=float)
-        for arr in (self.pred_ptr, self.pred_idx, self.pred_const):
+        self.pred_cost = np.array(cost, dtype=float)
+        for arr in (self.pred_ptr, self.pred_idx, self.pred_cost):
             arr.flags.writeable = False
 
         # Python-level mirrors for the hot loop: per-task (parent index,
-        # edge constant) pairs, and the ETC matrix as nested lists.
+        # edge operand) pairs, and the ETC matrix as nested lists.
         self._preds: list[list[tuple[int, float]]] = [
-            list(zip(idx[ptr[i] : ptr[i + 1]], const[ptr[i] : ptr[i + 1]]))
+            list(zip(idx[ptr[i] : ptr[i + 1]], cost[ptr[i] : ptr[i + 1]]))
             for i in range(n)
         ]
         self.etc = kernel.etc_arr  # shared read-only view
@@ -215,13 +232,13 @@ class CompiledInstance:
 
         # Successor mirrors (the list executors and the improved pass
         # walk children for lookahead / deadline checks / ready sets):
-        # per-task (child index, edge constant) pairs in successor-list
-        # order, plus the same constants as per-task dicts for O(1)
+        # per-task (child index, edge operand) pairs in successor-list
+        # order, plus the same operands as per-task dicts for O(1)
         # (task, child) lookups.
         self._succs: list[list[tuple[int, float]]] = [
             [(ti[s], consts[t][s]) for s in kernel.succ[t]] for t in self.tasks
         ]
-        self._succ_const: list[dict[int, float]] = [
+        self._succ_w: list[dict[int, float]] = [
             {ti[s]: consts[t][s] for s in kernel.succ[t]} for t in self.tasks
         ]
         # Topological position and display string per canonical index —
@@ -279,12 +296,13 @@ class CompiledInstance:
 
         Replays ``decode_assignment`` float-for-float: per task, the
         ready time is the max over parents of ``end`` (same processor)
-        or ``end + const`` (cross processor); the start comes from the
+        or ``end + cost`` (cross processor); the start comes from the
         shared insertion scan; the busy interval is inserted in
         start-sorted order with `bisect_left` ties — exactly like
         ``Timeline.add``.
         """
         preds = self._preds
+        lat, bw = self._lat, self._bw
         etc_rows = self._etc_rows
         end_of = self._end_of
         start_of = self._start_of
@@ -300,10 +318,11 @@ class CompiledInstance:
             p = genome[k]
             duration = etc_rows[t][p]
             ready = 0.0
-            for u, const in preds[t]:
+            for u, w in preds[t]:
                 cand = end_of[u]
-                if proc_of[u] != p:
-                    cand += const
+                pu = proc_of[u]
+                if pu != p:
+                    cand += w if lat is None else lat[pu][p] + w / bw[pu][p]
                 if cand > ready:
                     ready = cand
             starts = proc_starts[p]
@@ -402,6 +421,7 @@ class CompiledInstance:
             raise SchedulingError(f"unknown placement policy {policy!r}")
         q = self.q
         preds = self._preds
+        lat, bw = self._lat, self._bw
         etc_rows = self._etc_rows
         n = self.n
         start_of = [0.0] * n
@@ -430,10 +450,11 @@ class CompiledInstance:
             if pin >= 0:
                 # Single-processor placement (no tie comparison).
                 ready = 0.0
-                for u, const in preds[t]:
+                for u, w in preds[t]:
                     cand = end_of[u]
-                    if proc_of[u] != pin:
-                        cand += const
+                    pu = proc_of[u]
+                    if pu != pin:
+                        cand += w if lat is None else lat[pu][pin] + w / bw[pu][pin]
                     if cand > ready:
                         ready = cand
                 duration = row[pin]
@@ -450,14 +471,17 @@ class CompiledInstance:
                 # Per-processor ready times: same fold as the batched
                 # kernel (running max over parents, exact min/max).
                 ready_vec = [0.0] * q
-                for u, const in preds[t]:
-                    eu = end_of[u]
-                    pu = proc_of[u]
-                    ec = eu + const
-                    for j in qr:
-                        a = eu if j == pu else ec
-                        if a > ready_vec[j]:
-                            ready_vec[j] = a
+                if lat is not None:
+                    self._link_fold(ready_vec, preds[t], end_of, proc_of)
+                else:
+                    for u, const in preds[t]:
+                        eu = end_of[u]
+                        pu = proc_of[u]
+                        ec = eu + const
+                        for j in qr:
+                            a = eu if j == pu else ec
+                            if a > ready_vec[j]:
+                                ready_vec[j] = a
                 best_j = -1
                 best_start = 0.0
                 best_end = 0.0
@@ -606,18 +630,22 @@ class CompiledInstance:
         eft = policy == "eft"
         makespan = 0.0
         qr = range(q)
+        link = self._lat is not None
         for t in order:
             row = etc_rows[t]
             scale = 1.0 if etc_scale is None else etc_scale[t]
             ready_vec = [release] * q
-            for u, const in preds[t]:
-                eu = end_of[u]
-                pu = proc_of[u]
-                ec = eu + const
-                for j in qr:
-                    a = eu if j == pu else ec
-                    if a > ready_vec[j]:
-                        ready_vec[j] = a
+            if link:
+                self._link_fold(ready_vec, preds[t], end_of, proc_of)
+            else:
+                for u, const in preds[t]:
+                    eu = end_of[u]
+                    pu = proc_of[u]
+                    ec = eu + const
+                    for j in qr:
+                        a = eu if j == pu else ec
+                        if a > ready_vec[j]:
+                            ready_vec[j] = a
             best_j = -1
             best_start = 0.0
             best_end = 0.0
@@ -696,6 +724,7 @@ class CompiledInstance:
         ready_cache: dict[int, list[float]] = {}
         makespan = 0.0
         qr = range(q)
+        link = self._lat is not None
         while ready_set:
             best_key: tuple[float, int, int] | None = None
             best_task = -1
@@ -705,14 +734,17 @@ class CompiledInstance:
                 vec = ready_cache.get(t)
                 if vec is None:
                     vec = [0.0] * q
-                    for u, const in preds[t]:
-                        eu = end_of[u]
-                        pu = proc_of[u]
-                        ec = eu + const
-                        for j in qr:
-                            a = eu if j == pu else ec
-                            if a > vec[j]:
-                                vec[j] = a
+                    if link:
+                        self._link_fold(vec, preds[t], end_of, proc_of)
+                    else:
+                        for u, const in preds[t]:
+                            eu = end_of[u]
+                            pu = proc_of[u]
+                            ec = eu + const
+                            for j in qr:
+                                a = eu if j == pu else ec
+                                if a > vec[j]:
+                                    vec[j] = a
                     ready_cache[t] = vec
                 slt = sl[t]
                 wst = wstar[t]
@@ -910,10 +942,53 @@ class CompiledInstance:
             placed[t] = True
             st.tl_add(best_j, t, best_start, rend)
 
+    def _link_fold(
+        self,
+        ready: list[float],
+        edges: Sequence[tuple[int, float]],
+        end_of: Sequence[float],
+        proc_of: Sequence[int],
+        dups: Sequence[list[tuple[int, float, float, float]]] | None = None,
+    ) -> list[float]:
+        """Fold per-link data arrivals of ``edges`` into ``ready``, in place.
+
+        Each ``(parent, data)`` edge arrives on processor ``j`` at the
+        min over the parent's copies (primary, plus ``dups`` when given)
+        of ``end`` on the same processor or ``end + (lat[src][j] + data /
+        bw[src][j])`` — the exact float ``LinkCommunication.time`` adds —
+        and ``ready[j]`` keeps the running max over parents, like
+        ``ready_time``.
+        """
+        lat, bw = self._lat, self._bw
+        qr = range(self.q)
+        for u, data in edges:
+            eu = end_of[u]
+            pu = proc_of[u]
+            lr = lat[pu]
+            br = bw[pu]
+            dlist = dups[u] if dups is not None else None
+            if not dlist:
+                for j in qr:
+                    a = eu if j == pu else eu + (lr[j] + data / br[j])
+                    if a > ready[j]:
+                        ready[j] = a
+            else:
+                for j in qr:
+                    a = eu if j == pu else eu + (lr[j] + data / br[j])
+                    for dj, _ds, de, _dd in dlist:
+                        c = de if dj == j else de + (lat[dj][j] + data / bw[dj][j])
+                        if c < a:
+                            a = c
+                    if a > ready[j]:
+                        ready[j] = a
+        return ready
+
     def _ready_vec(self, st: "_FlatState", t: int) -> list[float]:
-        """Batched ready times (InstanceKernel.ready_times replay)."""
+        """Per-processor ready times (ready_time replay, batched)."""
         q = self.q
         ready = [0.0] * q
+        if self._lat is not None:
+            return self._link_fold(ready, self._preds[t], st.pend, st.pproc, st.dups)
         pend = st.pend
         pproc = st.pproc
         dups = st.dups
@@ -941,14 +1016,26 @@ class CompiledInstance:
     def _ready_on(self, st: "_FlatState", t: int, j: int) -> float:
         """Scalar ready time on one processor (ready_time replay)."""
         ready = 0.0
+        lat, bw = self._lat, self._bw
         pend = st.pend
         pproc = st.pproc
         dups = st.dups
-        for u, const in self._preds[t]:
+        for u, w in self._preds[t]:
             eu = pend[u]
-            arrival = eu if pproc[u] == j else eu + const
+            pu = pproc[u]
+            if pu == j:
+                arrival = eu
+            elif lat is None:
+                arrival = eu + w
+            else:
+                arrival = eu + (lat[pu][j] + w / bw[pu][j])
             for dj, _ds, de, _dd in dups[u]:
-                cand = de if dj == j else de + const
+                if dj == j:
+                    cand = de
+                elif lat is None:
+                    cand = de + w
+                else:
+                    cand = de + (lat[dj][j] + w / bw[dj][j])
                 if cand < arrival:
                     arrival = cand
             if arrival > ready:
@@ -963,6 +1050,7 @@ class CompiledInstance:
         preds = self._preds[t]
         pos = self._pos
         etc_rows = self._etc_rows
+        lat, bw = self._lat, self._bw
         pend = st.pend
         pproc = st.pproc
         dups = st.dups
@@ -974,11 +1062,22 @@ class CompiledInstance:
             dom = -1
             dom_arr = 0.0
             dom_key: tuple[float, int] | None = None
-            for u, const in preds:
+            for u, w in preds:
                 eu = pend[u]
-                arrival = eu if pproc[u] == j else eu + const
+                pu = pproc[u]
+                if pu == j:
+                    arrival = eu
+                elif lat is None:
+                    arrival = eu + w
+                else:
+                    arrival = eu + (lat[pu][j] + w / bw[pu][j])
                 for dj, _ds, de, _dd in dups[u]:
-                    cand = de if dj == j else de + const
+                    if dj == j:
+                        cand = de
+                    elif lat is None:
+                        cand = de + w
+                    else:
+                        cand = de + (lat[dj][j] + w / bw[dj][j])
                     if cand < arrival:
                         arrival = cand
                 k = (arrival, -pos[u])
@@ -1027,6 +1126,9 @@ class CompiledInstance:
         q = self.q
         base = [0.0] * q
         placed = st.placed
+        if self._lat is not None:
+            edges = [(u, w) for u, w in self._preds[child] if u != t and placed[u]]
+            return self._link_fold(base, edges, st.pend, st.pproc, st.dups)
         pend = st.pend
         pproc = st.pproc
         dups = st.dups
@@ -1056,15 +1158,25 @@ class CompiledInstance:
         j_placed: int,
         placed_end: float,
     ) -> float:
-        """InstanceKernel.lookahead_score replay over flat state."""
+        """PlacementEngine._lookahead_score replay over flat state."""
         q = self.q
-        const_tc = self._succ_const[t][child]
-        base_tc = placed_end + const_tc
+        w_tc = self._succ_w[t][child]
+        base_tc = placed_end + w_tc
+        lr = br = None
+        if self._lat is not None:
+            # Per-link: ``t``'s output costs lat + data / bw per target.
+            lr = self._lat[j_placed]
+            br = self._bw[j_placed]
         row = self._etc_rows[child]
         tl_max = st.tl_max
         best = _INF
         for j in range(q):
-            r = placed_end if j == j_placed else base_tc
+            if j == j_placed:
+                r = placed_end
+            elif lr is None:
+                r = base_tc
+            else:
+                r = placed_end + (lr[j] + w_tc / br[j])
             b = base[j]
             if b > r:
                 r = b
@@ -1148,14 +1260,25 @@ class CompiledInstance:
         pstart = st.pstart
         pproc = st.pproc
         dups = st.dups
-        for c, const in self._succs[t]:
+        lr = br = None
+        if self._lat is not None:
+            lr = self._lat[j_new]
+            br = self._bw[j_new]
+        for c, w in self._succs[t]:
             if not placed[c]:
                 continue
-            arrival = new_end if j_new == pproc[c] else new_end + const
+            pc = pproc[c]
+            if j_new == pc:
+                arrival = new_end
+            else:
+                arrival = new_end + (w if lr is None else lr[pc] + w / br[pc])
             if arrival > pstart[c] + _TOL:
                 return False
             for dj, ds, _de, _dd in dups[c]:
-                arrival = new_end if j_new == dj else new_end + const
+                if j_new == dj:
+                    arrival = new_end
+                else:
+                    arrival = new_end + (w if lr is None else lr[dj] + w / br[dj])
                 if arrival > ds + _TOL:
                     return False
         return True
@@ -1163,7 +1286,8 @@ class CompiledInstance:
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"CompiledInstance(tasks={self.n}, procs={self.q}, "
-            f"edges={len(self.pred_idx)})"
+            f"edges={len(self.pred_idx)}, "
+            f"comm={'uniform' if self._lat is None else 'per-link'})"
         )
 
 

@@ -10,11 +10,10 @@ data transfer, so duplication can only ever lower a task's EFT.
 from __future__ import annotations
 
 from repro.core.placement import PlacementEngine
-from repro.exceptions import SchedulingError
 from repro.instance import Instance
 from repro.schedule.schedule import Schedule
 from repro.schedulers.base import Scheduler
-from repro.schedulers.ranking import RankAggregation, upward_ranks
+from repro.schedulers.ranking import RankAggregation
 
 
 class DuplicationScheduler(Scheduler):
@@ -30,12 +29,4 @@ class DuplicationScheduler(Scheduler):
         )
 
     def schedule(self, instance: Instance) -> Schedule:
-        ranks = upward_ranks(instance, self.agg)
-        pos = {t: i for i, t in enumerate(instance.dag.topological_order())}
-        order = sorted(instance.dag.tasks(), key=lambda t: (-ranks[t], pos[t]))
-        schedule = Schedule(instance.machine, name=f"{self.name}:{instance.name}")
-        for task in order:
-            self._engine.place(schedule, instance, task, ranks)
-        if len(schedule) != instance.num_tasks:
-            raise SchedulingError(f"{self.name} scheduled {len(schedule)}/{instance.num_tasks}")
-        return schedule
+        return self._engine.heft_pass(instance, self.agg, self.name)

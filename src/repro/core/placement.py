@@ -17,11 +17,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.exceptions import SchedulingError
 from repro.instance import Instance
 from repro.kernels import kernels_enabled
 from repro.obs import get_tracer
 from repro.schedule.schedule import Schedule, ScheduledTask
-from repro.schedulers.base import Placement, placement_on, ready_time
+from repro.schedulers.base import Placement, compiled_for, placement_on, ready_time
+from repro.schedulers.ranking import RankAggregation, upward_ranks
 from repro.types import ProcId, TaskId
 
 _EPS = 1e-12
@@ -273,3 +275,43 @@ class PlacementEngine:
             best_placement.start,
             best_placement.end - best_placement.start,
         )
+
+    # ------------------------------------------------------------------
+    # whole-DAG pass
+    # ------------------------------------------------------------------
+    def heft_pass(self, instance: Instance, agg: RankAggregation, label: str) -> Schedule:
+        """Place every task in HEFT's order (decreasing upward rank,
+        topological tie-break) with this engine — the whole of LA-HEFT
+        and DUP-HEFT.
+
+        Runs as one compiled improved pass without refinement when the
+        instance routes through the compiled executor, which replays
+        :meth:`place` float for float; otherwise loops :meth:`place`
+        over a real :class:`Schedule`.
+        """
+        ranks = upward_ranks(instance, agg)
+        name = f"{label}:{instance.name}"
+        ci = compiled_for(instance)
+        if ci is not None:
+            pos = instance.kernel.pos
+        else:
+            pos = {t: i for i, t in enumerate(instance.dag.topological_order())}
+        order = sorted(instance.dag.tasks(), key=lambda t: (-ranks[t], pos[t]))
+        if ci is not None:
+            result = ci.schedule_improved(
+                ci.order_indices(order),
+                [ranks[t] for t in ci.tasks],
+                lookahead=self.lookahead,
+                duplication=self.duplication,
+                insertion=self.insertion,
+                refinement=False,
+                refinement_rounds=0,
+                max_duplications_per_task=self.max_duplications_per_task,
+            )
+            return ci.materialize(result, instance.machine, name)
+        schedule = Schedule(instance.machine, name=name)
+        for task in order:
+            self.place(schedule, instance, task, ranks)
+        if len(schedule) != instance.num_tasks:
+            raise SchedulingError(f"{label} scheduled {len(schedule)}/{instance.num_tasks}")
+        return schedule

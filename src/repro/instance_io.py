@@ -54,15 +54,13 @@ def _comm_to_dict(comm: CommunicationModel, proc_ids) -> dict:
             for dst in proc_ids:
                 if src == dst:
                     continue
-                # Re-derive per-pair parameters through the public API.
-                latency = comm.time(0.0, src, dst)
-                unit = comm.time(1.0, src, dst) - latency
+                latency, bandwidth = comm.link(src, dst)
                 links.append(
                     {
                         "src": encode_id(src),
                         "dst": encode_id(dst),
                         "latency": latency,
-                        "bandwidth": 1.0 / unit if unit > 0 else 1e30,
+                        "bandwidth": bandwidth,
                     }
                 )
         return {"type": "links", "links": links}

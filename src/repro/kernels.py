@@ -42,7 +42,11 @@ from repro.exceptions import (
     UnknownProcessorError,
     UnknownTaskError,
 )
-from repro.machine.comm import UniformCommunication, ZeroCommunication
+from repro.machine.comm import (
+    LinkCommunication,
+    UniformCommunication,
+    ZeroCommunication,
+)
 from repro.obs import get_tracer
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -136,25 +140,27 @@ class InstanceKernel:
         self.pos: dict["TaskId", int] = {t: i for i, t in enumerate(self.topo)}
 
         # Per-edge data volumes and machine-average communication times.
-        self._edge_data: dict["TaskId", dict["TaskId", float]] = {t: {} for t in self.tasks}
+        self.edge_data: dict["TaskId", dict["TaskId", float]] = {t: {} for t in self.tasks}
         self._avg_comm: dict["TaskId", dict["TaskId", float]] = {t: {} for t in self.tasks}
         for u, v in dag.edges():
             data = dag.data(u, v)
-            self._edge_data[u][v] = data
+            self.edge_data[u][v] = data
             self._avg_comm[u][v] = machine.avg_comm_time(data)
 
         # Per-pair constants: with the uniform (or zero) link model the
         # cost of an edge is one constant for every distinct pair — the
         # exact float the model itself would return.  ``None`` for
-        # per-link models; hot paths then fall back to scalar code.
+        # per-link models: the object path's hot paths then fall back to
+        # scalar code (the compiled lowering prices them through
+        # :meth:`link_tables`).
         self.out_const: dict["TaskId", dict["TaskId", float]] | None
         if isinstance(self._comm, ZeroCommunication):
-            self.out_const = {u: {v: 0.0 for v in row} for u, row in self._edge_data.items()}
+            self.out_const = {u: {v: 0.0 for v in row} for u, row in self.edge_data.items()}
         elif isinstance(self._comm, UniformCommunication):
             lat, bw = self._comm.latency, self._comm.bandwidth
             self.out_const = {
                 u: {v: lat + d / bw for v, d in row.items()}
-                for u, row in self._edge_data.items()
+                for u, row in self.edge_data.items()
             }
         else:
             self.out_const = None
@@ -203,7 +209,7 @@ class InstanceKernel:
                 raise UnknownProcessorError(dst)
             return 0.0 if src == dst else const
         try:
-            data = self._edge_data[parent][child]
+            data = self.edge_data[parent][child]
         except KeyError:
             raise GraphError(f"no edge {parent!r} -> {child!r}") from None
         if src not in self.pi:
@@ -436,17 +442,39 @@ class InstanceKernel:
     # ------------------------------------------------------------------
     # compiled flat-array form
     # ------------------------------------------------------------------
+    def link_tables(self) -> tuple[list[list[float]], list[list[float]]] | None:
+        """Per-pair ``(latency, bandwidth)`` tables of a per-link machine.
+
+        ``lat[i][j]``/``bw[i][j]`` are the stored floats of the link
+        ``procs[i] -> procs[j]`` in canonical processor order (the
+        diagonal is never read), so ``lat + data / bw`` is the exact
+        float :meth:`LinkCommunication.time` returns.  ``None`` for any
+        other communication model.
+        """
+        comm = self._comm
+        if not isinstance(comm, LinkCommunication):
+            return None
+        q = len(self.procs)
+        lat = [[0.0] * q for _ in range(q)]
+        bw = [[1.0] * q for _ in range(q)]
+        for i, src in enumerate(self.procs):
+            for j, dst in enumerate(self.procs):
+                if i != j:
+                    lat[i][j], bw[i][j] = comm.link(src, dst)
+        return lat, bw
+
     def compiled(self):
         """The :class:`~repro.compiled.CompiledInstance` lowering, or
-        ``None`` for per-link communication models (no pair-independent
-        edge constant; callers fall back to the object decode path).
+        ``None`` for a custom communication model (neither the
+        uniform/zero constant nor per-link tables describe it; callers
+        fall back to the object path).
 
         Built once and shared — the service workers key their instance
         memo by fingerprint precisely so repeat requests reuse this.
         """
         tracer = get_tracer()
         if not self._compiled_built:
-            if self.out_const is None:
+            if self.out_const is None and not isinstance(self._comm, LinkCommunication):
                 self._compiled = None
             else:
                 from repro.compiled import CompiledInstance  # lazy: avoids cycle

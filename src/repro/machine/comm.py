@@ -154,5 +154,18 @@ class LinkCommunication(CommunicationModel):
         data = self.validate_pair(data)
         return self._avg_lat + data * self._avg_inv_bw
 
+    def link(self, src: ProcId, dst: ProcId) -> tuple[float, float]:
+        """The stored ``(latency, bandwidth)`` of the ``src -> dst`` link.
+
+        The floats are returned verbatim, so ``lat + data / bw`` replays
+        :meth:`time` bit for bit; encoders and the compiled lowering read
+        the tables through this rather than re-deriving them from
+        :meth:`time`, which loses the last ulp of the bandwidth.
+        """
+        try:
+            return self._lat[src][dst], self._bw[src][dst]
+        except KeyError:
+            raise MachineError(f"unknown link {src!r} -> {dst!r}") from None
+
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"LinkCommunication(procs={len(self._ids)})"

@@ -261,9 +261,10 @@ def compiled_for(instance: Instance):
     The compiled path engages only when the kernel layer and the
     executor switch are on *and* tracing is off — traced runs keep the
     object path so the golden span shapes (``sched.rank``/``place``/
-    ``insert``) stay intact.  A ``None`` from :func:`compile_instance`
-    (per-link communication model) is recorded as an object-path
-    fallback for the service counters.
+    ``insert``) stay intact.  Zero, uniform and per-link machines all
+    lower; a ``None`` from :func:`compile_instance` (a custom
+    communication model) is recorded as an object-path fallback for the
+    service counters.
     """
     from repro import compiled as compiled_mod
 

@@ -12,8 +12,9 @@ Two decode paths produce bit-identical schedules:
   what callers use to materialise the final winner);
 * :func:`compiled_decoder` — the flat-array
   :class:`~repro.compiled.CompiledInstance` used for fitness
-  evaluation in the GA/SA inner loops (``None`` when the kernel layer
-  is off or the machine uses a per-link communication model).
+  evaluation in the GA/SA inner loops on zero, uniform and per-link
+  machines (``None`` when the kernel layer is off or the machine uses a
+  custom communication model).
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ def compiled_decoder(instance: Instance):
 
     ``None`` when the kernel layer is disabled (differential tests and
     the benchmark baseline run the object path) or when the machine's
-    communication model has no per-pair constant.
+    communication model is a custom one the lowering cannot price.
     """
     if not kernels_enabled():
         return None

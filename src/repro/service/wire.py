@@ -32,7 +32,7 @@ Primitives::
     u32[n]   u32 count + n * 4 bytes packed uint32
     id       tag u8 + body — 0 none, 1 false, 2 true, 3 i64,
              4 big-int (decimal string), 5 f64, 6 str,
-             7 tuple (u32 count + ids)
+             7 tuple (u32 count + ids; nested at most 32 deep)
 
 Every decode checks the magic, then the version byte, then the kind:
 a blob from a different format version raises
@@ -111,6 +111,10 @@ _TRAILER_SCHEDULABILITY = 1  # payload: canonical-JSON schedulability doc
 
 #: Id tags.
 _ID_NONE, _ID_FALSE, _ID_TRUE, _ID_I64, _ID_BIG, _ID_F64, _ID_STR, _ID_TUPLE = range(8)
+
+#: Deepest tuple-id nesting a decoder accepts.  Real ids nest a level or
+#: two; the bound keeps a hostile blob from exhausting the stack.
+_MAX_ID_DEPTH = 32
 
 _I64_MIN, _I64_MAX = -(2**63), 2**63 - 1
 
@@ -292,7 +296,7 @@ class _Reader:
             arr.byteswap()
         return arr
 
-    def id(self):
+    def id(self, depth: int = 0):
         tag = self.u8()
         if tag == _ID_NONE:
             return None
@@ -309,7 +313,11 @@ class _Reader:
         if tag == _ID_STR:
             return self.str()
         if tag == _ID_TUPLE:
-            return tuple(self.id() for _ in range(self.u32()))
+            if depth >= _MAX_ID_DEPTH:
+                raise WireFormatError(
+                    f"tuple id nested deeper than {_MAX_ID_DEPTH} levels"
+                )
+            return tuple(self.id(depth + 1) for _ in range(self.u32()))
         raise WireFormatError(f"unknown id tag {tag}")
 
     def ids(self) -> list:
@@ -426,12 +434,11 @@ def encode_instance(instance: "Instance") -> bytes:
         pairs = [(src, dst) for src in procs for dst in procs if src != dst]
         w.u32(len(pairs))
         for src, dst in pairs:
-            latency = comm.time(0.0, src, dst)
-            unit = comm.time(1.0, src, dst) - latency
+            latency, bandwidth = comm.link(src, dst)
             w.u32(pi[src])
             w.u32(pi[dst])
             w.f64(latency)
-            w.f64(1.0 / unit if unit > 0 else 1e30)
+            w.f64(bandwidth)
     else:
         raise WireFormatError(
             f"cannot encode communication model {type(comm).__name__}"
@@ -490,7 +497,15 @@ def decode_instance(buf: bytes | memoryview) -> "Instance":
     attrs: dict[int, dict] = {}
     for _ in range(r.u32()):
         i = r.u32()
-        attrs[i] = json.loads(r.str())
+        try:
+            mapping = json.loads(r.str())
+        except (ValueError, RecursionError) as exc:
+            raise WireFormatError(f"invalid task attrs JSON: {exc}") from None
+        if not isinstance(mapping, dict):
+            raise WireFormatError(
+                f"task attrs must be a JSON object, got {type(mapping).__name__}"
+            )
+        attrs[i] = mapping
 
     src = r.u32s()
     dst = r.u32s()

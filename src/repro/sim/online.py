@@ -7,7 +7,8 @@ from a small template catalogue — arrive over time
 already carry residual load (:mod:`repro.sim.cluster`).  Each arrival is
 placed by a static list scheduler from the registry, running against the
 pre-occupied timelines through the compiled core
-(:meth:`~repro.compiled.CompiledInstance.schedule_onto`).
+(:meth:`~repro.compiled.CompiledInstance.schedule_onto`), on zero,
+uniform and per-link interconnects alike.
 
 Two design points carry the performance story:
 
@@ -36,14 +37,12 @@ from __future__ import annotations
 
 import json
 import math
-from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from repro.exceptions import ConfigurationError
 from repro.instance import Instance
 from repro.obs import get_tracer
-from repro.schedule.timeline import scan_slots
 from repro.schedulers.base import ListScheduler
 from repro.schedulers.registry import get_scheduler
 from repro.service.metrics import percentile
@@ -52,8 +51,6 @@ from repro.sim.cluster import ClusterState
 from repro.sim.engine import EventQueue, SimulationError
 from repro.sim.policies import PendingJob, get_policy
 from repro.utils.rng import SeedLike, spawn_children
-
-_EPS = 1e-12
 
 
 @dataclass(frozen=True)
@@ -89,10 +86,14 @@ class _TemplateState:
                 f"{alg.name}: priority order covers {len(self.order_ids)} tasks, "
                 f"template {name!r} has {instance.num_tasks}"
             )
-        self.ci = instance.kernel.compiled() if instance.kernel.out_const is not None else None
-        self.order_idx = (
-            self.ci.order_indices(self.order_ids) if self.ci is not None else []
-        )
+        ci = instance.kernel.compiled()
+        if ci is None:
+            raise ConfigurationError(
+                f"template {name!r}: its machine's communication model does "
+                f"not lower to the compiled form"
+            )
+        self.ci = ci
+        self.order_idx = ci.order_indices(self.order_ids)
         #: canonical index per task id (noise factors are indexed by this)
         self.ti = instance.kernel.ti
 
@@ -137,7 +138,6 @@ class OnlineResult:
         replans: int,
         compacted: int,
         peak_live_intervals: int,
-        compiled: bool,
     ) -> None:
         self.alg = alg
         self.policy = policy
@@ -152,7 +152,6 @@ class OnlineResult:
         self.replans = replans
         self.compacted = compacted
         self.peak_live_intervals = peak_live_intervals
-        self.compiled = compiled
 
     def slowdowns(self) -> list[float]:
         """Per-job slowdown: response over the template's empty-cluster
@@ -188,8 +187,8 @@ class OnlineResult:
     def payload_json(self) -> str:
         """Canonical JSON of the *outcome* only — baselines, metrics and
         per-job records, no configuration labels.  This is the artifact
-        the equivalence checks compare: cached vs full re-lowering and
-        compiled vs object path must produce it byte for byte."""
+        the equivalence checks compare: cached vs full re-lowering must
+        produce it byte for byte."""
         doc = {
             "baselines": dict(sorted(self.baselines.items())),
             "metrics": self.metrics_dict(),
@@ -218,7 +217,6 @@ class OnlineResult:
                 "noise_cv": self.noise_cv,
                 "seed": self.seed_label,
                 "machine": self.machine,
-                "compiled": self.compiled,
             },
             "payload": json.loads(self.payload_json()),
         }
@@ -249,7 +247,6 @@ class OnlineScheduler:
         relower: str = "cached",
         noise_cv: float = 0.0,
         seed: SeedLike = 0,
-        use_compiled: bool = True,
     ) -> None:
         if not templates:
             raise ConfigurationError("no templates")
@@ -270,7 +267,6 @@ class OnlineScheduler:
         self.relower = relower
         self.noise_cv = float(noise_cv)
         self.seed = seed
-        self.use_compiled = use_compiled
         # Sorted-name insertion: template iteration order never matters.
         self.templates: dict[str, Instance] = {
             name: templates[name] for name in sorted(templates)
@@ -324,19 +320,10 @@ class OnlineScheduler:
         return _TemplateState(name, fresh, self.alg)
 
     def _empty_makespan(self, state: _TemplateState) -> float:
-        if state.ci is not None and self.use_compiled:
-            return state.ci.schedule_onto(
-                state.order_idx,
-                [[] for _ in range(state.ci.q)],
-                [[] for _ in range(state.ci.q)],
-                insertion=self.alg.insertion,
-                policy=self.alg.compiled_policy,
-            ).makespan
-        _intervals, _start, finish = self._place_object(
-            state, [[] for _ in range(self.cluster.num_procs)],
-            [[] for _ in range(self.cluster.num_procs)], 0.0, None,
-        )
-        return finish
+        q = self.cluster.num_procs
+        return self._schedule_job(
+            state, [[] for _ in range(q)], [[] for _ in range(q)], 0.0, None
+        )[2]
 
     # ------------------------------------------------------------------
     # noise
@@ -364,7 +351,7 @@ class OnlineScheduler:
     # ------------------------------------------------------------------
     # placement
     # ------------------------------------------------------------------
-    def _place_object(
+    def _schedule_job(
         self,
         state: _TemplateState,
         busy_starts: Sequence[Sequence[float]],
@@ -372,111 +359,38 @@ class OnlineScheduler:
         release: float,
         factors: list[float] | None,
     ) -> tuple[list[tuple[int, float, float]], float, float]:
-        """Object-path mirror of ``CompiledInstance.schedule_onto``.
+        """Place one job of ``state``'s template onto busy timelines.
 
-        Reads costs through the instance API, so it also covers machines
-        with per-link communication models (where the compiled lowering
-        is unavailable).  On uniform-link machines it replays the
-        compiled path float for float — the differential tests pin that.
+        Returns every task's ``(proc index, start, end)`` interval, the
+        job's first start and its finish.
         """
-        inst = state.instance
-        procs = inst.machine.proc_ids()
-        q = len(procs)
-        tl_starts = [list(s) for s in busy_starts]
-        tl_ends = [list(e) for e in busy_ends]
-        tl_max = [max(e, default=0.0) for e in tl_ends]
-        insertion = self.alg.insertion
-        eft = self.alg.compiled_policy == "eft"
-        end_of: dict = {}
-        proc_of: dict = {}
-        ti = state.ti
-        intervals: list[tuple[int, float, float]] = []
+        result = state.ci.schedule_onto(
+            state.order_idx,
+            busy_starts,
+            busy_ends,
+            release=release,
+            insertion=self.alg.insertion,
+            policy=self.alg.compiled_policy,
+            etc_scale=factors,
+        )
+        intervals = []
         first = math.inf
-        last = 0.0
-        for task in state.order_ids:
-            scale = 1.0 if factors is None else factors[ti[task]]
-            ready_vec = [release] * q
-            for parent in inst.predecessors_of(task):
-                eu = end_of[parent]
-                pu = proc_of[parent]
-                for j in range(q):
-                    a = eu if j == pu else eu + inst.comm_time(
-                        parent, task, procs[pu], procs[j]
-                    )
-                    if a > ready_vec[j]:
-                        ready_vec[j] = a
-            best_j = -1
-            best_start = 0.0
-            best_end = 0.0
-            for j in range(q):
-                duration = inst.exec_time(task, procs[j])
-                if factors is not None:
-                    duration = duration * scale
-                ready = ready_vec[j]
-                if best_j >= 0:
-                    if eft:
-                        if ready + duration >= best_end - _EPS:
-                            continue
-                    elif ready >= best_start - _EPS:
-                        continue
-                if insertion:
-                    start = scan_slots(tl_starts[j], tl_ends[j], ready, duration)
-                else:
-                    m = tl_max[j]
-                    start = ready if ready > m else m
-                end = start + duration
-                if best_j < 0 or (
-                    end < best_end - _EPS if eft else start < best_start - _EPS
-                ):
-                    best_j = j
-                    best_start = start
-                    best_end = end
-            darg = best_end - best_start
-            rend = best_start + darg
-            end_of[task] = rend
-            proc_of[task] = best_j
-            intervals.append((best_j, best_start, rend))
-            starts = tl_starts[best_j]
-            i = bisect_left(starts, best_start)
-            starts.insert(i, best_start)
-            tl_ends[best_j].insert(i, rend)
-            if rend > tl_max[best_j]:
-                tl_max[best_j] = rend
-            if best_start < first:
-                first = best_start
-            if rend > last:
-                last = rend
-        return intervals, (0.0 if math.isinf(first) else first), last
+        for t in range(state.ci.n):
+            s = result.start[t]
+            e = s + result.darg[t]
+            intervals.append((result.proc[t], s, e))
+            if s < first:
+                first = s
+        return intervals, (0.0 if math.isinf(first) else first), result.makespan
 
     def _place(self, job: _Job, release: float) -> None:
         """Schedule one job against the current dirty suffix and commit."""
         state = self._state_for(job.template)
         factors = self._noise_for(job, state)
         starts_seed, ends_seed = self.cluster.seeded_timelines()
-        if state.ci is not None and self.use_compiled:
-            result = state.ci.schedule_onto(
-                state.order_idx,
-                starts_seed,
-                ends_seed,
-                release=release,
-                insertion=self.alg.insertion,
-                policy=self.alg.compiled_policy,
-                etc_scale=factors,
-            )
-            intervals = []
-            first = math.inf
-            for t in range(state.ci.n):
-                s = result.start[t]
-                e = s + result.darg[t]
-                intervals.append((result.proc[t], s, e))
-                if s < first:
-                    first = s
-            start = 0.0 if math.isinf(first) else first
-            finish = result.makespan
-        else:
-            intervals, start, finish = self._place_object(
-                state, starts_seed, ends_seed, release, factors
-            )
+        intervals, start, finish = self._schedule_job(
+            state, starts_seed, ends_seed, release, factors
+        )
         self.cluster.occupy(job.job_id, intervals)
         job.start = start
         job.finish = finish
@@ -598,10 +512,6 @@ class OnlineScheduler:
             replans=self.replans,
             compacted=self.compacted,
             peak_live_intervals=self.peak_live,
-            compiled=all(
-                s.ci is not None for s in (self._cached_state(n) for n in self.templates)
-            )
-            and self.use_compiled,
         )
 
 
@@ -614,7 +524,6 @@ def simulate_online(
     relower: str = "cached",
     noise_cv: float = 0.0,
     seed: SeedLike = 0,
-    use_compiled: bool = True,
 ) -> OnlineResult:
     """Simulate a stream of job arrivals on one shared cluster.
 
@@ -641,8 +550,6 @@ def simulate_online(
         replayed identically on re-placement).
     seed:
         Noise seed root (unused when ``noise_cv == 0``).
-    use_compiled:
-        Force the object-path mirror when ``False`` (differential tests).
     """
     sim = OnlineScheduler(
         templates,
@@ -651,7 +558,6 @@ def simulate_online(
         relower=relower,
         noise_cv=noise_cv,
         seed=seed,
-        use_compiled=use_compiled,
     )
     if isinstance(arrivals, ArrivalProcess):
         stream = arrivals.realize(sorted(templates))

@@ -1,7 +1,8 @@
 """Differential suite: the compiled flat-array decoder is behaviour-preserving.
 
 :func:`repro.schedulers.meta.decoder.decode_assignment` (the object
-path) is the specification.  Over the full 56-instance corpus this suite
+path) is the specification.  Over the full differential corpus (uniform
+and per-link machines) this suite
 checks that :class:`repro.compiled.CompiledInstance` reproduces it
 *bit-identically* — makespans, starts and processors — for HEFT-derived,
 random and degenerate assignments, that ``decode_batch`` equals
@@ -25,7 +26,7 @@ from repro.dag.generators import random_dag
 from repro.schedulers.heft import HEFT
 from repro.schedulers.meta import GeneticScheduler, SimulatedAnnealingScheduler
 from repro.schedulers.meta.decoder import compiled_decoder, decode_assignment, rank_order
-from tests.population import build_population
+from tests.population import OpaqueCommunication, build_population
 
 
 @pytest.fixture(scope="module")
@@ -140,31 +141,38 @@ def test_validation_errors():
         compiled.genome_of({})  # missing tasks
 
 
-def _per_link_instance(seed: int = 0) -> Instance:
+def _instance_on(comm, seed: int = 0) -> Instance:
     from repro.machine.processor import Processor
 
     dag = random_dag(12, seed=seed)
     ids = [0, 1, 2]
-    lat = {p: {q: 0.1 * (1 + (p + q) % 3) for q in ids if q != p} for p in ids}
-    bw = {p: {q: 1.0 + ((p * 7 + q) % 5) for q in ids if q != p} for p in ids}
-    machine = Machine(
-        [Processor(id=i, speed=1.0) for i in ids],
-        comm=LinkCommunication(ids, lat, bw),
-        name="links",
-    )
+    machine = Machine([Processor(id=i, speed=1.0) for i in ids], comm=comm, name="links")
     etc = generate_etc(dag, machine, heterogeneity=0.5, seed=seed)
     return Instance(dag=dag, machine=machine, etc=etc)
 
 
-def test_per_link_models_fall_back_to_object_path():
-    inst = _per_link_instance()
-    assert compile_instance(inst) is None
-    assert compiled_decoder(inst) is None
-    # The metaheuristics still work (object path) and stay on/off-identical.
+def test_per_link_models_compile_and_custom_models_fall_back():
+    ids = [0, 1, 2]
+    lat = {p: {q: 0.1 * (1 + (p + q) % 3) for q in ids if q != p} for p in ids}
+    bw = {p: {q: 1.0 + ((p * 7 + q) % 5) for q in ids if q != p} for p in ids}
+    inst = _instance_on(LinkCommunication(ids, lat, bw))
+    assert compile_instance(inst) is not None
+    assert compiled_decoder(inst) is compile_instance(inst)
+    # The metaheuristics decode through the compiled core and stay
+    # identical to the scalar object path.
     with use_kernels(True):
         fast = GeneticScheduler(population=8, generations=3, seed=5).schedule(inst)
     with use_kernels(False):
         legacy = GeneticScheduler(population=8, generations=3, seed=5).schedule(inst)
+    assert fast.makespan == legacy.makespan
+
+    custom = _instance_on(OpaqueCommunication())
+    assert compile_instance(custom) is None
+    assert compiled_decoder(custom) is None
+    with use_kernels(True):
+        fast = GeneticScheduler(population=8, generations=3, seed=5).schedule(custom)
+    with use_kernels(False):
+        legacy = GeneticScheduler(population=8, generations=3, seed=5).schedule(custom)
     assert fast.makespan == legacy.makespan
 
 

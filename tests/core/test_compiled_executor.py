@@ -5,10 +5,10 @@ path (``CompiledInstance.schedule_list`` / ``schedule_dls`` /
 ``schedule_improved``).  The object path through
 :class:`~repro.schedule.schedule.Schedule` is the specification; this
 suite asserts the compiled executor reproduces it *bit for bit* — full
-JSON payloads, not just makespans — across the seeded 56-instance
-population, and that the routing layer falls back to the object path
-exactly when it must (per-link communication models, tracing, kernels
-off).
+JSON payloads, not just makespans — across the seeded differential
+population (uniform and per-link machines), and that the routing layer
+falls back to the object path exactly when it must (custom
+communication models, tracing, kernels off).
 """
 
 from __future__ import annotations
@@ -29,11 +29,12 @@ from repro.schedule.validation import validate
 from repro.schedulers.base import compiled_for
 from repro.schedulers.registry import get_scheduler
 from repro.service.protocol import schedule_payload
-from tests.population import build_population
+from tests.population import OpaqueCommunication, build_population
 
 #: Every scheduler routed through the compiled executor.
 ROUTED = ["HEFT", "HEFT-median", "HEFT-best", "HEFT-worst",
-          "CPOP", "HCPT", "PETS", "DLS", "HLFET", "MCP", "IMP"]
+          "CPOP", "HCPT", "PETS", "DLS", "HLFET", "MCP", "IMP",
+          "LA-HEFT", "DUP-HEFT"]
 
 
 @pytest.fixture(scope="module")
@@ -87,37 +88,46 @@ def test_duplication_schedules_materialize_duplicates(population):
     assert total_dups > 0, "duplication never fired; corpus slice too easy"
 
 
-def _per_link_instance(seed: int = 3) -> Instance:
+def _instance_on(comm, seed: int = 3) -> Instance:
     from repro.machine.processor import Processor
 
     dag = random_dag(24, seed=seed)
-    ids = [0, 1, 2]
-    lat = {p: {q: 0.1 * (1 + (p + q) % 3) for q in ids if q != p} for p in ids}
-    bw = {p: {q: 1.0 + ((p * 7 + q) % 5) for q in ids if q != p} for p in ids}
-    machine = Machine(
-        [Processor(id=i, speed=1.0) for i in ids],
-        comm=LinkCommunication(ids, lat, bw),
-        name="links",
-    )
+    machine = Machine([Processor(id=i, speed=1.0) for i in range(3)], comm=comm, name="links")
     etc = generate_etc(dag, machine, heterogeneity=0.6, seed=seed)
     return Instance(dag=dag, machine=machine, etc=etc)
 
 
-def test_per_link_comm_falls_back_to_object_path():
-    """Per-link machines have no pair-independent edge constant: the
-    lowering refuses, the routing layer records a fallback, and the
-    schedulers still produce kernels-on/off-identical schedules."""
-    inst = _per_link_instance()
-    assert compile_instance(inst) is None
+def _link_comm() -> LinkCommunication:
+    ids = [0, 1, 2]
+    lat = {p: {q: 0.1 * (1 + (p + q) % 3) for q in ids if q != p} for p in ids}
+    bw = {p: {q: 1.0 + ((p * 7 + q) % 5) for q in ids if q != p} for p in ids}
+    return LinkCommunication(ids, lat, bw)
+
+
+def test_per_link_compiles_and_custom_comm_falls_back():
+    """Per-link machines lower and route through the executor with no
+    fallback counted, matching the fully scalar path; a custom
+    communication model still gets ``None`` and is counted."""
+    inst = _instance_on(_link_comm())
+    assert compile_instance(inst) is not None
     before = compiled.schedule_counters()["fallbacks"]
-    assert compiled_for(inst) is None
-    assert compiled.schedule_counters()["fallbacks"] == before + 1
-    for alg in ("HEFT", "CPOP", "DLS", "IMP"):
+    assert compiled_for(inst) is not None
+    assert compiled.schedule_counters()["fallbacks"] == before
+    for alg in ("HEFT", "CPOP", "DLS", "IMP", "LA-HEFT", "DUP-HEFT"):
         fast = get_scheduler(alg).schedule(inst)
         with use_kernels(False):
             ref = get_scheduler(alg).schedule(inst)
         validate(fast, inst)
         assert _payload(fast, inst, alg) == _payload(ref, inst, alg), alg
+
+    custom = _instance_on(OpaqueCommunication())
+    assert compile_instance(custom) is None
+    assert compiled_for(custom) is None
+    assert compiled.schedule_counters()["fallbacks"] == before + 1
+    fast = get_scheduler("IMP").schedule(custom)
+    with use_kernels(False):
+        ref = get_scheduler("IMP").schedule(custom)
+    assert _payload(fast, custom, "IMP") == _payload(ref, custom, "IMP")
 
 
 def test_executor_counters_increment(population):

@@ -67,6 +67,16 @@ class TestLinkCommunication:
     def test_unknown_link(self, links):
         with pytest.raises(MachineError):
             links.time(1.0, 0, 9)
+        with pytest.raises(MachineError):
+            links.link(0, 9)
+        with pytest.raises(MachineError):
+            links.link(0, 0)  # no self-link is stored
+
+    def test_link_returns_stored_parameters(self, links):
+        assert links.link(0, 1) == (1.0, 2.0)
+        assert links.link(1, 0) == (3.0, 4.0)
+        lat, bw = links.link(1, 0)
+        assert links.time(8.0, 1, 0) == lat + 8.0 / bw
 
     def test_missing_entry_rejected(self):
         with pytest.raises(MachineError):

@@ -1,11 +1,14 @@
 """The shared differential-test instance corpus.
 
 14 seeds x 4 families = 56 seeded instances covering heterogeneous
-machines (all three consistency classes) and homogeneous ones.  Both
-differential suites — the vectorized kernel layer
-(``tests/core/test_vectorized_equivalence.py``) and the compiled
-flat-array decoder (``tests/core/test_compiled_decode.py``) — check
-behaviour preservation over this same population.
+machines (all three consistency classes) and homogeneous ones, all on
+uniform links, plus a small per-link family (4 instances): asymmetric
+random latency/bandwidth tables with latency > 0 and string processor
+ids, and ``compute_grid`` machines.  The differential suites — the
+vectorized kernel layer (``tests/core/test_vectorized_equivalence.py``),
+the compiled executor and decoder (``tests/core/test_compiled_*.py``),
+kill-k and the wire round-trips — check behaviour preservation over
+this same population.
 """
 
 from __future__ import annotations
@@ -15,6 +18,7 @@ import numpy as np
 from repro.bench import workloads as W
 from repro.dag.generators import random_dag
 from repro.instance import make_instance
+from repro.machine.comm import CommunicationModel
 
 SEEDS = range(14)
 
@@ -43,6 +47,34 @@ def _homogeneous(seed: int):
     return W.homogeneous_random_instance(rng, num_tasks=22, num_procs=4)
 
 
+def _per_link(seed: int):
+    """Even seeds: asymmetric random link tables on string processor ids
+    (declared in a different order than the tables list them); odd
+    seeds: a two-site ``compute_grid``."""
+    from repro.instance import Instance
+    from repro.machine.cluster import Machine
+    from repro.machine.comm import LinkCommunication
+    from repro.machine.etc import generate_etc
+    from repro.machine.processor import Processor
+    from repro.machine.profiles import compute_grid
+
+    rng = np.random.default_rng(60_000 + seed)
+    if seed % 2 == 0:
+        ids = ["n3", "n10", "n1", "n7", "n2"][: 4 + seed % 4 // 2]
+        lat = {a: {b: float(rng.uniform(0.2, 4.0)) for b in ids if b != a} for a in ids}
+        bw = {a: {b: float(rng.uniform(0.3, 6.0)) for b in ids if b != a} for a in ids}
+        machine = Machine(
+            [Processor(id=p, speed=float(rng.uniform(1.0, 2.0))) for p in ids],
+            comm=LinkCommunication(sorted(ids), lat, bw),
+            name=f"asym-links-{seed}",
+        )
+    else:
+        machine = compute_grid(2, 3, seed=seed)
+    dag = random_dag(20, ccr=(1.0, 5.0)[seed % 2], seed=60_000 + seed)
+    etc = generate_etc(dag, machine, heterogeneity=0.5, seed=seed)
+    return Instance(dag=dag, machine=machine, etc=etc)
+
+
 FAMILIES = [
     ("het", _heterogeneous),
     ("consistent", _consistent),
@@ -50,12 +82,29 @@ FAMILIES = [
     ("homog", _homogeneous),
 ]
 
+#: The per-link family is kept small: every differential suite walks it.
+LINK_SEEDS = range(4)
+
+
+class OpaqueCommunication(CommunicationModel):
+    """A custom link model on integer processor ids: neither a uniform
+    constant nor per-link tables describe it, so nothing can lower it."""
+
+    def time(self, data, src, dst):
+        data = self.validate_pair(data)
+        return 0.0 if src == dst else 0.25 * abs(src - dst) + data / 2.0
+
+    def average_time(self, data):
+        return 0.5 + self.validate_pair(data) / 2.0
+
 
 def build_population():
-    """``(label, instance)`` pairs of the full 56-instance corpus."""
-    return [
+    """``(label, instance)`` pairs of the 60-instance corpus: the 56
+    uniform-link members, then the per-link family."""
+    uniform = [
         (f"{family}-{seed}", build(seed)) for family, build in FAMILIES for seed in SEEDS
     ]
+    return uniform + [(f"link-{seed}", _per_link(seed)) for seed in LINK_SEEDS]
 
 
 def partially_consistent_instance(seed: int):

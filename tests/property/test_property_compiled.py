@@ -1,6 +1,7 @@
 """Property tests: the compiled executor is indistinguishable from the
-object path on arbitrary instances, and schedules are stable across
-interpreter restarts (hash randomization must not leak into results).
+object path on arbitrary instances — uniform links and random asymmetric
+per-link tables — and schedules are stable across interpreter restarts
+(hash randomization must not leak into results).
 """
 
 from __future__ import annotations
@@ -11,15 +12,21 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.compiled import use_executor
+from repro.compiled import compile_instance, use_executor
 from repro.core import ImprovedConfig, ImprovedScheduler
 from repro.dag.generators import random_dag
-from repro.instance import make_instance
+from repro.instance import Instance, make_instance
 from repro.kernels import use_kernels
+from repro.machine.cluster import Machine
+from repro.machine.comm import LinkCommunication
+from repro.machine.etc import generate_etc
+from repro.machine.processor import Processor
 from repro.schedule.validation import violations
+from repro.schedulers.meta.decoder import decode_assignment, rank_order
 from repro.schedulers.registry import get_scheduler
 from repro.service.protocol import schedule_payload
 
@@ -75,6 +82,60 @@ def test_improved_config_space_compiled_equals_object(params, la, dup, ins, ref_
         ref = ImprovedScheduler(cfg).schedule(instance)
     assert violations(fast, instance) == []
     assert _payload(fast, instance, "IMP") == _payload(ref, instance, "IMP")
+
+
+link_params = st.tuples(
+    st.integers(min_value=1, max_value=24),      # tasks
+    st.integers(min_value=1, max_value=5),       # procs
+    st.floats(min_value=0.0, max_value=8.0),     # ccr
+    st.floats(min_value=0.0, max_value=4.0),     # max latency
+    st.integers(min_value=0, max_value=10_000),  # seed
+)
+
+
+def build_link(params):
+    """A random DAG on a machine with random asymmetric per-link tables.
+
+    Processor ids are strings, declared in a different order than the
+    tables list them, so the lowering's canonical reindexing is exercised.
+    """
+    n, q, ccr, max_lat, seed = params
+    rng = np.random.default_rng(seed)
+    ids = [f"p{(7 * k) % 11}" for k in range(q)]
+    lat = {a: {b: float(rng.uniform(0.0, max_lat)) for b in ids if b != a} for a in ids}
+    bw = {a: {b: float(rng.uniform(0.1, 8.0)) for b in ids if b != a} for a in ids}
+    machine = Machine(
+        [Processor(id=p, speed=float(rng.uniform(0.5, 2.0))) for p in ids],
+        comm=LinkCommunication(sorted(ids), lat, bw),
+        name="asym",
+    )
+    dag = random_dag(n, ccr=ccr, seed=seed)
+    etc = generate_etc(dag, machine, heterogeneity=0.6, seed=seed)
+    return Instance(dag=dag, machine=machine, etc=etc)
+
+
+@given(link_params, st.sampled_from(["HEFT", "CPOP", "DLS", "IMP",
+                                     "LA-HEFT", "DUP-HEFT"]))
+@settings(max_examples=60, deadline=None)
+def test_compiled_equals_object_path_on_asymmetric_links(params, name):
+    instance = build_link(params)
+    assert compile_instance(instance) is not None
+    scheduler = get_scheduler(name)
+    fast = scheduler.schedule(instance)
+    with use_executor(False):
+        ref = scheduler.schedule(instance)
+    assert violations(fast, instance) == []
+    assert _payload(fast, instance, name) == _payload(ref, instance, name)
+
+
+@given(link_params, st.integers(min_value=0, max_value=2**32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_decode_span_equals_object_decode_on_asymmetric_links(params, genome_seed):
+    instance = build_link(params)
+    compiled = compile_instance(instance)
+    genome = np.random.default_rng(genome_seed).integers(0, compiled.q, size=compiled.n)
+    schedule = decode_assignment(instance, compiled.assignment_of(genome), rank_order(instance))
+    assert compiled.decode_span(genome.tolist()) == schedule.makespan
 
 
 @given(instance_params)

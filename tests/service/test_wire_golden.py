@@ -91,3 +91,43 @@ def test_truncated_golden_blob_is_rejected():
     blob = _blob(NAMES[0])
     with pytest.raises(WireFormatError):
         wire.decode_instance(blob[: len(blob) // 2])
+
+
+def _instance_with_task_table(table: bytes) -> bytes:
+    """A wire instance header whose task-id table is ``table``."""
+    import struct
+
+    head = struct.pack("<4sBB", wire.MAGIC, wire.WIRE_VERSION, wire.KIND_INSTANCE)
+    empty_str = struct.pack("<I", 0)
+    counts = struct.pack("<III", 1, 1, 0)
+    return head + empty_str * 3 + counts + table
+
+
+def test_deeply_nested_tuple_id_is_rejected():
+    """5,000 nested tuple tags (about 25 KB) must raise a typed error,
+    not exhaust the interpreter stack."""
+    import struct
+
+    depth = 5000
+    nested = (struct.pack("<BI", 7, 1) * depth) + struct.pack("<Bq", 3, 0)
+    table = struct.pack("<IB", 1, 0) + nested
+    with pytest.raises(WireFormatError, match="nested"):
+        wire.decode_instance(_instance_with_task_table(table))
+
+
+@pytest.mark.parametrize("corrupt", [b'{"k": 1!', b'["k", 1]'], ids=["syntax", "not-object"])
+def test_malformed_task_attrs_json_is_rejected(corrupt):
+    """The task-attrs section carries a JSON object; malformed text or a
+    non-object must surface as a WireFormatError, not a JSONDecodeError
+    or a task whose attrs are not a mapping."""
+    from repro.dag.graph import TaskDAG
+    from repro.dag.task import Task
+    from repro.instance import make_instance
+
+    dag = TaskDAG("attrs")
+    dag.add_task(Task(id=0, cost=1.0, attrs={"k": 1}))
+    encoded = wire.encode_instance(make_instance(dag, num_procs=1, seed=0))
+    good = b'{"k": 1}'
+    assert encoded.count(good) == 1
+    with pytest.raises(WireFormatError, match="attrs"):
+        wire.decode_instance(encoded.replace(good, corrupt))

@@ -2,9 +2,9 @@
 
 Three layers of guarantees, from strongest to broadest:
 
-* **Corpus round-trips** — every member of the shared 56-instance
-  differential corpus survives ``decode(encode(x))`` with an identical
-  canonical JSON form and content fingerprint.
+* **Corpus round-trips** — every member of the shared differential
+  corpus (uniform and per-link machines) survives ``decode(encode(x))``
+  with an identical canonical JSON form and content fingerprint.
 * **Cross-wire identity** — for schedules, the dict decoded from the
   binary payload equals the dict the JSON wire would deliver
   (``json.loads(json.dumps(payload))``), checked across every
@@ -22,8 +22,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.dag.generators import random_dag
-from repro.instance import make_instance
-from repro.instance_io import instance_to_json
+from repro.instance import Instance, make_instance
+from repro.instance_io import instance_from_json, instance_to_json
+from repro.machine.etc import generate_etc
+from repro.machine.profiles import compute_grid
 from repro.schedulers.registry import all_scheduler_names, get_scheduler
 from repro.service import wire
 from repro.service.protocol import schedule_payload
@@ -32,8 +34,8 @@ from tests.population import build_population
 CORPUS = build_population()
 
 #: One representative per corpus family, for the expensive
-#: every-scheduler sweeps.
-FAMILY_REPS = [CORPUS[0], CORPUS[14], CORPUS[28], CORPUS[42]]
+#: every-scheduler sweeps (the last is the first per-link member).
+FAMILY_REPS = [CORPUS[0], CORPUS[14], CORPUS[28], CORPUS[42], CORPUS[56]]
 
 
 def _canonical(instance) -> str:
@@ -77,6 +79,35 @@ def test_every_scheduler_payload_cross_wire_identical(alg):
         assert decoded == _json_wire(payload), (
             f"{alg} on {label}: binary decode differs from JSON wire"
         )
+
+
+@pytest.mark.parametrize("seed", [10, 11, 12])
+def test_per_link_payloads_identical_across_encoders(seed):
+    """A per-link instance prices every edge, and schedules, the same
+    locally, after a binary wire round-trip and after a JSON document
+    round-trip: both encoders carry each link's latency and bandwidth
+    verbatim (``compute_grid``'s bandwidth 10.0 must not come back as
+    10.000000000000002)."""
+    machine = compute_grid(2, 4, seed=seed)
+    dag = random_dag(40, seed=seed)
+    local = Instance(dag=dag, machine=machine,
+                     etc=generate_etc(dag, machine, heterogeneity=0.5, seed=seed))
+    via_wire = wire.decode_instance(wire.encode_instance(local))
+    via_json = instance_from_json(instance_to_json(local))
+    procs = machine.proc_ids()
+    volumes = sorted({dag.data(u, v) for u, v in dag.edges()})
+    for copy in (via_wire, via_json):
+        assert copy.fingerprint() == local.fingerprint()
+        for src in procs:
+            for dst in procs:
+                assert [copy.machine.comm.time(d, src, dst) for d in volumes] == [
+                    machine.comm.time(d, src, dst) for d in volumes], (src, dst)
+    for alg in ("HEFT", "DLS", "IMP"):
+        expected = schedule_payload(get_scheduler(alg).schedule(local), local, alg)
+        for copy in (via_wire, via_json):
+            got = schedule_payload(get_scheduler(alg).schedule(copy), copy, alg)
+            got["instance"] = expected["instance"]
+            assert got == expected, alg
 
 
 def test_corpus_payload_roundtrip_reference_scheduler():

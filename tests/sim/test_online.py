@@ -1,5 +1,9 @@
 """The online multi-tenant simulator: placement equivalence, policies,
-noise, metrics and validation."""
+noise, metrics and validation.
+
+Equivalence checks compare the compiled simulator against the
+object-path reference placer in ``tests/sim/online_reference.py``.
+"""
 
 import json
 
@@ -20,6 +24,8 @@ from repro.sim import (
     trace_from_json,
     trace_to_json,
 )
+from tests.population import OpaqueCommunication
+from tests.sim.online_reference import simulate_reference
 
 
 @pytest.fixture(scope="module")
@@ -40,20 +46,19 @@ class TestEquivalence:
 
     def test_compiled_equals_object_path(self, templates, stream):
         fast = simulate_online(templates, stream)
-        slow = simulate_online(templates, stream, use_compiled=False)
-        assert fast.compiled and not slow.compiled
+        slow = simulate_reference(templates, stream)
         assert fast.payload_json() == slow.payload_json()
 
     def test_compiled_equals_object_under_policy_and_noise(self, templates, stream):
         kw = dict(policy="replace", noise_cv=0.3, seed=5)
         fast = simulate_online(templates, stream, **kw)
-        slow = simulate_online(templates, stream, use_compiled=False, **kw)
+        slow = simulate_reference(templates, stream, **kw)
         assert fast.payload_json() == slow.payload_json()
 
     @pytest.mark.parametrize("alg", ["HEFT", "HCPT", "HLFET", "MCP"])
     def test_alg_parity_both_paths(self, templates, stream, alg):
         fast = simulate_online(templates, stream, alg=alg)
-        slow = simulate_online(templates, stream, alg=alg, use_compiled=False)
+        slow = simulate_reference(templates, stream, alg=alg)
         assert fast.payload_json() == slow.payload_json()
 
 
@@ -159,11 +164,14 @@ class TestNoise:
         assert a.payload_json() == b.payload_json()
 
 
-class TestPerLinkFallback:
-    def test_object_mirror_covers_per_link_machines(self):
-        ids = [0, 1, 2]
-        lat = {p: {q: 0.1 * (1 + (p + q) % 3) for q in ids if q != p} for p in ids}
-        bw = {p: {q: 1.0 + ((p * 7 + q) % 5) for q in ids if q != p} for p in ids}
+class TestPerLink:
+    @pytest.fixture(scope="class")
+    def link_templates(self):
+        ids = ["a", "b", "c"]
+        lat = {p: {q: 0.1 * (1 + (ord(p) + ord(q)) % 3) for q in ids if q != p}
+               for p in ids}
+        bw = {p: {q: 1.0 + ((ord(p) * 7 + ord(q)) % 5) for q in ids if q != p}
+              for p in ids}
         machine = Machine(
             [Processor(id=i, speed=1.0) for i in ids],
             comm=LinkCommunication(ids, lat, bw),
@@ -174,11 +182,22 @@ class TestPerLinkFallback:
             dag = random_dag(10 + i, seed=50 + i)
             etc = generate_etc(dag, machine, heterogeneity=0.5, seed=i)
             templates[name] = Instance(dag=dag, machine=machine, etc=etc, name=name)
-        stream = PoissonArrivals(rate=0.1, jobs=12, seed=3).realize(sorted(templates))
-        res = simulate_online(templates, stream, policy="replace")
-        assert not res.compiled  # per-link model: no flat lowering
-        assert len(res.jobs) == 12
-        assert all(s >= 1.0 - 1e-9 for s in res.slowdowns())
+        return templates
+
+    @pytest.mark.parametrize("kw", [
+        dict(policy="queue"),
+        dict(policy="replace"),
+        dict(policy="preempt-1"),
+        dict(policy="replace", noise_cv=0.3, seed=5),
+    ], ids=["queue", "replace", "preempt", "noise"])
+    def test_compiled_equals_reference(self, link_templates, kw):
+        stream = PoissonArrivals(rate=0.1, jobs=12, seed=3).realize(sorted(link_templates))
+        fast = simulate_online(link_templates, stream, **kw)
+        slow = simulate_reference(link_templates, stream, **kw)
+        assert fast.payload_json() == slow.payload_json()
+        assert len(fast.jobs) == 12
+        if "noise_cv" not in kw:
+            assert all(s >= 1.0 - 1e-9 for s in fast.slowdowns())
 
 
 class TestValidation:
@@ -204,6 +223,15 @@ class TestValidation:
     def test_empty_templates_rejected(self):
         with pytest.raises(ConfigurationError):
             simulate_online({}, PoissonArrivals(rate=1.0, jobs=1))
+
+    def test_custom_comm_model_rejected(self):
+        machine = Machine([Processor(id=i, speed=1.0) for i in range(2)],
+                          comm=OpaqueCommunication())
+        dag = random_dag(6, seed=1)
+        etc = generate_etc(dag, machine, heterogeneity=0.5, seed=1)
+        templates = {"a": Instance(dag=dag, machine=machine, etc=etc, name="a")}
+        with pytest.raises(ConfigurationError, match="communication model"):
+            simulate_online(templates, PoissonArrivals(rate=1.0, jobs=1))
 
 
 class TestResultShape:
