@@ -1,14 +1,16 @@
 """Compiled cold-path benchmark: flat-array executor vs object path.
 
-Two measurements, both against the object decode path with the kernel
-layer left ON (``repro.compiled.use_executor(False)``) — i.e. the
-speedup attributable to the compiled executor alone, not to the rank
-kernels:
+Two measurements, both against the scalar object path reached through
+the test-side helper (``tests/object_path.py``), with the rank kernels
+and cost memos shared by both legs — i.e. the speedup attributable to
+the compiled executor alone:
 
-* **bit-identity** — every routed scheduler over the full 56-instance
-  differential corpus (all four rank aggregations via the HEFT variants
-  and the IMP rank search, insertion on and off, duplication/lookahead/
-  refinement on), comparing complete serialized payloads;
+* **bit-identity** — every routed scheduler over the full 60-instance
+  differential corpus (uniform and per-link machines; all four rank
+  aggregations via the HEFT variants and the IMP rank search;
+  duplication/lookahead/refinement on), with insertion on, plus the
+  insertion-off variants of HEFT, IMP, LA-HEFT and DUP-HEFT, comparing
+  complete serialized payloads;
 * **end-to-end speedup** — HEFT and IMP on 100/200/300-task instances,
   min-of-reps wall time, geometric mean across all (alg, size) points.
 
@@ -36,19 +38,13 @@ if str(ROOT) not in sys.path:
     sys.path.insert(0, str(ROOT))
 
 from repro.bench import workloads as W
-from repro.compiled import use_executor
-from repro.core import ImprovedConfig, ImprovedScheduler
 from repro.schedulers.registry import get_scheduler
 from repro.service.protocol import schedule_payload
 from repro.utils.rng import as_generator
+from tests.object_path import ROUTED, object_path, routed_insertion_off
 from tests.population import build_population
 
 OUT = ROOT / "BENCH_coldpath.json"
-
-#: Schedulers routed through the compiled executor; the HEFT variants
-#: cover all four rank aggregations.
-ROUTED = ["HEFT", "HEFT-median", "HEFT-best", "HEFT-worst",
-          "CPOP", "HCPT", "PETS", "DLS", "HLFET", "MCP", "IMP"]
 
 #: Timed end-to-end points (scheduler, task count, timing repetitions).
 POINTS = [(alg, n, 5 if alg == "HEFT" else 3)
@@ -64,22 +60,15 @@ def check_corpus_identity() -> dict:
     population = build_population()
     checked = 0
     mismatches: list[str] = []
-    insertion_off = ImprovedConfig(insertion=False)
     for label, inst in population:
-        for alg in ROUTED:
-            scheduler = get_scheduler(alg)
+        schedulers = [(alg, get_scheduler(alg)) for alg in ROUTED]
+        for alg, scheduler in schedulers + routed_insertion_off():
             fast = scheduler.schedule(inst)
-            with use_executor(False):
+            with object_path():
                 ref = scheduler.schedule(inst)
             checked += 1
             if _payload(fast, inst, alg) != _payload(ref, inst, alg):
                 mismatches.append(f"{label}/{alg}")
-        fast = ImprovedScheduler(insertion_off).schedule(inst)
-        with use_executor(False):
-            ref = ImprovedScheduler(insertion_off).schedule(inst)
-        checked += 1
-        if _payload(fast, inst, "IMP") != _payload(ref, inst, "IMP"):
-            mismatches.append(f"{label}/IMP-noinsert")
     return {
         "instances": len(population),
         "schedules_checked": checked,
@@ -99,7 +88,7 @@ def measure_speedups() -> dict:
             t0 = time.perf_counter()
             fast = scheduler.schedule(inst)
             compiled_times.append(time.perf_counter() - t0)
-        with use_executor(False):
+        with object_path():
             scheduler.schedule(inst)
             object_times = []
             for _ in range(reps):

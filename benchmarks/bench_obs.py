@@ -8,8 +8,9 @@ instrumented paths and writes ``BENCH_obs.json`` at the repo root:
 
 * ``decode_batch`` — the GA fitness loop of the compiled core — against
   a verbatim replica of its body with the tracer hooks deleted;
-* ``HEFT().schedule()`` against a verbatim replica of the
-  ``ListScheduler.schedule`` loop with the tracer hooks deleted.
+* ``HEFT().schedule()`` against a hook-free replica of its compiled
+  branch (``priority_order`` → ``schedule_list`` → ``materialize``), the
+  path every HEFT call runs, traced or not.
 
 Both comparisons take best-of-``ROUNDS`` timings (noise suppression)
 and hard-assert bit-identical outputs.  The enabled-tracer cost is also
@@ -33,6 +34,7 @@ from pathlib import Path
 import numpy as np
 
 from repro.bench import workloads as W
+from repro.compiled import compile_instance
 from repro.obs import NULL_TRACER, Tracer, get_tracer, use_tracer
 from repro.schedule.schedule import Schedule
 from repro.schedulers.heft import HEFT
@@ -104,15 +106,18 @@ def _bench_decode_overhead() -> dict:
 
 
 def _heft_raw(scheduler: HEFT, inst) -> Schedule:
-    """``ListScheduler.schedule`` with the tracer hooks deleted."""
-    schedule = Schedule(inst.machine, name=f"{scheduler.name}:{inst.name}")
+    """``ListScheduler.schedule``'s compiled branch with the tracer
+    hooks deleted."""
     order = scheduler.priority_order(inst)
     if set(order) != set(inst.dag.tasks()) or len(order) != inst.num_tasks:
         raise AssertionError("priority order does not cover the instance")
-    for task in order:
-        placed = scheduler.place(schedule, inst, task)
-        schedule.add(task, placed.proc, placed.start, placed.end - placed.start)
-    return schedule
+    ci = compile_instance(inst)
+    result = ci.schedule_list(
+        ci.order_indices(order),
+        insertion=scheduler.insertion,
+        policy=scheduler.compiled_policy,
+    )
+    return ci.materialize(result, inst.machine, f"{scheduler.name}:{inst.name}")
 
 
 def _bench_heft_overhead() -> dict:

@@ -4,11 +4,12 @@ per-arrival re-lowering, plus the arrival stream against the fleet.
 Two measurements:
 
 * **cached vs full re-lowering** — the same 1k-job Poisson trace driven
-  through ``simulate_online`` twice: ``relower="cached"`` lowers each
-  template once (flat CSR/ETC arrays + rank order) and re-seeds only
-  the cluster's dirty-suffix timelines per arrival, while
-  ``relower="full"`` rebuilds a fresh Instance (kernel, compiled
-  arrays, priority order) for every placement.  Both produce
+  twice: ``simulate_online`` lowers each template once (flat CSR/ETC
+  arrays + rank order) and re-seeds only the cluster's dirty-suffix
+  timelines per arrival, while the test-side baseline
+  ``tests.sim.online_relower.simulate_relowered`` rebuilds a fresh
+  Instance (kernel, compiled arrays, priority order) for every
+  placement.  Both produce
   byte-identical result payloads — the identity check runs first — so
   the wall-time ratio is pure lowering overhead.  The arrival rate
   keeps the cluster in steady state (util well below saturation): in
@@ -34,14 +35,21 @@ from __future__ import annotations
 
 import asyncio
 import json
+import sys
 import time
 from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+if str(ROOT) not in sys.path:
+    # The re-lowering baseline lives in the tests package; direct
+    # ``python benchmarks/bench_online.py`` runs need the repo root.
+    sys.path.insert(0, str(ROOT))
 
 from repro.service import ServiceClient
 from repro.service.fleet import FleetManager
 from repro.sim import PoissonArrivals, build_templates, simulate_online
+from tests.sim.online_relower import simulate_relowered
 
-ROOT = Path(__file__).resolve().parent.parent
 OUT = ROOT / "BENCH_online.json"
 
 #: Catalogue + stream protocol.  rate=0.03 jobs/unit over 4 templates
@@ -68,20 +76,20 @@ def _workload(jobs: int):
 def measure_relowering(jobs: int, reps: int = 3) -> dict:
     """Cached vs full re-lowering on the same trace; identity + timing."""
     templates, stream = _workload(jobs)
-    cached = simulate_online(templates, stream, relower="cached")
-    full = simulate_online(templates, stream, relower="full")
+    cached = simulate_online(templates, stream)
+    full = simulate_relowered(templates, stream)
     identical = cached.payload_json() == full.payload_json()
 
-    def best_of(relower: str) -> float:
+    def best_of(simulate) -> float:
         best = float("inf")
         for _ in range(reps):
             t0 = time.perf_counter()
-            simulate_online(templates, stream, relower=relower)
+            simulate(templates, stream)
             best = min(best, time.perf_counter() - t0)
         return best
 
-    t_cached = best_of("cached")
-    t_full = best_of("full")
+    t_cached = best_of(simulate_online)
+    t_full = best_of(simulate_relowered)
     m = cached.metrics_dict()
     return {
         "jobs": jobs,

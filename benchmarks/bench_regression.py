@@ -1,11 +1,11 @@
 """Hot-path performance regression harness.
 
-Times the E1-style replication sweep four ways — legacy scalar kernels
-(serial), vectorized kernels (serial), and the parallel runner at 2 and
-4 workers — verifies all four produce *identical* per-replication
-results, microbenchmarks the rank and EFT kernels against their scalar
-references, and writes everything to ``BENCH_hotpath.json`` at the repo
-root.
+Times the E1-style replication sweep four ways — the scalar object path
+(serial, through the test-side ``tests/object_path.py`` helper), the
+compiled executor (serial), and the parallel runner at 2 and 4 workers
+— verifies all four produce *identical* per-replication results,
+microbenchmarks the rank kernel against its scalar reference, and
+writes everything to ``BENCH_hotpath.json`` at the repo root.
 
 Run directly to regenerate the JSON:
 
@@ -18,20 +18,24 @@ a silent performance regression (or a broken equivalence) fails CI.
 from __future__ import annotations
 
 import json
+import sys
 import time
+from contextlib import nullcontext
 from pathlib import Path
 
 import numpy as np
 
+ROOT = Path(__file__).resolve().parent.parent
+if str(ROOT) not in sys.path:
+    # The object-path helper lives in the tests package; direct
+    # ``python benchmarks/bench_regression.py`` runs need the repo root.
+    sys.path.insert(0, str(ROOT))
+
 from repro.bench import workloads as W
 from repro.bench.runner import run_sweep
-from repro.kernels import use_kernels
-from repro.schedulers.base import eft_placement
 from repro.schedulers.ranking import upward_ranks, upward_ranks_scalar
-from repro.schedulers.registry import get_scheduler
-from repro.schedule.schedule import Schedule
+from tests.object_path import object_path
 
-ROOT = Path(__file__).resolve().parent.parent
 OUT = ROOT / "BENCH_hotpath.json"
 
 # E1-style sweep: the paper's compared set over random DAG sizes.  Sized
@@ -49,8 +53,8 @@ SWEEP = dict(
 )
 
 
-def _time_sweep(workers: int, kernels: bool) -> tuple[float, object]:
-    with use_kernels(kernels):
+def _time_sweep(workers: int, legacy: bool = False) -> tuple[float, object]:
+    with object_path() if legacy else nullcontext():
         t0 = time.perf_counter()
         res = run_sweep(workers=workers, **SWEEP)
         elapsed = time.perf_counter() - t0
@@ -88,11 +92,10 @@ def _bench_ranks(trials: int = 20) -> dict[str, float]:
         upward_ranks_scalar(cold)
     scalar_cold = (time.perf_counter() - t0) / trials
     cold_insts = fresh()
-    with use_kernels(True):
-        t0 = time.perf_counter()
-        for cold in cold_insts:
-            upward_ranks(cold)
-        end_to_end = (time.perf_counter() - t0) / trials
+    t0 = time.perf_counter()
+    for cold in cold_insts:
+        upward_ranks(cold)
+    end_to_end = (time.perf_counter() - t0) / trials
     return {
         "scalar_s": scalar,
         "scalar_cold_s": scalar_cold,
@@ -103,35 +106,11 @@ def _bench_ranks(trials: int = 20) -> dict[str, float]:
     }
 
 
-def _bench_eft(trials: int = 5) -> dict[str, float]:
-    inst = W.random_instance(np.random.default_rng(9), num_tasks=120, num_procs=8)
-    heft = get_scheduler("HEFT")
-    order = heft.priority_order(inst)
-
-    def run(kernels: bool) -> float:
-        with use_kernels(kernels):
-            t0 = time.perf_counter()
-            for _ in range(trials):
-                schedule = Schedule(inst.machine)
-                for task in order:
-                    p = eft_placement(schedule, inst, task)
-                    schedule.add(task, p.proc, p.start, p.end - p.start)
-            return (time.perf_counter() - t0) / trials
-
-    scalar = run(False)
-    batched = run(True)
-    return {
-        "scalar_s": scalar,
-        "batched_s": batched,
-        "speedup": scalar / batched if batched > 0 else float("inf"),
-    }
-
-
 def run_regression() -> dict:
-    legacy_s, legacy = _time_sweep(workers=1, kernels=False)
-    fast_s, fast = _time_sweep(workers=1, kernels=True)
-    par2_s, par2 = _time_sweep(workers=2, kernels=True)
-    par4_s, par4 = _time_sweep(workers=4, kernels=True)
+    legacy_s, legacy = _time_sweep(workers=1, legacy=True)
+    fast_s, fast = _time_sweep(workers=1)
+    par2_s, par2 = _time_sweep(workers=2)
+    par4_s, par4 = _time_sweep(workers=4)
 
     identical = all(r.raw == legacy.raw and r.series == legacy.series for r in (fast, par2, par4))
 
@@ -147,7 +126,6 @@ def run_regression() -> dict:
             "results_identical_across_modes": identical,
         },
         "ranks": _bench_ranks(),
-        "eft": _bench_eft(),
     }
 
 
@@ -155,7 +133,7 @@ def test_hotpath_regression():
     """Equivalence is a hard gate; speed a soft one (CI boxes vary)."""
     report = run_regression()
     sweep = report["sweep"]
-    assert sweep["results_identical_across_modes"], "parallel/vectorized results diverged"
+    assert sweep["results_identical_across_modes"], "parallel/compiled results diverged"
     best = min(sweep["optimized_serial_s"], sweep["parallel4_s"])
     assert sweep["legacy_serial_s"] / best >= 1.5, (
         f"hot path slower than expected: {sweep}"
@@ -165,7 +143,6 @@ def test_hotpath_regression():
     # small instances take the scalar recurrence over memoized adjacency
     # instead of paying the level build.
     assert report["ranks"]["speedup_cold"] > 1.0
-    assert report["eft"]["speedup"] > 1.0
 
 
 def main() -> None:
@@ -180,7 +157,6 @@ def main() -> None:
           f"({sweep['speedup_parallel4_vs_legacy']:.2f}x vs legacy)")
     print(f"identical results : {sweep['results_identical_across_modes']}")
     print(f"rank kernel       : {report['ranks']['speedup_cached']:.1f}x")
-    print(f"eft batching      : {report['eft']['speedup']:.2f}x")
     print(f"wrote {OUT}")
 
 

@@ -67,23 +67,12 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
 
 def _cmd_schedule(args: argparse.Namespace) -> int:
-    from repro.dag import io as dag_io
-    from repro.instance import make_instance
     from repro.schedule.metrics import slr, speedup
     from repro.schedule.validation import validate
     from repro.schedulers.registry import get_scheduler
 
-    path = Path(args.dag)
-    if path.suffix == ".json":
-        dag = dag_io.load_json(path)
-    else:
-        dag = dag_io.load_stg(path)
-    instance = make_instance(
-        dag,
-        num_procs=args.procs,
-        heterogeneity=args.heterogeneity,
-        seed=args.seed,
-    )
+    instance = _load_instance_arg(args.dag, args)
+    dag = instance.dag
     if args.deadline is not None:
         instance = instance.with_deadline(args.deadline)
     scheduler = get_scheduler(args.alg)
@@ -105,7 +94,7 @@ def _cmd_schedule(args: argparse.Namespace) -> int:
         validate(schedule, instance)
     print(f"algorithm : {scheduler.name}")
     print(f"dag       : {dag.name} ({dag.num_tasks} tasks, {dag.num_edges} edges)")
-    print(f"machine   : {args.procs} processors, beta={args.heterogeneity}")
+    print(f"machine   : {instance.machine.name} ({instance.num_procs} processors)")
     print(f"makespan  : {schedule.makespan:.4f}")
     print(f"SLR       : {slr(schedule, instance):.4f}")
     print(f"speedup   : {speedup(schedule, instance):.4f}")
@@ -282,7 +271,6 @@ def _cmd_simulate_online(args: argparse.Namespace) -> int:
         arrivals,
         alg=args.alg,
         policy=args.policy,
-        relower=args.relower,
         noise_cv=args.noise,
         seed=args.seed,
     )
@@ -291,8 +279,7 @@ def _cmd_simulate_online(args: argparse.Namespace) -> int:
             fh.write(result.to_json())
         print(f"wrote {args.json}")
     m = result.metrics_dict()
-    print(f"algorithm   : {result.alg}  policy={result.policy}  "
-          f"relower={result.relower}")
+    print(f"algorithm   : {result.alg}  policy={result.policy}")
     print(f"jobs        : {len(result.jobs)} over {len(templates)} templates "
           f"on {result.machine}")
     print(f"makespan    : {result.makespan:.4f}")
@@ -566,7 +553,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_report.set_defaults(fn=_cmd_report)
 
     p_sched = sub.add_parser("schedule", help="schedule a task-graph file")
-    p_sched.add_argument("--dag", required=True, help="path to .json or .stg graph")
+    p_sched.add_argument("--dag", required=True,
+                         help="path to a .json/.stg graph or a .json instance document")
     p_sched.add_argument("--alg", default="IMP", help="scheduler name (default IMP)")
     p_sched.add_argument("--procs", type=int, default=8)
     p_sched.add_argument("--heterogeneity", type=float, default=0.5)
@@ -632,8 +620,6 @@ def build_parser() -> argparse.ArgumentParser:
                           help="list scheduler placing each job (default HEFT)")
     p_online.add_argument("--policy", default="queue",
                           help="rescheduling policy: queue, replace, preempt, ...")
-    p_online.add_argument("--relower", default="cached", choices=["cached", "full"],
-                          help="reuse the per-template lowering or rebuild per arrival")
     p_online.add_argument("--templates", type=int, default=3,
                           help="size of the job-template catalogue")
     p_online.add_argument("--tasks", type=int, default=20,

@@ -45,8 +45,7 @@ object path.
 from __future__ import annotations
 
 from bisect import bisect_left
-from contextlib import contextmanager
-from typing import TYPE_CHECKING, Iterator, Mapping, Sequence
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 import numpy as np
 
@@ -65,11 +64,9 @@ __all__ = [
     "CompiledInstance",
     "CompiledSchedule",
     "compile_instance",
-    "executor_enabled",
     "note_fallback",
     "reset_schedule_counters",
     "schedule_counters",
-    "use_executor",
 ]
 
 _INF = float("inf")
@@ -77,14 +74,12 @@ _EPS = 1e-12  # placement tie tolerance (PlacementEngine/eft_placement)
 _TOL = 1e-9  # refinement acceptance / child-deadline tolerance
 
 # ---------------------------------------------------------------------------
-# executor switch + counters
+# counters
 # ---------------------------------------------------------------------------
-# The compiled schedule executors are plain-int counted (not tracer
-# counted): the schedulers only route through the executor when tracing
-# is *off* — traced runs keep the object path so the golden span shapes
-# (sched.run/rank/place/insert) stay intact — so tracer counters would
-# never fire.  The service surfaces these on ``/metrics``.
-_EXECUTOR_ENABLED = True
+# The compiled schedule executors are plain-int counted, traced or not:
+# the counts cost one dict update per schedule, so they stay on even
+# with the no-op tracer, and the service workers ship their deltas back
+# to the engine for ``/metrics``.
 _COUNTS = {
     "list_schedules": 0,
     "dls_schedules": 0,
@@ -93,27 +88,6 @@ _COUNTS = {
     "online_schedules": 0,
     "fallbacks": 0,
 }
-
-
-def executor_enabled() -> bool:
-    """True when schedulers may route through the compiled executor."""
-    return _EXECUTOR_ENABLED
-
-
-@contextmanager
-def use_executor(enabled: bool) -> Iterator[None]:
-    """Temporarily force the compiled schedule executor on or off.
-
-    Used by the differential tests and ``benchmarks/bench_coldpath.py``
-    to time the object path while the kernel layer stays on.
-    """
-    global _EXECUTOR_ENABLED
-    previous = _EXECUTOR_ENABLED
-    _EXECUTOR_ENABLED = bool(enabled)
-    try:
-        yield
-    finally:
-        _EXECUTOR_ENABLED = previous
 
 
 def schedule_counters() -> dict[str, int]:
@@ -1116,7 +1090,7 @@ class CompiledInstance:
     def _lookahead_base(self, st: "_FlatState", t: int, child: int) -> list[float]:
         """Per-processor arrival fold of ``child``'s *other* placed parents.
 
-        This part of ``InstanceKernel.lookahead_score`` does not depend
+        This part of ``PlacementEngine._lookahead_finish`` does not depend
         on where ``t`` is probed, so the placement pass computes it once
         per task and shares it across all processor probes.  All values
         are >= 0, so folding from 0.0 and taking the max against the
@@ -1158,7 +1132,7 @@ class CompiledInstance:
         j_placed: int,
         placed_end: float,
     ) -> float:
-        """PlacementEngine._lookahead_score replay over flat state."""
+        """PlacementEngine._lookahead_finish replay over flat state."""
         q = self.q
         w_tc = self._succ_w[t][child]
         base_tc = placed_end + w_tc
@@ -1394,8 +1368,9 @@ def compile_instance(instance: "Instance") -> CompiledInstance | None:
 
     Delegates to ``instance.kernel.compiled()`` — the lowering happens
     once per instance and is shared by every subsequent caller (the
-    metaheuristics, the service workers, the benchmarks).  ``None`` when
-    the machine's link model has no per-pair constant; callers fall back
-    to the object decode path.
+    schedulers, the metaheuristics, the service workers, the online
+    simulator).  Zero, uniform and per-link machines lower; ``None``
+    only for a custom :class:`~repro.machine.comm.CommunicationModel`
+    subclass, whose callers fall back to the object path.
     """
     return instance.kernel.compiled()

@@ -19,7 +19,6 @@ from dataclasses import dataclass
 
 from repro.exceptions import SchedulingError
 from repro.instance import Instance
-from repro.kernels import kernels_enabled
 from repro.obs import get_tracer
 from repro.schedule.schedule import Schedule, ScheduledTask
 from repro.schedulers.base import Placement, compiled_for, placement_on, ready_time
@@ -53,18 +52,6 @@ class PlacementEngine:
         self.duplication = duplication
         self.insertion = insertion
         self.max_duplications_per_task = max_duplications_per_task
-        # (dag, position-map) pair; recomputing the topological position
-        # map per placement would cost O(n) per call, O(n^2 q) per run.
-        self._pos_cache: tuple[object, dict[TaskId, int]] | None = None
-
-    def _positions(self, instance: Instance) -> dict[TaskId, int]:
-        if kernels_enabled():
-            return instance.kernel.pos
-        dag = instance.dag
-        if self._pos_cache is None or self._pos_cache[0] is not dag:
-            pos = {t: i for i, t in enumerate(dag.topological_order())}
-            self._pos_cache = (dag, pos)
-        return self._pos_cache[1]
 
     # ------------------------------------------------------------------
     # duplication planning
@@ -74,19 +61,6 @@ class PlacementEngine:
     ) -> dict[TaskId, float]:
         """Per-parent earliest data arrival on ``proc``."""
         out: dict[TaskId, float] = {}
-        if kernels_enabled():
-            kern = instance.kernel
-            consts = kern.out_const
-            if consts is not None:
-                for parent in kern.pred[task]:
-                    const = consts[parent][task]
-                    arrival = float("inf")
-                    for c in schedule.copies(parent):
-                        cand = c.end if c.proc == proc else c.end + const
-                        if cand < arrival:
-                            arrival = cand
-                    out[parent] = arrival
-                return out
         for parent in instance.predecessors_of(task):
             arrival = float("inf")
             for c in schedule.copies(parent):
@@ -106,7 +80,7 @@ class PlacementEngine:
         :meth:`_rollback` unless it commits to this processor.
         """
         applied: list[_DupPlan] = []
-        pos = self._positions(instance)
+        pos = instance.kernel.pos
         for _ in range(self.max_duplications_per_task):
             arrivals = self._arrivals(schedule, instance, task, proc)
             if not arrivals:
@@ -151,10 +125,10 @@ class PlacementEngine:
         pending = [s for s in instance.successors_of(task) if s not in schedule]
         if not pending:
             return None
-        pos = self._positions(instance)
+        pos = instance.kernel.pos
         return max(pending, key=lambda s: (ranks.get(s, 0.0), -pos[s]))
 
-    def _lookahead_score(
+    def _lookahead_finish(
         self,
         schedule: Schedule,
         instance: Instance,
@@ -171,12 +145,6 @@ class PlacementEngine:
         deterministic approximation that keeps the engine at
         O(q^2) per task.
         """
-        if kernels_enabled():
-            fast = instance.kernel.lookahead_score(
-                schedule, task, child, placed.proc, placed.end
-            )
-            if fast is not None:
-                return fast
         best = float("inf")
         for proc in instance.machine.proc_ids():
             ready = placed.end + instance.comm_time(task, child, placed.proc, proc)
@@ -225,20 +193,13 @@ class PlacementEngine:
         # The plain probes all see the same schedule state (tentative
         # duplicates are rolled back before the next processor), so the
         # per-processor ready times can be batched once up front.
-        ready_vec = (
-            instance.kernel.ready_times(schedule, task) if kernels_enabled() else None
-        )
+        ready_vec = instance.kernel.ready_times(schedule, task)
         for j, proc in enumerate(procs):
-            if ready_vec is not None:
-                duration = instance.exec_time(task, proc)
-                start = schedule.timeline(proc).find_slot(
-                    float(ready_vec[j]), duration, insertion=self.insertion
-                )
-                plain = Placement(proc=proc, start=start, end=start + duration)
-            else:
-                plain = placement_on(
-                    schedule, instance, task, proc, insertion=self.insertion
-                )
+            duration = instance.exec_time(task, proc)
+            start = schedule.timeline(proc).find_slot(
+                ready_vec[j], duration, insertion=self.insertion
+            )
+            plain = Placement(proc=proc, start=start, end=start + duration)
             plans: list[_DupPlan] = []
             placed = plain
             if self.duplication:
@@ -253,7 +214,7 @@ class PlacementEngine:
                         self._rollback(schedule, plans)
                         plans = []
             if child is not None:
-                score = self._lookahead_score(schedule, instance, task, placed, child)
+                score = self._lookahead_finish(schedule, instance, task, placed, child)
             else:
                 score = placed.end
             key = (score, placed.end, j)
@@ -284,18 +245,15 @@ class PlacementEngine:
         topological tie-break) with this engine — the whole of LA-HEFT
         and DUP-HEFT.
 
-        Runs as one compiled improved pass without refinement when the
-        instance routes through the compiled executor, which replays
-        :meth:`place` float for float; otherwise loops :meth:`place`
-        over a real :class:`Schedule`.
+        Runs as one compiled improved pass without refinement, which
+        replays :meth:`place` float for float; only a custom
+        communication model loops :meth:`place` over a real
+        :class:`Schedule`.
         """
         ranks = upward_ranks(instance, agg)
         name = f"{label}:{instance.name}"
         ci = compiled_for(instance)
-        if ci is not None:
-            pos = instance.kernel.pos
-        else:
-            pos = {t: i for i, t in enumerate(instance.dag.topological_order())}
+        pos = instance.kernel.pos
         order = sorted(instance.dag.tasks(), key=lambda t: (-ranks[t], pos[t]))
         if ci is not None:
             result = ci.schedule_improved(

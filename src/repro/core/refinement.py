@@ -15,9 +15,8 @@ themselves are never moved.
 from __future__ import annotations
 
 from repro.instance import Instance
-from repro.kernels import kernels_enabled
 from repro.schedule.schedule import Schedule
-from repro.schedulers.base import Placement, placement_on
+from repro.schedulers.base import Placement
 from repro.types import TaskId
 
 _EPS = 1e-12
@@ -37,24 +36,6 @@ def _children_deadline_ok(
     any surviving duplicate of ``task`` — arrives by its start.
     """
     duplicates = [c for c in schedule.copies(task) if c.duplicate] if task in schedule else []
-    consts = None
-    if kernels_enabled():
-        consts = instance.kernel.out_const
-    if consts is not None:
-        for child in instance.successors_of(task):
-            if child not in schedule:
-                continue
-            const = consts[task][child]
-            for child_copy in schedule.copies(child):
-                dst = child_copy.proc
-                arrival = new_end if new_proc == dst else new_end + const
-                for dup in duplicates:
-                    cand = dup.end if dup.proc == dst else dup.end + const
-                    if cand < arrival:
-                        arrival = cand
-                if arrival > child_copy.start + _TOL:
-                    return False
-        return True
     for child in instance.successors_of(task):
         if child not in schedule:
             continue
@@ -95,20 +76,13 @@ def refine_schedule(
             old = schedule.entry(task)
             schedule.remove(task)
             best = None
-            ready_vec = (
-                instance.kernel.ready_times(schedule, task)
-                if kernels_enabled()
-                else None
-            )
+            ready_vec = instance.kernel.ready_times(schedule, task)
             for j, proc in enumerate(instance.machine.proc_ids()):
-                if ready_vec is not None:
-                    duration = instance.exec_time(task, proc)
-                    start = schedule.timeline(proc).find_slot(
-                        float(ready_vec[j]), duration, insertion=True
-                    )
-                    cand = Placement(proc=proc, start=start, end=start + duration)
-                else:
-                    cand = placement_on(schedule, instance, task, proc, insertion=True)
+                duration = instance.exec_time(task, proc)
+                start = schedule.timeline(proc).find_slot(
+                    ready_vec[j], duration, insertion=True
+                )
+                cand = Placement(proc=proc, start=start, end=start + duration)
                 if not _children_deadline_ok(schedule, instance, task, proc, cand.end):
                     continue
                 if best is None or cand.end < best.end - _EPS:

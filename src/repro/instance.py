@@ -14,7 +14,7 @@ import numpy as np
 
 from repro.dag.graph import TaskDAG
 from repro.exceptions import ConfigurationError, UnknownTaskError
-from repro.kernels import InstanceKernel, kernels_enabled
+from repro.kernels import InstanceKernel
 from repro.machine.cluster import Machine
 from repro.machine.etc import Consistency, ETCMatrix, etc_from_speeds, generate_etc
 from repro.types import ProcId, TaskId
@@ -67,12 +67,10 @@ class Instance:
     # ------------------------------------------------------------------
     def exec_time(self, task: TaskId, proc: ProcId) -> float:
         """Execution time of ``task`` on ``proc``."""
-        if kernels_enabled():
-            try:
-                return self.kernel.exec_table()[task][proc]
-            except KeyError:
-                pass  # unknown id: fall through for the exact legacy error
-        return self.etc.time(task, proc)
+        try:
+            return self.kernel.exec_table()[task][proc]
+        except KeyError:
+            return self.etc.time(task, proc)  # unknown id: the ETC's exact error
 
     def avg_exec_time(self, task: TaskId) -> float:
         """Mean execution time of ``task`` across processors (w̄ of HEFT)."""
@@ -80,47 +78,34 @@ class Instance:
 
     def comm_time(self, parent: TaskId, child: TaskId, src: ProcId, dst: ProcId) -> float:
         """Actual transfer time of edge data between two placements."""
-        if kernels_enabled():
-            return self.kernel.comm_time(parent, child, src, dst)
-        return self.machine.comm_time(self.dag.data(parent, child), src, dst)
+        return self.kernel.comm_time(parent, child, src, dst)
 
     def avg_comm_time(self, parent: TaskId, child: TaskId) -> float:
         """Average transfer time of an edge (c̄ of HEFT's ranking)."""
-        if kernels_enabled():
-            return self.kernel.avg_comm(parent, child)
-        return self.machine.avg_comm_time(self.dag.data(parent, child))
+        return self.kernel.avg_comm(parent, child)
 
     def successors_of(self, task: TaskId) -> list[TaskId]:
         """Successors of ``task`` (memoized; treat the list as read-only)."""
-        if kernels_enabled():
-            try:
-                return self.kernel.succ[task]
-            except KeyError:
-                raise UnknownTaskError(task) from None
-        return self.dag.successors(task)
+        try:
+            return self.kernel.succ[task]
+        except KeyError:
+            raise UnknownTaskError(task) from None
 
     def predecessors_of(self, task: TaskId) -> list[TaskId]:
         """Predecessors of ``task`` (memoized; treat the list as read-only)."""
-        if kernels_enabled():
-            try:
-                return self.kernel.pred[task]
-            except KeyError:
-                raise UnknownTaskError(task) from None
-        return self.dag.predecessors(task)
+        try:
+            return self.kernel.pred[task]
+        except KeyError:
+            raise UnknownTaskError(task) from None
 
     def etc_row(self, task: TaskId) -> np.ndarray:
-        """Per-processor execution times of ``task`` in machine proc order.
-
-        The kernel path returns a cached read-only view; the fallback
-        materializes the same floats from the ETC matrix.
-        """
-        if kernels_enabled():
-            return self.kernel.etc_row(task)
-        return np.array([self.etc.time(task, p) for p in self.machine.proc_ids()])
+        """Per-processor execution times of ``task`` in machine proc order
+        (a cached read-only view)."""
+        return self.kernel.etc_row(task)
 
     @cached_property
     def kernel(self) -> InstanceKernel:
-        """Per-instance cache + vectorized-kernel bundle (built lazily).
+        """Per-instance cache + rank-kernel bundle (built lazily).
 
         Like the other cached properties, this snapshots the instance at
         first use — instances are immutable bundles by convention.

@@ -1,37 +1,34 @@
-"""Hot-path kernel layer: per-instance caches and NumPy-vectorized kernels.
+"""Per-instance caches and the vectorized rank kernels.
 
 Every figure of the reconstructed protocol averages hundreds of
 replications, and each replication runs every compared scheduler on the
-same :class:`~repro.instance.Instance`.  The scalar implementations in
-:mod:`repro.schedulers.ranking` and :mod:`repro.schedulers.base` are the
-specification; this module supplies *behaviour-preserving* accelerated
-equivalents:
+same :class:`~repro.instance.Instance`.  :class:`InstanceKernel` is
+built once per instance (lazily, via ``Instance.kernel``) and backs
+every cost query the schedulers make:
 
-* :class:`InstanceKernel` — built once per instance (lazily, via
-  ``Instance.kernel``), it memoizes successor/predecessor lists, per-edge
-  data volumes, average communication costs, per-pair communication
-  constants (for the uniform/zero link models every experiment uses) and
-  a dense ETC array in canonical (machine) processor order.
+* memoized successor/predecessor lists, per-edge data volumes, average
+  communication costs, per-pair communication constants (for the
+  uniform/zero link models every experiment uses) and a dense ETC array
+  in canonical (machine) processor order;
 * level-grouped NumPy evaluation of the upward/downward rank recurrences
   (``np.maximum.reduceat`` over the DAG's depth levels), cached per
   aggregation so HEFT, CPOP and the improved scheduler's rank-variant
   search never recompute a rank for the same instance;
-* batched earliest-data-ready times across all processors for EFT/EST
-  placement, and a vectorized one-level lookahead score.
+* the compiled flat-array lowering (:meth:`InstanceKernel.compiled`),
+  which runs every production scheduler;
+* :meth:`InstanceKernel.ready_times`, the object path's all-processor
+  data-ready vector for any communication model.
 
-The kernels reproduce the scalar floating-point operations exactly —
-same additions, in the same order, with exact min/max reductions — so
-schedules are bit-identical with the layer on or off (asserted by
-``tests/core/test_vectorized_equivalence.py``).  The module-level switch
-(:func:`use_kernels`) exists for those differential tests and for the
-perf-regression harness, which measures the legacy scalar path as its
-baseline.
+The rank kernels reproduce the scalar recurrences in
+:mod:`repro.schedulers.ranking` exactly — same additions, in the same
+order, with exact min/max reductions — so ranks are bit-identical to
+the ``*_scalar`` specifications (asserted by
+``tests/core/test_vectorized_equivalence.py``).
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-from typing import TYPE_CHECKING, Iterator
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -66,35 +63,6 @@ _AGGS = ("mean", "median", "best", "worst")
 #: variants.  Both paths replay the same float operations, so results
 #: stay bit-identical either way.
 _SCALAR_RANK_CUTOFF = 256
-
-_ENABLED = True
-
-
-def kernels_enabled() -> bool:
-    """True when the accelerated kernel layer is active (the default)."""
-    return _ENABLED
-
-
-def set_kernels_enabled(enabled: bool) -> None:
-    """Globally enable/disable the kernel layer (process-wide)."""
-    global _ENABLED
-    _ENABLED = bool(enabled)
-
-
-@contextmanager
-def use_kernels(enabled: bool) -> Iterator[None]:
-    """Temporarily force the kernel layer on or off.
-
-    Used by the differential tests (compare against the scalar reference)
-    and by ``benchmarks/bench_regression.py`` (time the legacy path).
-    """
-    global _ENABLED
-    previous = _ENABLED
-    _ENABLED = bool(enabled)
-    try:
-        yield
-    finally:
-        _ENABLED = previous
 
 
 class InstanceKernel:
@@ -150,8 +118,8 @@ class InstanceKernel:
         # Per-pair constants: with the uniform (or zero) link model the
         # cost of an edge is one constant for every distinct pair — the
         # exact float the model itself would return.  ``None`` for
-        # per-link models: the object path's hot paths then fall back to
-        # scalar code (the compiled lowering prices them through
+        # every other model: the object path then asks the model itself
+        # (the compiled lowering prices per-link machines through
         # :meth:`link_tables`).
         self.out_const: dict["TaskId", dict["TaskId", float]] | None
         if isinstance(self._comm, ZeroCommunication):
@@ -182,15 +150,6 @@ class InstanceKernel:
         self._exec: dict["TaskId", dict["ProcId", float]] | None = None
         self._compiled: object | None = None
         self._compiled_built = False
-
-        # Scratch buffers for the batched scoring kernels.  Scheduling is
-        # single-threaded per instance, so reuse is safe; ready_times
-        # hands out a fresh array, never a buffer.
-        q = len(self.procs)
-        self._row_buf = np.empty(q)
-        self._arr_buf = np.empty(q)
-        self._la_ready_buf = np.empty(q)
-        self._avail_buf = np.empty(q)
 
     # ------------------------------------------------------------------
     # memoized cost queries
@@ -513,87 +472,47 @@ class InstanceKernel:
         }
 
     # ------------------------------------------------------------------
-    # batched placement scoring
+    # object-path placement scoring
     # ------------------------------------------------------------------
-    def ready_times(self, schedule: "Schedule", task: "TaskId") -> np.ndarray | None:
+    def ready_times(self, schedule: "Schedule", task: "TaskId") -> list[float]:
         """Earliest data-ready time of ``task`` on *every* processor.
 
-        Returns ``None`` when the machine's link model has no per-pair
-        constant (the caller then falls back to the scalar path).  The
-        reductions mirror ``schedulers.base.ready_time`` element-wise:
-        per parent, min over placed copies of ``end + comm``; across
-        parents, a running max starting at 0.
+        Element ``j`` equals ``schedulers.base.ready_time`` on
+        ``procs[j]`` bit for bit, for every communication model: per
+        parent, the min over its placed copies of ``end + comm``; across
+        parents, a running max starting at 0.  With a per-pair constant
+        the far-copy arrival is one ``min(end) + const`` (adding a
+        non-negative constant is monotone, so that is the min of the
+        sums) and only the processors hosting a copy can see less.
         """
-        consts = self.out_const
-        if consts is None:
-            return None
+        procs = self.procs
         pi = self.pi
-        ready = np.zeros(len(self.procs))
-        row = self._row_buf
-        arrival = self._arr_buf
+        q = len(procs)
+        consts = self.out_const
+        ready = [0.0] * q
         for parent in self.pred[task]:
             if parent not in schedule:
                 raise SchedulingError(f"parent {parent!r} of {task!r} is unscheduled")
-            const = consts[parent][task]
-            first = True
-            for copy in schedule.copies(parent):
-                row.fill(copy.end + const)
-                row[pi[copy.proc]] = copy.end
-                if first:
-                    arrival[:] = row
-                    first = False
-                else:
-                    np.minimum(arrival, row, out=arrival)
-            np.maximum(ready, arrival, out=ready)
+            copies = schedule.copies(parent)
+            if consts is not None:
+                arrival = [min(c.end for c in copies) + consts[parent][task]] * q
+                for c in copies:
+                    j = pi[c.proc]
+                    if c.end < arrival[j]:
+                        arrival[j] = c.end
+            else:
+                data = self.edge_data[parent][task]
+                time = self._comm.time
+                arrival = [float("inf")] * q
+                for c in copies:
+                    for j, dst in enumerate(procs):
+                        cand = c.end + time(data, c.proc, dst)
+                        if cand < arrival[j]:
+                            arrival[j] = cand
+            for j in range(q):
+                if arrival[j] > ready[j]:
+                    ready[j] = arrival[j]
         return ready
-
-    def lookahead_score(
-        self,
-        schedule: "Schedule",
-        task: "TaskId",
-        child: "TaskId",
-        placed_proc: "ProcId",
-        placed_end: float,
-    ) -> float | None:
-        """Vectorized one-level lookahead (see PlacementEngine).
-
-        Estimated earliest finish of ``child`` over all processors given
-        ``task`` finishing at ``placed_end`` on ``placed_proc``; ``None``
-        when no fast communication path exists.
-        """
-        consts = self.out_const
-        if consts is None:
-            return None
-        pi = self.pi
-        j_placed = pi[placed_proc]
-        ready = self._la_ready_buf
-        row = self._row_buf
-        arrival = self._arr_buf
-        ready.fill(placed_end + consts[task][child])
-        ready[j_placed] = placed_end
-        for parent in self.pred[child]:
-            if parent == task or parent not in schedule:
-                continue
-            const = consts[parent][child]
-            first = True
-            for copy in schedule.copies(parent):
-                row.fill(copy.end + const)
-                row[pi[copy.proc]] = copy.end
-                if first:
-                    arrival[:] = row
-                    first = False
-                else:
-                    np.minimum(arrival, row, out=arrival)
-            if not first:
-                np.maximum(ready, arrival, out=ready)
-        avail = self._avail_buf
-        for j, p in enumerate(self.procs):
-            avail[j] = schedule.timeline(p).end_time
-        if placed_end > avail[j_placed]:
-            avail[j_placed] = placed_end
-        np.maximum(ready, avail, out=ready)
-        ready += self.etc_arr[self.ti[child]]
-        return float(ready.min())
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"InstanceKernel(tasks={len(self.tasks)}, procs={len(self.procs)})"

@@ -351,8 +351,7 @@ def set_tracer(tracer: Tracer | NullTracer | None) -> None:
 def use_tracer(tracer: Tracer | NullTracer) -> Iterator[Tracer | NullTracer]:
     """Temporarily install ``tracer`` as the module default.
 
-    The previous tracer is restored even on exception — the same
-    discipline as :func:`repro.kernels.use_kernels`.
+    The previous tracer is restored even on exception.
     """
     global _TRACER
     previous = _TRACER

@@ -19,7 +19,6 @@ from typing import Sequence
 
 from repro.exceptions import SchedulingError, UnknownProcessorError
 from repro.instance import Instance
-from repro.kernels import kernels_enabled
 from repro.obs import get_tracer
 from repro.schedule.schedule import Schedule
 from repro.types import ProcId, TaskId
@@ -58,31 +57,30 @@ def ready_time(
     :class:`SchedulingError` if some parent is not placed yet — priority
     policies must only submit ready tasks.
     """
-    if kernels_enabled():
-        kern = instance.kernel
-        consts = kern.out_const
-        if consts is not None:
-            preds = kern.pred[task]
-            # Legacy only touches the comm model (and hence validates
-            # ``proc``) when there is at least one parent.
-            if preds and proc not in kern.pi:
-                raise UnknownProcessorError(proc)
-            ready = 0.0
-            for parent in preds:
-                if parent not in schedule:
-                    raise SchedulingError(f"parent {parent!r} of {task!r} is unscheduled")
-                const = consts[parent][task]
-                arrival = float("inf")
-                # copy.end + 0.0 == copy.end (times are >= 0), so the
-                # same-processor branch matches the zero-comm case bit
-                # for bit.
-                for copy in schedule.copies(parent):
-                    cand = copy.end if copy.proc == proc else copy.end + const
-                    if cand < arrival:
-                        arrival = cand
-                if arrival > ready:
-                    ready = arrival
-            return ready
+    kern = instance.kernel
+    consts = kern.out_const
+    if consts is not None:
+        preds = kern.pred[task]
+        # The model-priced loop below only validates ``proc`` when there
+        # is at least one parent; so does this one.
+        if preds and proc not in kern.pi:
+            raise UnknownProcessorError(proc)
+        ready = 0.0
+        for parent in preds:
+            if parent not in schedule:
+                raise SchedulingError(f"parent {parent!r} of {task!r} is unscheduled")
+            const = consts[parent][task]
+            arrival = float("inf")
+            # copy.end + 0.0 == copy.end (times are >= 0), so the
+            # same-processor branch matches the zero-comm case bit
+            # for bit.
+            for copy in schedule.copies(parent):
+                cand = copy.end if copy.proc == proc else copy.end + const
+                if cand < arrival:
+                    arrival = cand
+            if arrival > ready:
+                ready = arrival
+        return ready
     ready = 0.0
     for parent in instance.predecessors_of(task):
         if parent not in schedule:
@@ -151,15 +149,35 @@ def schedule_task_on(
     return schedule.add(task, proc, start, end - start)
 
 
-def _batched_ready(schedule: Schedule, instance: Instance, task: TaskId):
-    """Kernel-backed ready times for all processors at once, or ``None``.
-
-    Only valid when the candidate processors are exactly
-    ``machine.proc_ids()`` (the kernel's canonical order).
-    """
-    if not kernels_enabled():
-        return None
-    return instance.kernel.ready_times(schedule, task)
+def _earliest_placement(
+    schedule: Schedule,
+    instance: Instance,
+    task: TaskId,
+    insertion: bool,
+    procs: Sequence[ProcId] | None,
+    by_finish: bool,
+) -> Placement:
+    """Earliest-finish (``by_finish``) or earliest-start placement of
+    ``task`` over ``procs`` (default: every processor); ties break by
+    candidate order."""
+    candidates = procs if procs is not None else instance.machine.proc_ids()
+    if not candidates:
+        raise SchedulingError("no candidate processors")
+    ready = instance.kernel.ready_times(schedule, task)
+    pi = instance.kernel.pi
+    best: Placement | None = None
+    for proc in candidates:
+        duration = instance.exec_time(task, proc)
+        start = schedule.timeline(proc).find_slot(
+            ready[pi[proc]], duration, insertion=insertion
+        )
+        end = start + duration
+        if best is None or (
+            end < best.end - 1e-12 if by_finish else start < best.start - 1e-12
+        ):
+            best = Placement(proc=proc, start=start, end=end)
+    assert best is not None
+    return best
 
 
 def eft_placement(
@@ -174,28 +192,7 @@ def eft_placement(
     Ties on finish time break deterministically by processor order so
     runs are reproducible.
     """
-    candidates = procs if procs is not None else instance.machine.proc_ids()
-    if not candidates:
-        raise SchedulingError("no candidate processors")
-    ready_vec = _batched_ready(schedule, instance, task) if procs is None else None
-    best: Placement | None = None
-    if ready_vec is not None:
-        for j, proc in enumerate(candidates):
-            duration = instance.exec_time(task, proc)
-            start = schedule.timeline(proc).find_slot(
-                float(ready_vec[j]), duration, insertion=insertion
-            )
-            end = start + duration
-            if best is None or end < best.end - 1e-12:
-                best = Placement(proc=proc, start=start, end=end)
-        assert best is not None
-        return best
-    for proc in candidates:
-        cand = placement_on(schedule, instance, task, proc, insertion=insertion)
-        if best is None or cand.end < best.end - 1e-12:
-            best = cand
-    assert best is not None
-    return best
+    return _earliest_placement(schedule, instance, task, insertion, procs, by_finish=True)
 
 
 def est_placement(
@@ -206,27 +203,7 @@ def est_placement(
     procs: Sequence[ProcId] | None = None,
 ) -> Placement:
     """Earliest-start-time placement across processors (ETF's rule)."""
-    candidates = procs if procs is not None else instance.machine.proc_ids()
-    if not candidates:
-        raise SchedulingError("no candidate processors")
-    ready_vec = _batched_ready(schedule, instance, task) if procs is None else None
-    best: Placement | None = None
-    if ready_vec is not None:
-        for j, proc in enumerate(candidates):
-            duration = instance.exec_time(task, proc)
-            start = schedule.timeline(proc).find_slot(
-                float(ready_vec[j]), duration, insertion=insertion
-            )
-            if best is None or start < best.start - 1e-12:
-                best = Placement(proc=proc, start=start, end=start + duration)
-        assert best is not None
-        return best
-    for proc in candidates:
-        cand = placement_on(schedule, instance, task, proc, insertion=insertion)
-        if best is None or cand.start < best.start - 1e-12:
-            best = cand
-    assert best is not None
-    return best
+    return _earliest_placement(schedule, instance, task, insertion, procs, by_finish=False)
 
 
 def topological_by_priority(dag, key) -> list[TaskId]:
@@ -256,22 +233,15 @@ def topological_by_priority(dag, key) -> list[TaskId]:
 
 
 def compiled_for(instance: Instance):
-    """The instance's compiled executor when routing is allowed, else ``None``.
+    """The instance's compiled executor, or ``None`` for a custom
+    communication model.
 
-    The compiled path engages only when the kernel layer and the
-    executor switch are on *and* tracing is off — traced runs keep the
-    object path so the golden span shapes (``sched.rank``/``place``/
-    ``insert``) stay intact.  Zero, uniform and per-link machines all
-    lower; a ``None`` from :func:`compile_instance` (a custom
-    communication model) is recorded as an object-path fallback for the
-    service counters.
+    Zero, uniform and per-link machines all lower, traced or not; a
+    ``None`` from :func:`~repro.compiled.compile_instance` is recorded
+    as an object-path fallback for the service counters.
     """
     from repro import compiled as compiled_mod
 
-    if not kernels_enabled() or not compiled_mod.executor_enabled():
-        return None
-    if get_tracer().enabled:
-        return None
     ci = compiled_mod.compile_instance(instance)
     if ci is None:
         compiled_mod.note_fallback()
@@ -304,23 +274,7 @@ class ListScheduler(Scheduler):
 
     def schedule(self, instance: Instance) -> Schedule:
         tracer = get_tracer()
-        ci = compiled_for(instance) if self.compiled_policy is not None else None
-        if ci is not None:
-            order = self.priority_order(instance)
-            if set(order) != set(instance.dag.tasks()) or len(order) != instance.num_tasks:
-                raise SchedulingError(
-                    f"{self.name}: priority order covers {len(order)} tasks, "
-                    f"instance has {instance.num_tasks}"
-                )
-            result = ci.schedule_list(
-                ci.order_indices(order),
-                insertion=self.insertion,
-                policy=self.compiled_policy,
-            )
-            return ci.materialize(
-                result, instance.machine, f"{self.name}:{instance.name}"
-            )
-        schedule = Schedule(instance.machine, name=f"{self.name}:{instance.name}")
+        name = f"{self.name}:{instance.name}"
         with tracer.span("sched.run", alg=self.name, tasks=instance.num_tasks) as run:
             with tracer.span("sched.rank", alg=self.name):
                 order = self.priority_order(instance)
@@ -329,15 +283,17 @@ class ListScheduler(Scheduler):
                     f"{self.name}: priority order covers {len(order)} tasks, "
                     f"instance has {instance.num_tasks}"
                 )
+            ci = compiled_for(instance) if self.compiled_policy is not None else None
             with tracer.span("sched.place", alg=self.name):
-                if tracer.enabled:
-                    for task in order:
-                        with tracer.span("sched.insert", task=str(task)):
-                            placed = self.place(schedule, instance, task)
-                            schedule.add(
-                                task, placed.proc, placed.start, placed.end - placed.start
-                            )
+                if ci is not None:
+                    result = ci.schedule_list(
+                        ci.order_indices(order),
+                        insertion=self.insertion,
+                        policy=self.compiled_policy,
+                    )
+                    schedule = ci.materialize(result, instance.machine, name)
                 else:
+                    schedule = Schedule(instance.machine, name=name)
                     for task in order:
                         placed = self.place(schedule, instance, task)
                         schedule.add(

@@ -17,7 +17,6 @@ import numpy as np
 
 from repro.exceptions import SchedulingError
 from repro.instance import Instance
-from repro.kernels import kernels_enabled
 from repro.obs import get_tracer
 from repro.schedule.schedule import Schedule
 from repro.schedulers.base import (
@@ -44,26 +43,17 @@ class CPOP(Scheduler):
 
     def _critical_processor(self, instance: Instance, cp: list) -> ProcId:
         """Processor minimising the summed execution time of the CP."""
+        # One vectorized accumulation per CP task; the per-element
+        # addition order is that of a per-processor running sum.
+        kern = instance.kernel
+        totals = np.zeros(len(kern.procs))
+        for t in cp:
+            totals += kern.etc_arr[kern.ti[t]]
         best_proc: ProcId | None = None
         best_total = float("inf")
-        if kernels_enabled():
-            # One vectorized accumulation per CP task; the per-element
-            # addition order matches the scalar per-processor sums.
-            kern = instance.kernel
-            totals = np.zeros(len(kern.procs))
-            for t in cp:
-                totals += kern.etc_arr[kern.ti[t]]
-            for j, proc in enumerate(kern.procs):
-                if totals[j] < best_total - 1e-12:
-                    best_total = float(totals[j])
-                    best_proc = proc
-            if best_proc is None:
-                raise SchedulingError("machine has no processors")
-            return best_proc
-        for proc in instance.machine.proc_ids():
-            total = sum(instance.exec_time(t, proc) for t in cp)
-            if total < best_total - 1e-12:
-                best_total = total
+        for j, proc in enumerate(kern.procs):
+            if totals[j] < best_total - 1e-12:
+                best_total = float(totals[j])
                 best_proc = proc
         if best_proc is None:
             raise SchedulingError("machine has no processors")
@@ -113,33 +103,23 @@ class CPOP(Scheduler):
                 )
 
             ci = compiled_for(instance)
-            if ci is not None:
-                pi = instance.kernel.pi
-                cp_j = pi[cp_proc] if cp_proc is not None else -1
-                pinned = [
-                    cp_j if t in cp_set else -1 for t in ci.tasks
-                ]
-                result = ci.schedule_list(
-                    ci.order_indices(order),
-                    insertion=True,
-                    policy="eft",
-                    pinned=pinned,
-                )
-                return ci.materialize(
-                    result, instance.machine, f"{self.name}:{instance.name}"
-                )
-
-            schedule = Schedule(instance.machine, name=f"{self.name}:{instance.name}")
-            scheduled = 0
+            name = f"{self.name}:{instance.name}"
             with tracer.span("sched.place", alg=self.name):
-                for task in order:
-                    if tracer.enabled:
-                        with tracer.span("sched.insert", task=str(task)):
-                            self._place_one(schedule, instance, task, cp_set, cp_proc)
-                    else:
+                if ci is not None:
+                    pi = instance.kernel.pi
+                    cp_j = pi[cp_proc] if cp_proc is not None else -1
+                    result = ci.schedule_list(
+                        ci.order_indices(order),
+                        insertion=True,
+                        policy="eft",
+                        pinned=[cp_j if t in cp_set else -1 for t in ci.tasks],
+                    )
+                    schedule = ci.materialize(result, instance.machine, name)
+                else:
+                    schedule = Schedule(instance.machine, name=name)
+                    for task in order:
                         self._place_one(schedule, instance, task, cp_set, cp_proc)
-                    scheduled += 1
             if tracer.enabled:
-                tracer.count("sched.tasks_placed", scheduled)
+                tracer.count("sched.tasks_placed", len(order))
                 run.set(makespan=schedule.makespan)
         return schedule

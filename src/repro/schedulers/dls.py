@@ -15,9 +15,9 @@ from __future__ import annotations
 
 from repro.exceptions import SchedulingError
 from repro.instance import Instance
-from repro.kernels import kernels_enabled
+from repro.obs import get_tracer
 from repro.schedule.schedule import Schedule
-from repro.schedulers.base import Scheduler, compiled_for, ready_time
+from repro.schedulers.base import Scheduler, compiled_for
 from repro.schedulers.ranking import machine_static_levels
 
 
@@ -27,28 +27,36 @@ class DLS(Scheduler):
     name = "DLS"
 
     def schedule(self, instance: Instance) -> Schedule:
+        tracer = get_tracer()
+        name = f"{self.name}:{instance.name}"
+        with tracer.span("sched.run", alg=self.name, tasks=instance.num_tasks) as run:
+            with tracer.span("sched.rank", alg=self.name):
+                sl = machine_static_levels(instance, agg="median")
+                wstar = {t: instance.etc.median(t) for t in instance.dag.tasks()}
+            ci = compiled_for(instance)
+            with tracer.span("sched.place", alg=self.name):
+                if ci is not None:
+                    result = ci.schedule_dls(
+                        [sl[t] for t in ci.tasks], [wstar[t] for t in ci.tasks]
+                    )
+                    schedule = ci.materialize(result, instance.machine, name)
+                else:
+                    schedule = self._place(instance, sl, wstar, name)
+            if tracer.enabled:
+                tracer.count("sched.tasks_placed", instance.num_tasks)
+                run.set(makespan=schedule.makespan)
+        return schedule
+
+    def _place(self, instance: Instance, sl: dict, wstar: dict, name: str) -> Schedule:
+        """The object-path dynamic-level pairing loop."""
         dag = instance.dag
-        sl = machine_static_levels(instance, agg="median")
-        wstar = {t: instance.etc.median(t) for t in dag.tasks()}
-
-        ci = compiled_for(instance)
-        if ci is not None:
-            result = ci.schedule_dls(
-                [sl[t] for t in ci.tasks], [wstar[t] for t in ci.tasks]
-            )
-            return ci.materialize(
-                result, instance.machine, f"{self.name}:{instance.name}"
-            )
-
-        pos = {t: i for i, t in enumerate(dag.topological_order())}
+        pos = instance.kernel.pos
         procs = instance.machine.proc_ids()
-
-        schedule = Schedule(instance.machine, name=f"{self.name}:{instance.name}")
+        schedule = Schedule(instance.machine, name=name)
         indegree = {t: dag.in_degree(t) for t in dag.tasks()}
         ready = {t for t in dag.tasks() if indegree[t] == 0}
 
         scheduled = 0
-        use_batched = kernels_enabled()
         # A task enters `ready` only once all parents are placed, and DLS
         # never moves or duplicates a placement afterwards — so its
         # per-processor data-ready vector is fixed while it waits.
@@ -57,19 +65,11 @@ class DLS(Scheduler):
             best = None  # (neg_dl, pos, proc_index) ordering key
             best_choice = None
             for task in ready:
-                ready_vec = None
-                if use_batched:
-                    ready_vec = ready_cache.get(task)
-                    if ready_vec is None:
-                        ready_vec = instance.kernel.ready_times(schedule, task)
-                        if ready_vec is not None:
-                            ready_cache[task] = ready_vec
+                ready_vec = ready_cache.get(task)
+                if ready_vec is None:
+                    ready_vec = ready_cache[task] = instance.kernel.ready_times(schedule, task)
                 for j, proc in enumerate(procs):
-                    if ready_vec is not None:
-                        data_ready = float(ready_vec[j])
-                    else:
-                        data_ready = ready_time(schedule, instance, task, proc)
-                    start = max(data_ready, schedule.timeline(proc).end_time)
+                    start = max(ready_vec[j], schedule.timeline(proc).end_time)
                     delta = wstar[task] - instance.exec_time(task, proc)
                     dl = sl[task] - start + delta
                     key = (-dl, pos[task], j)

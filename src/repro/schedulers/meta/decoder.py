@@ -13,8 +13,8 @@ Two decode paths produce bit-identical schedules:
 * :func:`compiled_decoder` — the flat-array
   :class:`~repro.compiled.CompiledInstance` used for fitness
   evaluation in the GA/SA inner loops on zero, uniform and per-link
-  machines (``None`` when the kernel layer is off or the machine uses a
-  custom communication model).
+  machines (``None`` when the machine uses a custom communication
+  model).
 """
 
 from __future__ import annotations
@@ -22,36 +22,25 @@ from __future__ import annotations
 from typing import Mapping, Sequence
 
 from repro.instance import Instance
-from repro.kernels import kernels_enabled
 from repro.schedule.schedule import Schedule
 from repro.schedulers.base import schedule_task_on
-from repro.schedulers.ranking import upward_ranks
 from repro.types import ProcId, TaskId
 
 
 def rank_order(instance: Instance) -> list[TaskId]:
     """The decoding order: decreasing upward rank (precedence-valid).
 
-    Served from the per-instance cache on ``Instance.kernel`` when the
-    kernel layer is on — thousands of decodes share one rank pass —
-    with the scalar recomputation kept as the reference path.
+    Served from the per-instance cache on ``Instance.kernel``, so
+    thousands of decodes share one rank pass.
     """
-    if kernels_enabled():
-        return list(instance.kernel.rank_order("mean"))
-    ranks = upward_ranks(instance)
-    pos = {t: i for i, t in enumerate(instance.dag.topological_order())}
-    return sorted(instance.dag.tasks(), key=lambda t: (-ranks[t], pos[t]))
+    return list(instance.kernel.rank_order("mean"))
 
 
 def compiled_decoder(instance: Instance):
-    """The instance's :class:`~repro.compiled.CompiledInstance`, or ``None``.
-
-    ``None`` when the kernel layer is disabled (differential tests and
-    the benchmark baseline run the object path) or when the machine's
-    communication model is a custom one the lowering cannot price.
+    """The instance's :class:`~repro.compiled.CompiledInstance`, or
+    ``None`` when the machine's communication model is a custom one the
+    lowering cannot price.
     """
-    if not kernels_enabled():
-        return None
     return instance.kernel.compiled()
 
 

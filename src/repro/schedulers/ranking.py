@@ -11,7 +11,6 @@ from typing import Callable, Literal
 
 from repro.exceptions import ConfigurationError
 from repro.instance import Instance
-from repro.kernels import kernels_enabled
 from repro.types import TaskId
 
 #: How a task's heterogeneous execution times are collapsed to a scalar
@@ -39,13 +38,10 @@ def upward_ranks(instance: Instance, agg: RankAggregation = "mean") -> dict[Task
     machine's average communication time for the edge.  Exit tasks rank
     at their own weight.
 
-    Dispatches to the instance's vectorized rank kernel (cached per
-    aggregation) unless the kernel layer is disabled; both paths produce
-    bit-identical floats.
+    Served from the instance's vectorized rank kernel (cached per
+    aggregation), bit-identical to :func:`upward_ranks_scalar`.
     """
-    if kernels_enabled():
-        return dict(instance.kernel.upward(agg))
-    return upward_ranks_scalar(instance, agg)
+    return dict(instance.kernel.upward(agg))
 
 
 def upward_ranks_scalar(instance: Instance, agg: RankAggregation = "mean") -> dict[TaskId, float]:
@@ -71,11 +67,9 @@ def downward_ranks(instance: Instance, agg: RankAggregation = "mean") -> dict[Ta
     """CPOP's downward rank: longest average path from an entry task to
     ``t`` excluding ``t``'s own weight.
 
-    Dispatches to the cached vectorized kernel like :func:`upward_ranks`.
+    Served from the cached vectorized kernel like :func:`upward_ranks`.
     """
-    if kernels_enabled():
-        return dict(instance.kernel.downward(agg))
-    return downward_ranks_scalar(instance, agg)
+    return dict(instance.kernel.downward(agg))
 
 
 def downward_ranks_scalar(instance: Instance, agg: RankAggregation = "mean") -> dict[TaskId, float]:

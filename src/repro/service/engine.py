@@ -574,12 +574,13 @@ class SchedulingEngine:
                     with tracer.span("service.compute", parent=job.sid,
                                      alg=job.alg, trace_id=job.trace_id,
                                      attempt=attempt) as cs:
-                        payload, worker_trace = await loop.run_in_executor(
+                        payload, worker_trace, worker_stats = await loop.run_in_executor(
                             self._pool, protocol.compute_schedule_payload_traced,
                             job.text, job.alg, job.trace_id,
                         )
                     tracer.absorb(worker_trace, parent=cs.sid)
                     tracer.count("service.computes")
+                    self.metrics.worker_stats(worker_stats)
                 else:
                     payload = await loop.run_in_executor(
                         self._pool, protocol.compute_schedule_payload, job.text, job.alg

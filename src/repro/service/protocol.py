@@ -237,10 +237,7 @@ def compute_schedule_payload_batch(
     """
     from concurrent.futures import BrokenExecutor
 
-    from repro import compiled as compiled_mod
-
-    hits0, misses0 = _LOWERED.hits, _LOWERED.misses
-    counts0 = compiled_mod.schedule_counters()
+    before = _worker_counts()
     results: list[tuple[str, object]] = []
     for instance_text, alg in items:
         try:
@@ -251,8 +248,47 @@ def compute_schedule_payload_batch(
             raise
         except Exception as exc:  # noqa: BLE001 - per-item fault isolation
             results.append(("error", f"{type(exc).__name__}: {exc}"))
-    counts1 = compiled_mod.schedule_counters()
-    stats = {
+    return results, _worker_deltas(before)
+
+
+def compute_schedule_payload_traced(
+    instance_text: str | bytes, alg: str, trace_id: str | None = None
+) -> tuple[dict, dict, dict[str, int]]:
+    """Traced cold path: compute the payload *and* export the worker trace.
+
+    Runs :func:`compute_schedule_payload` (through the module global, so
+    test monkeypatches still apply on the in-thread path) under a fresh
+    local :class:`~repro.obs.Tracer`, wrapped in one ``worker.compute``
+    root span carrying the request's ``trace_id``.  Returns ``(payload,
+    trace_export, counter_deltas)``; the engine absorbs the export into
+    its own tracer, folds the deltas (the same ones
+    :func:`compute_schedule_payload_batch` reports) into its service
+    stats, and caches only the payload — cached responses stay
+    request-pure.
+    """
+    from repro.obs import Tracer, use_tracer
+
+    before = _worker_counts()
+    local = Tracer(name="service-worker")
+    with use_tracer(local):
+        with local.span("worker.compute", alg=alg, trace_id=trace_id):
+            payload = compute_schedule_payload(instance_text, alg)
+    return payload, local.export(), _worker_deltas(before)
+
+
+def _worker_counts() -> tuple[int, int, dict[str, int]]:
+    """Snapshot of this worker's lowering-memo and executor counters."""
+    from repro import compiled as compiled_mod
+
+    return _LOWERED.hits, _LOWERED.misses, compiled_mod.schedule_counters()
+
+
+def _worker_deltas(before: tuple[int, int, dict[str, int]]) -> dict[str, int]:
+    """Counter deltas since ``before``, as the engine's ``worker_stats``
+    folds them."""
+    hits0, misses0, counts0 = before
+    _, _, counts1 = _worker_counts()
+    return {
         "lowering_hits": _LOWERED.hits - hits0,
         "lowering_misses": _LOWERED.misses - misses0,
         "compiled_schedules": (
@@ -262,28 +298,6 @@ def compute_schedule_payload_batch(
         ),
         "compiled_fallbacks": counts1["fallbacks"] - counts0["fallbacks"],
     }
-    return results, stats
-
-
-def compute_schedule_payload_traced(
-    instance_text: str | bytes, alg: str, trace_id: str | None = None
-) -> tuple[dict, dict]:
-    """Traced cold path: compute the payload *and* export the worker trace.
-
-    Runs :func:`compute_schedule_payload` (through the module global, so
-    test monkeypatches still apply on the in-thread path) under a fresh
-    local :class:`~repro.obs.Tracer`, wrapped in one ``worker.compute``
-    root span carrying the request's ``trace_id``.  Returns ``(payload,
-    trace_export)``; the engine absorbs the export into its own tracer
-    and caches only the payload — cached responses stay request-pure.
-    """
-    from repro.obs import Tracer, use_tracer
-
-    local = Tracer(name="service-worker")
-    with use_tracer(local):
-        with local.span("worker.compute", alg=alg, trace_id=trace_id):
-            payload = compute_schedule_payload(instance_text, alg)
-    return payload, local.export()
 
 
 def payload_to_schedule(payload: dict, machine) -> Schedule:

@@ -12,15 +12,14 @@ uniform and per-link interconnects alike.
 
 Two design points carry the performance story:
 
-* **Cached lowering** (``relower="cached"``): the flat-array lowering of
-  a template (CSR predecessors, ETC rows, rank order) never changes
-  between arrivals — only the cluster's **dirty suffix** (busy intervals
-  not yet compacted by :meth:`ClusterState.advance`) does.  So the
-  simulator lowers each template once and re-seeds timelines per
-  arrival.  ``relower="full"`` re-lowers from a fresh
-  :class:`~repro.instance.Instance` copy on every placement — the
-  baseline the benchmark compares against.  Both paths produce
-  bit-identical schedules; only the work differs.
+* **Cached lowering**: the flat-array lowering of a template (CSR
+  predecessors, ETC rows, rank order) never changes between arrivals —
+  only the cluster's **dirty suffix** (busy intervals not yet compacted
+  by :meth:`ClusterState.advance`) does.  So the simulator lowers each
+  template once and re-seeds timelines per arrival.  (The benchmark's
+  baseline, which re-lowers from a fresh
+  :class:`~repro.instance.Instance` copy on every placement, lives in
+  the test suite and produces bit-identical schedules.)
 * **Rescheduling policies** (:mod:`repro.sim.policies`): on each
   arrival, a pluggable policy may pull *pending* jobs (nothing started
   yet) back off the timelines and re-place them together with the
@@ -127,7 +126,6 @@ class OnlineResult:
         *,
         alg: str,
         policy: str,
-        relower: str,
         noise_cv: float,
         seed_label: str,
         machine: str,
@@ -141,7 +139,6 @@ class OnlineResult:
     ) -> None:
         self.alg = alg
         self.policy = policy
-        self.relower = relower
         self.noise_cv = noise_cv
         self.seed_label = seed_label
         self.machine = machine
@@ -187,8 +184,9 @@ class OnlineResult:
     def payload_json(self) -> str:
         """Canonical JSON of the *outcome* only — baselines, metrics and
         per-job records, no configuration labels.  This is the artifact
-        the equivalence checks compare: cached vs full re-lowering must
-        produce it byte for byte."""
+        the equivalence checks compare: cached and per-placement
+        re-lowering, and the object-path reference placer, must produce
+        it byte for byte."""
         doc = {
             "baselines": dict(sorted(self.baselines.items())),
             "metrics": self.metrics_dict(),
@@ -213,7 +211,6 @@ class OnlineResult:
             "meta": {
                 "alg": self.alg,
                 "policy": self.policy,
-                "relower": self.relower,
                 "noise_cv": self.noise_cv,
                 "seed": self.seed_label,
                 "machine": self.machine,
@@ -244,14 +241,11 @@ class OnlineScheduler:
         *,
         alg: str = "HEFT",
         policy: str = "queue",
-        relower: str = "cached",
         noise_cv: float = 0.0,
         seed: SeedLike = 0,
     ) -> None:
         if not templates:
             raise ConfigurationError("no templates")
-        if relower not in ("cached", "full"):
-            raise ConfigurationError(f"relower must be 'cached' or 'full', got {relower!r}")
         if not (noise_cv >= 0.0):
             raise ConfigurationError(f"noise_cv must be >= 0, got {noise_cv!r}")
         self.alg = get_scheduler(alg)
@@ -264,7 +258,6 @@ class OnlineScheduler:
                 f"placement phase; {alg!r} does not qualify"
             )
         self.policy = get_policy(policy)
-        self.relower = relower
         self.noise_cv = float(noise_cv)
         self.seed = seed
         # Sorted-name insertion: template iteration order never matters.
@@ -279,12 +272,9 @@ class OnlineScheduler:
         self.machine = next(iter(self.templates.values())).machine
         self.cluster = ClusterState(self.machine)
         self._states: dict[str, _TemplateState] = {}
-        # Baselines always come from the cached states so "cached" and
-        # "full" report identical numbers.
         self.baselines: dict[str, float] = {}
         for name in self.templates:
-            state = self._cached_state(name)
-            self.baselines[name] = self._empty_makespan(state)
+            self.baselines[name] = self._empty_makespan(self._state_for(name))
         #: per-job noise streams, spawned in run() once the job count is known
         self._noise_rngs: list | None = None
         self._noise_cache: dict[str, list[float]] = {}
@@ -299,25 +289,14 @@ class OnlineScheduler:
     # ------------------------------------------------------------------
     # template lowering
     # ------------------------------------------------------------------
-    def _cached_state(self, name: str) -> _TemplateState:
+    def _state_for(self, name: str) -> _TemplateState:
+        """The template's lowering, built on first use and reused by
+        every later placement."""
         state = self._states.get(name)
         if state is None:
             state = _TemplateState(name, self.templates[name], self.alg)
             self._states[name] = state
         return state
-
-    def _state_for(self, name: str) -> _TemplateState:
-        """Per-placement lowering: cached reuse, or a full re-lower from
-        a fresh Instance copy (fresh kernel, fresh compiled arrays,
-        recomputed priority order) when ``relower='full'``."""
-        if self.relower == "cached":
-            return self._cached_state(name)
-        inst = self.templates[name]
-        fresh = Instance(
-            dag=inst.dag, machine=inst.machine, etc=inst.etc,
-            name=inst.name, deadline=inst.deadline,
-        )
-        return _TemplateState(name, fresh, self.alg)
 
     def _empty_makespan(self, state: _TemplateState) -> float:
         q = self.cluster.num_procs
@@ -501,7 +480,6 @@ class OnlineScheduler:
         return OnlineResult(
             alg=self.alg.name,
             policy=self.policy.name,
-            relower=self.relower,
             noise_cv=self.noise_cv,
             seed_label=seed_label,
             machine=self.machine.name,
@@ -521,7 +499,6 @@ def simulate_online(
     *,
     alg: str = "HEFT",
     policy: str = "queue",
-    relower: str = "cached",
     noise_cv: float = 0.0,
     seed: SeedLike = 0,
 ) -> OnlineResult:
@@ -541,9 +518,6 @@ def simulate_online(
         phase (HEFT, HCPT, PETS, HLFET, MCP, ...).
     policy:
         Rescheduling policy name (:func:`~repro.sim.policies.get_policy`).
-    relower:
-        ``"cached"`` (lower each template once) or ``"full"`` (re-lower
-        per placement) — identical results, different cost.
     noise_cv:
         Coefficient of variation of mean-one lognormal runtime noise
         applied to task durations (0 disables; factors are per job and
@@ -555,7 +529,6 @@ def simulate_online(
         templates,
         alg=alg,
         policy=policy,
-        relower=relower,
         noise_cv=noise_cv,
         seed=seed,
     )

@@ -7,7 +7,8 @@ checks that :class:`repro.compiled.CompiledInstance` reproduces it
 *bit-identically* — makespans, starts and processors — for HEFT-derived,
 random and degenerate assignments, that ``decode_batch`` equals
 per-genome decodes, and that the GA/SA schedulers are unchanged with the
-compiled core on vs off.
+compiled core on vs off (the object path through the test-side
+``tests/object_path.py`` helper).
 """
 
 from __future__ import annotations
@@ -18,14 +19,16 @@ import pytest
 from repro.compiled import CompiledInstance, compile_instance
 from repro.exceptions import SchedulingError
 from repro.instance import Instance
-from repro.kernels import use_kernels
 from repro.machine.cluster import Machine
 from repro.machine.comm import LinkCommunication
 from repro.machine.etc import generate_etc
 from repro.dag.generators import random_dag
+from repro.schedule.schedule import Schedule
+from repro.schedule.validation import validate
 from repro.schedulers.heft import HEFT
 from repro.schedulers.meta import GeneticScheduler, SimulatedAnnealingScheduler
 from repro.schedulers.meta.decoder import compiled_decoder, decode_assignment, rank_order
+from tests.object_path import object_path
 from tests.population import OpaqueCommunication, build_population
 
 
@@ -65,15 +68,37 @@ def test_decode_fast_bit_identical_on_corpus(population):
                 assert compiled.procs[procs[i]] == entry.proc, (label, task)
 
 
+def _scalar_decode(inst: Instance, assignment, order) -> Schedule:
+    """The insertion decoder re-derived from the ETC matrix, the
+    machine's communication model and the DAG, with no kernel memos —
+    the original specification."""
+    schedule = Schedule(inst.machine)
+    for task in order:
+        proc = assignment[task]
+        ready = 0.0
+        for parent in inst.dag.predecessors(task):
+            data = inst.dag.data(parent, task)
+            arrival = min(
+                c.end + inst.machine.comm_time(data, c.proc, proc)
+                for c in schedule.copies(parent)
+            )
+            ready = max(ready, arrival)
+        duration = inst.etc.time(task, proc)
+        start = schedule.timeline(proc).find_slot(ready, duration, insertion=True)
+        end = start + duration
+        schedule.add(task, proc, start, end - start)
+    return schedule
+
+
 def test_decode_fast_matches_legacy_scalar_path(population):
-    """The object path with kernels *off* is the original specification."""
+    """The scalar decoder over the raw cost sources is the original
+    specification."""
     for label, inst in population[::5]:
         compiled = compile_instance(inst)
         order = rank_order(inst)
         for genome in _assignments(inst, compiled, trials=3, seed=99):
             span, _, _ = compiled.decode_fast(genome)
-            with use_kernels(False):
-                legacy = decode_assignment(inst, compiled.assignment_of(genome), list(order))
+            legacy = _scalar_decode(inst, compiled.assignment_of(genome), order)
             assert span == legacy.makespan, label
 
 
@@ -99,15 +124,14 @@ def test_mapping_and_genome_inputs_agree(population):
 
 def test_ga_and_sa_unchanged_with_compiled_core(population):
     """Full scheduler runs: identical placements with the compiled core
-    on (kernels enabled) vs the object path (kernels disabled)."""
+    vs the object-path decoder."""
     for label, inst in population[::13]:
         for make in (
             lambda s: GeneticScheduler(population=10, generations=5, seed=s),
             lambda s: SimulatedAnnealingScheduler(iterations=120, seed=s),
         ):
-            with use_kernels(True):
-                fast = make(11).schedule(inst)
-            with use_kernels(False):
+            fast = make(11).schedule(inst)
+            with object_path():
                 legacy = make(11).schedule(inst)
             assert fast.makespan == legacy.makespan, label
             for task in legacy.tasks():
@@ -159,27 +183,26 @@ def test_per_link_models_compile_and_custom_models_fall_back():
     assert compile_instance(inst) is not None
     assert compiled_decoder(inst) is compile_instance(inst)
     # The metaheuristics decode through the compiled core and stay
-    # identical to the scalar object path.
-    with use_kernels(True):
-        fast = GeneticScheduler(population=8, generations=3, seed=5).schedule(inst)
-    with use_kernels(False):
+    # identical to the object path.
+    fast = GeneticScheduler(population=8, generations=3, seed=5).schedule(inst)
+    with object_path():
         legacy = GeneticScheduler(population=8, generations=3, seed=5).schedule(inst)
     assert fast.makespan == legacy.makespan
 
+    # A custom model decodes on the object path, deterministically.
     custom = _instance_on(OpaqueCommunication())
     assert compile_instance(custom) is None
     assert compiled_decoder(custom) is None
-    with use_kernels(True):
-        fast = GeneticScheduler(population=8, generations=3, seed=5).schedule(custom)
-    with use_kernels(False):
-        legacy = GeneticScheduler(population=8, generations=3, seed=5).schedule(custom)
-    assert fast.makespan == legacy.makespan
+    first = GeneticScheduler(population=8, generations=3, seed=5).schedule(custom)
+    again = GeneticScheduler(population=8, generations=3, seed=5).schedule(custom)
+    validate(first, custom)
+    assert first.makespan == again.makespan
 
 
-def test_compiled_disabled_when_kernels_off():
+def test_compiled_decoder_off_on_object_path():
     from repro.bench import workloads as W
 
     inst = W.random_instance(np.random.default_rng(4), num_tasks=8, num_procs=2)
-    with use_kernels(False):
+    with object_path():
         assert compiled_decoder(inst) is None
     assert compiled_decoder(inst) is not None

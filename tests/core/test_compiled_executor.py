@@ -7,8 +7,10 @@ path (``CompiledInstance.schedule_list`` / ``schedule_dls`` /
 suite asserts the compiled executor reproduces it *bit for bit* — full
 JSON payloads, not just makespans — across the seeded differential
 population (uniform and per-link machines), and that the routing layer
-falls back to the object path exactly when it must (custom
-communication models, tracing, kernels off).
+falls back to the object path exactly when it must: only a custom
+communication model does, and tracing never changes the route.  The
+object path is reached through the test-side ``tests/object_path.py``
+helper.
 """
 
 from __future__ import annotations
@@ -18,10 +20,9 @@ import json
 import pytest
 
 from repro import compiled
-from repro.compiled import compile_instance, use_executor
+from repro.compiled import compile_instance
 from repro.dag.generators import random_dag
 from repro.instance import Instance
-from repro.kernels import use_kernels
 from repro.machine.cluster import Machine
 from repro.machine.comm import LinkCommunication
 from repro.machine.etc import generate_etc
@@ -29,12 +30,8 @@ from repro.schedule.validation import validate
 from repro.schedulers.base import compiled_for
 from repro.schedulers.registry import get_scheduler
 from repro.service.protocol import schedule_payload
+from tests.object_path import ROUTED, object_path, routed_insertion_off
 from tests.population import OpaqueCommunication, build_population
-
-#: Every scheduler routed through the compiled executor.
-ROUTED = ["HEFT", "HEFT-median", "HEFT-best", "HEFT-worst",
-          "CPOP", "HCPT", "PETS", "DLS", "HLFET", "MCP", "IMP",
-          "LA-HEFT", "DUP-HEFT"]
 
 
 @pytest.fixture(scope="module")
@@ -54,25 +51,27 @@ def test_full_corpus_payloads_bit_identical(population):
         for alg in ROUTED:
             scheduler = get_scheduler(alg)
             fast = scheduler.schedule(inst)
-            with use_executor(False):
+            with object_path():
                 ref = scheduler.schedule(inst)
             assert _payload(fast, inst, alg) == _payload(ref, inst, alg), (label, alg)
 
 
 def test_three_way_equivalence_on_slice(population):
-    """Compiled == object-with-kernels == fully scalar on a corpus
-    slice (the scalar leg is slow, hence the slice)."""
+    """Compiled == compiled under a tracer == object path on a corpus
+    slice, for every routed scheduler."""
+    from repro.obs import Tracer, use_tracer
+
     for label, inst in population[::7]:
-        for alg in ("HEFT", "CPOP", "DLS", "IMP"):
+        for alg in ROUTED:
             scheduler = get_scheduler(alg)
             fast = scheduler.schedule(inst)
-            with use_executor(False):
-                kernel_ref = scheduler.schedule(inst)
-            with use_kernels(False):
-                scalar_ref = scheduler.schedule(inst)
+            with use_tracer(Tracer(name="t")):
+                traced = scheduler.schedule(inst)
+            with object_path():
+                ref = scheduler.schedule(inst)
             validate(fast, inst)
-            assert _payload(fast, inst, alg) == _payload(kernel_ref, inst, alg), (label, alg)
-            assert _payload(fast, inst, alg) == _payload(scalar_ref, inst, alg), (label, alg)
+            assert _payload(fast, inst, alg) == _payload(traced, inst, alg), (label, alg)
+            assert _payload(fast, inst, alg) == _payload(ref, inst, alg), (label, alg)
 
 
 def test_duplication_schedules_materialize_duplicates(population):
@@ -81,7 +80,7 @@ def test_duplication_schedules_materialize_duplicates(population):
     total_dups = 0
     for label, inst in population[::5]:
         fast = get_scheduler("IMP").schedule(inst)
-        with use_executor(False):
+        with object_path():
             ref = get_scheduler("IMP").schedule(inst)
         assert fast.num_duplicates() == ref.num_duplicates(), label
         total_dups += fast.num_duplicates()
@@ -106,8 +105,8 @@ def _link_comm() -> LinkCommunication:
 
 def test_per_link_compiles_and_custom_comm_falls_back():
     """Per-link machines lower and route through the executor with no
-    fallback counted, matching the fully scalar path; a custom
-    communication model still gets ``None`` and is counted."""
+    fallback counted, matching the object path; a custom communication
+    model still gets ``None`` and is counted."""
     inst = _instance_on(_link_comm())
     assert compile_instance(inst) is not None
     before = compiled.schedule_counters()["fallbacks"]
@@ -115,19 +114,18 @@ def test_per_link_compiles_and_custom_comm_falls_back():
     assert compiled.schedule_counters()["fallbacks"] == before
     for alg in ("HEFT", "CPOP", "DLS", "IMP", "LA-HEFT", "DUP-HEFT"):
         fast = get_scheduler(alg).schedule(inst)
-        with use_kernels(False):
+        with object_path():
             ref = get_scheduler(alg).schedule(inst)
         validate(fast, inst)
         assert _payload(fast, inst, alg) == _payload(ref, inst, alg), alg
 
     custom = _instance_on(OpaqueCommunication())
     assert compile_instance(custom) is None
+    before = compiled.schedule_counters()["fallbacks"]
     assert compiled_for(custom) is None
     assert compiled.schedule_counters()["fallbacks"] == before + 1
-    fast = get_scheduler("IMP").schedule(custom)
-    with use_kernels(False):
-        ref = get_scheduler("IMP").schedule(custom)
-    assert _payload(fast, custom, "IMP") == _payload(ref, custom, "IMP")
+    for alg in ROUTED:
+        validate(get_scheduler(alg).schedule(custom), custom)
 
 
 def test_executor_counters_increment(population):
@@ -142,33 +140,40 @@ def test_executor_counters_increment(population):
     assert counts["improved_passes"] >= 1
 
 
-def test_routing_disabled_under_tracer(population):
-    """Traced runs must keep the object path (golden span shapes)."""
+def test_routing_enabled_under_tracer(population):
+    """Traced runs take the compiled executor too: each routed scheduler
+    shows up in ``schedule_counters()`` and returns the untraced payload,
+    with its phase spans and no per-task spans."""
     from repro.obs import Tracer, use_tracer
 
-    _, inst = population[0]
-    with use_tracer(Tracer(name="t")):
-        assert compiled_for(inst) is None
-
-
-def test_routing_disabled_with_kernels_off(population):
-    _, inst = population[0]
-    with use_kernels(False):
-        assert compiled_for(inst) is None
-    with use_executor(False):
-        assert compiled_for(inst) is None
-    assert compiled_for(inst) is not None
+    kinds = {"DLS": "dls_schedules", "IMP": "improved_passes",
+             "LA-HEFT": "improved_passes", "DUP-HEFT": "improved_passes"}
+    for label, inst in (population[0], population[-1]):  # uniform, per-link
+        for alg in ROUTED:
+            plain = get_scheduler(alg).schedule(inst)
+            tracer = Tracer(name="t")
+            before = compiled.schedule_counters()
+            with use_tracer(tracer):
+                assert compiled_for(inst) is not None
+                traced = get_scheduler(alg).schedule(inst)
+            after = compiled.schedule_counters()
+            kind = kinds.get(alg, "list_schedules")
+            assert after[kind] > before[kind], (label, alg)
+            assert after["fallbacks"] == before["fallbacks"], (label, alg)
+            assert _payload(traced, inst, alg) == _payload(plain, inst, alg), (label, alg)
+            names = {s["name"] for s in tracer.spans()}
+            assert "sched.insert" not in names, (label, alg)
+            if alg not in ("LA-HEFT", "DUP-HEFT"):
+                assert {"sched.run", "sched.rank", "sched.place"} <= names, (label, alg)
 
 
 def test_insertion_off_matches_object_path(population):
     """The non-insertion policy (ablation path) replays end-append
-    placement identically."""
-    from repro.core import ImprovedConfig, ImprovedScheduler
-
-    cfg = ImprovedConfig(insertion=False)
+    placement identically, for the list, improved and single-pass
+    engine schedulers."""
     for label, inst in population[::9]:
-        scheduler = ImprovedScheduler(cfg)
-        fast = scheduler.schedule(inst)
-        with use_executor(False):
-            ref = ImprovedScheduler(cfg).schedule(inst)
-        assert _payload(fast, inst, "IMP") == _payload(ref, inst, "IMP"), label
+        for alg, scheduler in routed_insertion_off():
+            fast = scheduler.schedule(inst)
+            with object_path():
+                ref = scheduler.schedule(inst)
+            assert _payload(fast, inst, alg) == _payload(ref, inst, alg), (label, alg)

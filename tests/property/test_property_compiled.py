@@ -16,11 +16,10 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.compiled import compile_instance, use_executor
+from repro.compiled import compile_instance
 from repro.core import ImprovedConfig, ImprovedScheduler
 from repro.dag.generators import random_dag
 from repro.instance import Instance, make_instance
-from repro.kernels import use_kernels
 from repro.machine.cluster import Machine
 from repro.machine.comm import LinkCommunication
 from repro.machine.etc import generate_etc
@@ -29,6 +28,7 @@ from repro.schedule.validation import violations
 from repro.schedulers.meta.decoder import decode_assignment, rank_order
 from repro.schedulers.registry import get_scheduler
 from repro.service.protocol import schedule_payload
+from tests.object_path import object_path
 
 instance_params = st.tuples(
     st.integers(min_value=1, max_value=30),      # tasks
@@ -56,7 +56,7 @@ def test_compiled_equals_object_path(params, name):
     instance = build(params)
     scheduler = get_scheduler(name)
     fast = scheduler.schedule(instance)
-    with use_executor(False):
+    with object_path():
         ref = scheduler.schedule(instance)
     assert violations(fast, instance) == []
     assert _payload(fast, instance, name) == _payload(ref, instance, name)
@@ -78,7 +78,7 @@ def test_improved_config_space_compiled_equals_object(params, la, dup, ins, ref_
     cfg = ImprovedConfig(lookahead=la, duplication=dup,
                          insertion=ins, refinement=ref_)
     fast = ImprovedScheduler(cfg).schedule(instance)
-    with use_executor(False):
+    with object_path():
         ref = ImprovedScheduler(cfg).schedule(instance)
     assert violations(fast, instance) == []
     assert _payload(fast, instance, "IMP") == _payload(ref, instance, "IMP")
@@ -122,7 +122,7 @@ def test_compiled_equals_object_path_on_asymmetric_links(params, name):
     assert compile_instance(instance) is not None
     scheduler = get_scheduler(name)
     fast = scheduler.schedule(instance)
-    with use_executor(False):
+    with object_path():
         ref = scheduler.schedule(instance)
     assert violations(fast, instance) == []
     assert _payload(fast, instance, name) == _payload(ref, instance, name)
@@ -142,13 +142,15 @@ def test_decode_span_equals_object_decode_on_asymmetric_links(params, genome_see
 @settings(max_examples=30, deadline=None)
 def test_tds_unaffected_by_executor_switch(params):
     """TDS never routes through the compiled executor (duplication-tree
-    policy, not a list scheduler); the switch must be a no-op for it and
-    the kernels-off path must agree."""
+    policy, not a list scheduler); switching the executor off with the
+    object-path helper must be a no-op for it, and so must tracing."""
+    from repro.obs import Tracer, use_tracer
+
     instance = build(params)
     a = get_scheduler("TDS").schedule(instance)
-    with use_executor(False):
+    with object_path():
         b = get_scheduler("TDS").schedule(instance)
-    with use_kernels(False):
+    with use_tracer(Tracer(name="t")):
         c = get_scheduler("TDS").schedule(instance)
     assert _payload(a, instance, "TDS") == _payload(b, instance, "TDS")
     assert _payload(a, instance, "TDS") == _payload(c, instance, "TDS")

@@ -320,3 +320,30 @@ def test_engine_config_validation():
 def test_warm_worker_importable():
     # The warmup function runs inside forked pool workers; keep it callable.
     engine_mod._warm_worker()
+
+
+@pytest.mark.parametrize("traced", [False, True])
+def test_worker_counters_reach_stats_traced_or_not(traced):
+    """Traced engines fold the worker's lowering-memo and compiled
+    executor counter deltas into their stats exactly like untraced ones:
+    IMP then HEFT on one instance is one lowering miss, one hit, and
+    IMP's four improved passes plus HEFT's list schedule."""
+    from repro.obs import Tracer
+
+    async def scenario():
+        tracer = Tracer(name="svc") if traced else None
+        engine = SchedulingEngine(EngineConfig(workers=0), tracer=tracer)
+        await engine.start()
+        try:
+            inst = _instance(seed=3, num_tasks=30)
+            await engine.submit(inst, "IMP")
+            await engine.submit(inst, "HEFT")
+            return engine.stats()
+        finally:
+            await engine.stop()
+
+    protocol.clear_lowering_cache()
+    stats = _run(scenario())
+    assert (stats.lowering_misses, stats.lowering_hits) == (1, 1)
+    assert stats.compiled_schedules == 5
+    assert stats.compiled_fallbacks == 0

@@ -2,7 +2,8 @@
 noise, metrics and validation.
 
 Equivalence checks compare the compiled simulator against the
-object-path reference placer in ``tests/sim/online_reference.py``.
+object-path reference placer in ``tests/sim/online_reference.py`` and
+the per-placement re-lowering baseline in ``tests/sim/online_relower.py``.
 """
 
 import json
@@ -26,6 +27,7 @@ from repro.sim import (
 )
 from tests.population import OpaqueCommunication
 from tests.sim.online_reference import simulate_reference
+from tests.sim.online_relower import simulate_relowered
 
 
 @pytest.fixture(scope="module")
@@ -40,9 +42,10 @@ def stream(templates):
 
 class TestEquivalence:
     def test_cached_equals_full_relowering(self, templates, stream):
-        cached = simulate_online(templates, stream, relower="cached")
-        full = simulate_online(templates, stream, relower="full")
+        cached = simulate_online(templates, stream, policy="replace")
+        full = simulate_relowered(templates, stream, policy="replace")
         assert cached.payload_json() == full.payload_json()
+        assert cached.to_json() == full.to_json()
 
     def test_compiled_equals_object_path(self, templates, stream):
         fast = simulate_online(templates, stream)
@@ -215,10 +218,6 @@ class TestValidation:
     def test_unknown_policy_rejected(self, templates, stream):
         with pytest.raises(ConfigurationError):
             simulate_online(templates, stream, policy="nope")
-
-    def test_bad_relower_rejected(self, templates, stream):
-        with pytest.raises(ConfigurationError):
-            simulate_online(templates, stream, relower="sometimes")
 
     def test_empty_templates_rejected(self):
         with pytest.raises(ConfigurationError):

@@ -135,10 +135,9 @@ class TestTrace:
         assert main(["trace", "heft", dag_path, "--format", "chrome"]) == 0
         doc = json.loads(capsys.readouterr().out)
         names = {e["name"] for e in doc["traceEvents"] if e.get("ph") == "X"}
-        # Ranking, placement and per-task insertion are all covered.
-        assert {"sched.run", "sched.rank", "sched.place", "sched.insert"} <= names
-        inserts = [e for e in doc["traceEvents"] if e["name"] == "sched.insert"]
-        assert len(inserts) == 12
+        # The compiled executor's phases and lowering; no per-task spans.
+        assert {"sched.run", "sched.rank", "sched.place", "compiled.lower"} <= names
+        assert "sched.insert" not in names
 
     def test_trace_writes_jsonl_file(self, dag_path, tmp_path, capsys):
         import json
@@ -172,7 +171,53 @@ class TestTrace:
         assert rc == 0
         assert "trace" in capsys.readouterr().out
         doc = json.loads(out.read_text())
-        assert any(e["name"] == "imp.pass" for e in doc["traceEvents"])
+        names = {e["name"] for e in doc["traceEvents"] if e.get("ph") == "X"}
+        assert {"sched.run", "sched.rank", "sched.place", "imp.pass",
+                "compiled.lower"} <= names
+        assert "sched.insert" not in names
+
+    @pytest.mark.parametrize("alg,command", [("HEFT", "trace"), ("IMP", "schedule")])
+    @pytest.mark.parametrize("machine", ["uniform", "per-link"])
+    def test_traced_runs_show_the_compiled_phases(self, tmp_path, capsys, alg,
+                                                   command, machine):
+        import json
+
+        from repro.instance import Instance, make_instance
+        from repro.instance_io import instance_to_json
+        from repro.machine.etc import generate_etc
+        from repro.machine.topology import ring_machine
+        from repro.obs import Tracer, use_tracer, validate_trace
+        from repro.schedulers.registry import get_scheduler
+
+        dag = random_dag(14, seed=9)
+        if machine == "uniform":
+            instance = make_instance(dag, num_procs=4, latency=0.5, seed=9)
+        else:
+            ring = ring_machine(4, latency=0.3, bandwidth=2.0)
+            instance = Instance(dag=dag, machine=ring,
+                                etc=generate_etc(dag, ring, heterogeneity=0.5, seed=9))
+        doc_path = tmp_path / "inst.json"
+        doc_path.write_text(instance_to_json(instance))
+        out = tmp_path / "trace.json"
+        if command == "trace":
+            argv = ["trace", alg, str(doc_path), "--out", str(out)]
+        else:
+            argv = ["schedule", "--dag", str(doc_path), "--alg", alg,
+                    "--trace-out", str(out)]
+        assert main(argv) == 0
+        capsys.readouterr()
+        events = json.loads(out.read_text())["traceEvents"]
+        names = {e["name"] for e in events if e.get("ph") == "X"}
+        expected = {"sched.run", "sched.rank", "sched.place", "compiled.lower"}
+        if alg == "IMP":
+            expected.add("imp.pass")
+        assert expected <= names, names
+        assert "sched.insert" not in names
+        # The same run under a library tracer passes the tree checks.
+        tracer = Tracer(name="t")
+        with use_tracer(tracer):
+            get_scheduler(alg).schedule(instance)
+        assert validate_trace(tracer) == []
 
     def test_tracing_does_not_change_the_reported_makespan(self, dag_path,
                                                            tmp_path, capsys):
