@@ -17,6 +17,8 @@ Pieces
   (:class:`ServiceMetrics`, :class:`ServiceStats`)
 * :mod:`repro.service.server` / :mod:`repro.service.client` — minimal
   HTTP endpoint and matching async client
+* :mod:`repro.service.http` — the HTTP/1.1 framing both of them and the
+  fleet router use
 * :mod:`repro.service.protocol` — request/response documents and the
   picklable cold-path compute function
 * :mod:`repro.service.fleet` — horizontal scale-out: consistent-hash

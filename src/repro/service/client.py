@@ -1,18 +1,19 @@
 """Async (and sync-wrapped) client for the scheduling service.
 
-:class:`ServiceClient` speaks the minimal HTTP/1.1 dialect of
-:mod:`repro.service.server`.  Schedule requests default to the binary
-wire format (``wire="bin"``): bodies and responses are the packed-array
-messages of :mod:`repro.service.wire`, and the connection is kept alive
-across requests, which removes JSON encode/decode *and* the per-request
-TCP connect from the warm path.  ``wire="json"`` forces the original
-one-connection-per-request JSON dialect; a binary client talking to an
-old JSON-only server downgrades itself automatically (the server
-rejects the unreadable body with 400, which the client recognises and
-retries as JSON — once, permanently).  Server-side failures come back
-as the same exception types the in-process engine raises — a caller
-can move between ``engine.submit(...)`` and ``client.schedule(...)``
-without changing its error handling.
+:class:`ServiceClient` frames its requests and reads its responses with
+:mod:`repro.service.http`, the module the daemon and the fleet router
+use; JSON response documents are decoded here.  Schedule requests default
+to the binary wire format (``wire="bin"``): bodies and responses are the
+packed-array messages of :mod:`repro.service.wire`, and the connection
+is kept alive across requests, which removes JSON encode/decode *and*
+the per-request TCP connect from the warm path.  ``wire="json"`` forces
+the original one-connection-per-request JSON dialect; a binary client
+talking to an old JSON-only server downgrades itself automatically (the
+server rejects the unreadable body with 400, which the client recognises
+and retries as JSON — once, permanently).  Server-side failures come back
+as the same exception types the in-process engine raises — a caller can
+move between ``engine.submit(...)`` and ``client.schedule(...)`` without
+changing its error handling.
 
 Fault tolerance (see :mod:`repro.service.resilience`):
 
@@ -38,7 +39,9 @@ from collections import OrderedDict
 from repro.instance import Instance
 from repro.instance_io import instance_to_json
 from repro.obs import get_tracer
+from repro.service import http
 from repro.service.errors import (
+    PayloadTooLargeError,
     RequestError,
     ServiceClosedError,
     ServiceError,
@@ -66,7 +69,7 @@ _ERROR_BY_STATUS = {
     400: RequestError,
     404: RequestError,
     405: RequestError,
-    413: RequestError,
+    413: PayloadTooLargeError,
     429: ServiceOverloadedError,
     503: ServiceClosedError,
     504: ServiceTimeoutError,
@@ -210,85 +213,6 @@ class ServiceClient:
         exchange also survives the server closing it first."""
         self._drop_conn()
 
-    async def _exchange(self, reader: asyncio.StreamReader,
-                        writer: asyncio.StreamWriter, head: bytes,
-                        payload: bytes, deadline: Deadline | None,
-                        reused: bool = False,
-                        ) -> tuple[int, dict[str, str], bytes]:
-        """One write-request/read-response on an open connection.
-
-        ``reused=True`` marks a kept-alive connection from the pool.  A
-        failure on such a connection *before any response byte arrives*
-        (EOF or reset on the header read, reset on the write) is the
-        signature of the server having closed it while it sat idle —
-        raised as :class:`StaleConnectionError` so the caller can swap
-        in a fresh connection without charging the retry budget.  Once
-        a single response byte has been read, failures are real
-        :class:`TransportError`\\ s like on any other connection.
-        """
-        try:
-            writer.write(head + payload)
-            await writer.drain()
-        except ConnectionError as exc:
-            if reused:
-                raise StaleConnectionError(
-                    f"stale keep-alive connection to {self.host}:{self.port} "
-                    f"(reset on write)"
-                ) from exc
-            raise
-        # Read headers, then exactly Content-Length body bytes.  Never
-        # read-to-EOF: pool workers forked on the server side may hold
-        # an inherited copy of this socket, delaying EOF indefinitely.
-        try:
-            # One timeout scope for the whole response: unlike two
-            # ``wait_for`` calls this spawns no wrapper tasks, which is
-            # a measurable win on the warm path.
-            async with asyncio.timeout(
-                self._stage_timeout(deadline, self.request_timeout)
-            ):
-                try:
-                    header = await reader.readuntil(b"\r\n\r\n")
-                except asyncio.IncompleteReadError as exc:
-                    if reused and not exc.partial:
-                        raise StaleConnectionError(
-                            f"stale keep-alive connection to "
-                            f"{self.host}:{self.port} (EOF before any "
-                            f"response byte)"
-                        ) from None
-                    raise
-                except ConnectionResetError as exc:
-                    if reused:
-                        raise StaleConnectionError(
-                            f"stale keep-alive connection to "
-                            f"{self.host}:{self.port} (reset before any "
-                            f"response byte)"
-                        ) from exc
-                    raise
-                headers: dict[str, str] = {}
-                for line in header.split(b"\r\n")[1:]:
-                    name, _, value = line.decode("latin-1").partition(":")
-                    if name:
-                        headers[name.strip().lower()] = value.strip()
-                try:
-                    content_length = int(headers.get("content-length", "0"))
-                except ValueError:
-                    raise TransportError(
-                        f"malformed Content-Length header "
-                        f"{headers.get('content-length')!r} from "
-                        f"{self.host}:{self.port}"
-                    ) from None
-                answer = await reader.readexactly(content_length)
-        except asyncio.IncompleteReadError as exc:
-            raise TransportError(
-                f"connection to {self.host}:{self.port} closed mid-response"
-            ) from exc
-        status_line = header.split(b"\r\n", 1)[0].decode("latin-1")
-        try:
-            status = int(status_line.split()[1])
-        except (IndexError, ValueError):
-            raise TransportError(f"malformed status line {status_line!r}") from None
-        return status, headers, answer
-
     async def _request(self, method: str, path: str,
                        body: bytes | None = None,
                        deadline: Deadline | None = None,
@@ -296,31 +220,22 @@ class ServiceClient:
                        accept: str | None = None,
                        keep_alive: bool = False,
                        fingerprint: str | None = None,
-                       ) -> tuple[int, dict[str, str], bytes]:
+                       ) -> http.Response:
         payload = body or b""
-        deadline_header = (
-            f"X-Repro-Deadline: {deadline.at!r}\r\n" if deadline is not None else ""
-        )
-        accept_header = f"Accept: {accept}\r\n" if accept is not None else ""
+        headers = {"Content-Type": content_type}
+        if accept is not None:
+            headers["Accept"] = accept
+        if deadline is not None:
+            headers["X-Repro-Deadline"] = repr(deadline.at)
         # The instance's content address, as a header: bodies stay
         # byte-identical (the server's exact-body memo keeps working)
         # while a fleet router can pick the owning shard without
         # parsing the body.  Binary bodies already carry it in their
         # prefix; this covers the JSON dialect.
-        fingerprint_header = (
-            f"X-Repro-Fingerprint: {fingerprint}\r\n" if fingerprint else ""
-        )
-        connection = "keep-alive" if keep_alive else "close"
-        head = (
-            f"{method} {path} HTTP/1.1\r\n"
-            f"Host: {self.host}:{self.port}\r\n"
-            f"Content-Type: {content_type}\r\n"
-            f"Content-Length: {len(payload)}\r\n"
-            f"{accept_header}"
-            f"{deadline_header}"
-            f"{fingerprint_header}"
-            f"Connection: {connection}\r\n\r\n"
-        ).encode("latin-1")
+        if fingerprint:
+            headers["X-Repro-Fingerprint"] = fingerprint
+        data = http.request_head(method, path, f"{self.host}:{self.port}",
+                                 len(payload), headers, keep_alive) + payload
 
         loop = asyncio.get_running_loop()
         reader = writer = None
@@ -341,8 +256,9 @@ class ServiceClient:
                     )
                     reused = False
                 try:
-                    status, headers, answer = await self._exchange(
-                        reader, writer, head, payload, deadline, reused=reused
+                    response = await http.exchange(
+                        reader, writer, data,
+                        self._stage_timeout(deadline, self.request_timeout), reused,
                     )
                     break
                 except StaleConnectionError:
@@ -353,13 +269,12 @@ class ServiceClient:
                     # budget slot is consumed.
                     writer.close()
                     reader = writer = None
-                    reused = False
                     continue
         except BaseException:
             if writer is not None:
                 writer.close()
             raise
-        if keep_alive and headers.get("connection", "").lower() == "keep-alive":
+        if keep_alive and http.keep_alive(response.headers):
             self._conn = (loop, reader, writer)
         else:
             writer.close()
@@ -367,7 +282,7 @@ class ServiceClient:
                 await writer.wait_closed()
             except (ConnectionResetError, BrokenPipeError):
                 pass
-        return status, headers, answer
+        return response
 
     @staticmethod
     def _raise_for_status(status: int, headers: dict[str, str],

@@ -25,6 +25,15 @@ class RequestError(ServiceError):
     status = 400
 
 
+class PayloadTooLargeError(RequestError):
+    """The request body is past :data:`repro.service.http.MAX_BODY`.
+
+    Raised before any body byte is read; the server answers 413 and
+    closes the connection."""
+
+    status = 413
+
+
 class WireFormatError(RequestError):
     """A binary wire blob is malformed (bad magic, wrong kind, short
     buffer, corrupt section).  A :class:`RequestError` — the server maps

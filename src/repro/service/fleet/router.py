@@ -1,10 +1,10 @@
 """Consistent-hash front door: one endpoint, N scheduling daemons.
 
 :class:`FleetRouter` is the fleet's single client-facing listener.  It
-speaks exactly the HTTP/1.1 dialect of
-:mod:`repro.service.server` — the JSON *and* binary wire protocols pass
-through byte-for-byte unchanged — and proxies every schedule request to
-the backend shard that owns the instance's fingerprint on a
+frames requests and responses with :mod:`repro.service.http`, the module
+the daemon and the client use — the JSON *and* binary wire protocols
+pass through byte-for-byte unchanged — and proxies every schedule
+request to the backend shard that owns the instance's fingerprint on a
 :class:`~repro.service.fleet.ring.HashRing`.  Ownership is the whole
 design: every fingerprint has exactly one cache owner, so a warm hit is
 warm *fleet-wide* — no shard ever recomputes what a sibling already
@@ -21,17 +21,17 @@ Routing never decodes an instance:
   the request body — still deterministic, so byte-identical resubmits
   keep one owner and the shard's exact-body fast path answers them.
 
-Failure handling is layered.  Every proxy attempt that dies in
-transport (refused connection, reset, mid-response EOF) is retried
-transparently on the key's *next* ring owner — safe because scheduling
-is pure and content-addressed, and exactly where the key re-homes once
-the dead shard leaves the ring.  Repeated failures quarantine the shard
-(ring rehash); an active health-check loop probes every registered
-shard and re-admits it when it answers again, warm cache and all.
-Non-schedule surfaces are fleet-aware: ``/metrics`` and ``/v1/stats``
-aggregate over the live shards (sums for counters and gauges, maxima
-for latency percentiles), ``/healthz`` reports fleet liveness, and
-``/v1/shutdown`` drains every shard.
+Failure handling is layered.  Every proxy attempt that dies in transport
+(refused connection, reset, mid-response EOF, a malformed response) is
+retried transparently on the key's *next* ring owner — safe because
+scheduling is pure and content-addressed, and exactly where the key
+re-homes once the dead shard leaves the ring.  Repeated failures
+quarantine the shard (ring rehash); an active health-check loop probes
+every registered shard and re-admits it when it answers again, warm
+cache and all.  Non-schedule surfaces are fleet-aware: ``/metrics`` and
+``/v1/stats`` aggregate over the live shards (sums for counters and
+gauges, maxima for latency percentiles), ``/healthz`` reports fleet
+liveness, and ``/v1/shutdown`` drains every shard.
 
 The router holds no schedule state — only sockets and the ring — so it
 stays I/O-bound: per request it parses one header block, one SHA-256 at
@@ -44,13 +44,12 @@ from __future__ import annotations
 import asyncio
 import hashlib
 import json
-import time
 from dataclasses import dataclass, field
 
 from repro.obs import NullTracer, Tracer, get_tracer
-from repro.service import wire
+from repro.service import http, wire
+from repro.service.errors import StaleConnectionError, TransportError
 from repro.service.fleet.ring import HashRing
-from repro.service.server import MAX_BODY, _REASONS
 
 __all__ = ["FleetRouter", "FleetStats", "Shard"]
 
@@ -299,25 +298,14 @@ class FleetRouter:
 
     async def _probe(self, shard: Shard) -> bool:
         """One ``GET /healthz`` against a shard; healthy = ok + not draining."""
-        try:
-            async with asyncio.timeout(self.probe_timeout):
-                reader, writer = await asyncio.open_connection(shard.host, shard.port)
-                try:
-                    writer.write(
-                        b"GET /healthz HTTP/1.1\r\nHost: fleet\r\n"
-                        b"Connection: close\r\n\r\n"
-                    )
-                    await writer.drain()
-                    status, _, body = await _read_http_response(reader)
-                finally:
-                    writer.close()
-            if status != 200:
-                return False
-            doc = json.loads(body.decode("utf-8"))
-            return doc.get("status") == "ok" and not doc.get("draining", False)
-        except (OSError, asyncio.TimeoutError, asyncio.IncompleteReadError,
-                ValueError):
+        body = await self._backend_call(shard, "GET", "/healthz")
+        if body is None:
             return False
+        try:
+            doc = json.loads(body.decode("utf-8"))
+        except ValueError:
+            return False
+        return doc.get("status") == "ok" and not doc.get("draining", False)
 
     # ------------------------------------------------------------------
     # connection handling (client side)
@@ -326,44 +314,16 @@ class FleetRouter:
                       writer: asyncio.StreamWriter) -> None:
         self._conns.add(writer)
         try:
-            while True:
-                request = await _read_http_request(reader)
-                if request is None:
-                    return
-                method, path, body, headers = request
-                status, ctype, payload, extra = await self._route(
-                    method, path, body, headers
-                )
-                keep_alive = (
-                    headers.get("connection", "").lower() == "keep-alive"
-                    and self._server is not None
-                )
-                _write_http_response(writer, status, ctype, payload, extra,
-                                     keep_alive=keep_alive)
-                await writer.drain()
-                if not keep_alive:
-                    return
-        except (ConnectionResetError, BrokenPipeError, asyncio.IncompleteReadError):
-            pass
-        except asyncio.CancelledError:
-            pass
+            await http.serve_connection(reader, writer, self._route,
+                                        lambda: self._server is not None)
         finally:
             self._conns.discard(writer)
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionResetError, BrokenPipeError, asyncio.CancelledError):
-                pass
 
-    async def _route(self, method: str, path: str, body: bytes,
-                     headers: dict[str, str]):
-        if body.startswith(b"\x00too-large"):
-            return _json_response(413, {"status": "error",
-                                        "error": "request body too large"})
-        path = path.split("?", 1)[0]
+    async def _route(self, request: http.Request) -> http.Reply:
+        method, path = request.method, request.path
         if path == "/healthz":
             alive = len(self.alive_shards())
-            return _json_response(200, {
+            return http.json_response(200, {
                 "status": "ok" if alive else "error",
                 "draining": alive == 0,
                 "fleet": {"shards": len(self._shards), "alive": alive},
@@ -375,15 +335,15 @@ class FleetRouter:
             return await self._aggregate_stats()
         if path == "/v1/shutdown":
             if method != "POST":
-                return _json_response(405, {"status": "error", "error": "use POST"})
+                return http.json_response(405, {"status": "error", "error": "use POST"})
             await self._broadcast_shutdown()
             asyncio.get_running_loop().call_soon(self.request_shutdown)
-            return _json_response(200, {"status": "ok", "shutting_down": True})
+            return http.json_response(200, {"status": "ok", "shutting_down": True})
         if path == "/v1/schedule":
             if method != "POST":
-                return _json_response(405, {"status": "error", "error": "use POST"})
-            return await self._route_schedule(body, headers)
-        return _json_response(404, {"status": "error", "error": f"no such route {path}"})
+                return http.json_response(405, {"status": "error", "error": "use POST"})
+            return await self._route_schedule(request.body, request.headers)
+        return http.json_response(404, {"status": "error", "error": f"no such route {path}"})
 
     # ------------------------------------------------------------------
     # schedule routing
@@ -424,7 +384,7 @@ class FleetRouter:
                     self.stats.no_backend += 1
                     if tracer.enabled:
                         tracer.count("fleet.no_backend")
-                    return _json_response(503, {
+                    return http.json_response(503, {
                         "status": "error",
                         "error": "no live backend shard for this request; "
                                  "fleet is rebuilding, retry later",
@@ -436,11 +396,11 @@ class FleetRouter:
                         status, resp_headers, payload = await self._proxy(
                             shard, body, headers
                         )
-                except (OSError, asyncio.TimeoutError,
-                        asyncio.IncompleteReadError):
-                    # Transport failure: safe to re-route (scheduling is
-                    # pure and content-addressed), and the next ring
-                    # owner is where the key re-homes anyway.
+                except (OSError, asyncio.TimeoutError, TransportError):
+                    # Transport failure or a malformed response: safe to
+                    # re-route (scheduling is pure and content-addressed),
+                    # and the next ring owner is where the key re-homes
+                    # anyway.
                     shard.failures += 1
                     if shard.failures >= self.fail_threshold:
                         self.quarantine(shard.name, cause="proxy-failure")
@@ -471,25 +431,17 @@ class FleetRouter:
         return None
 
     async def _proxy(self, shard: Shard, body: bytes,
-                     headers: dict[str, str]) -> tuple[int, dict[str, str], bytes]:
+                     headers: dict[str, str]) -> http.Response:
         """One request/response exchange with a backend shard.
 
         Backend connections are kept alive and pooled per shard.  A
-        pooled connection the backend closed while idle fails with zero
-        response bytes — that stale case gets one fresh connection, not
-        a shard-failure mark (mirrors the client's stale-reuse rule).
+        pooled connection the backend closed while idle is stale
+        (:func:`repro.service.http.exchange`): it gets one fresh
+        connection, not a shard-failure mark.
         """
-        forward = "".join(
-            f"{out}: {headers[name]}\r\n"
-            for name, out in _FORWARD_HEADERS if name in headers
-        )
-        head = (
-            f"POST /v1/schedule HTTP/1.1\r\n"
-            f"Host: {shard.endpoint}\r\n"
-            f"Content-Length: {len(body)}\r\n"
-            f"{forward}"
-            f"Connection: keep-alive\r\n\r\n"
-        ).encode("latin-1")
+        forward = {out: headers[name] for name, out in _FORWARD_HEADERS if name in headers}
+        data = http.request_head("POST", "/v1/schedule", shard.endpoint, len(body),
+                                 forward, keep_alive=True) + body
         pool = self._pools.setdefault(shard.name, [])
         reused = bool(pool)
         if reused:
@@ -498,58 +450,41 @@ class FleetRouter:
             reader, writer = await asyncio.open_connection(shard.host, shard.port)
         while True:
             try:
-                async with asyncio.timeout(self.backend_timeout):
-                    writer.write(head + body)
-                    await writer.drain()
-                    got_first = False
-                    try:
-                        status, resp_headers, payload = await _read_http_response(
-                            reader
-                        )
-                        got_first = True
-                    except asyncio.IncompleteReadError as exc:
-                        if reused and not exc.partial and not got_first:
-                            raise _StaleBackendConn() from None
-                        raise
-                    except ConnectionError:
-                        if reused:
-                            raise _StaleBackendConn() from None
-                        raise
+                response = await http.exchange(reader, writer, data,
+                                               self.backend_timeout, reused)
                 break
-            except _StaleBackendConn:
+            except StaleConnectionError:
                 writer.close()
                 reader, writer = await asyncio.open_connection(shard.host, shard.port)
                 reused = False
-                continue
             except BaseException:
                 writer.close()
                 raise
-        if resp_headers.get("connection", "").lower() == "keep-alive":
+        if http.keep_alive(response.headers):
             pool.append((reader, writer))
         else:
             writer.close()
-        return status, resp_headers, payload
+        return response
 
     # ------------------------------------------------------------------
     # aggregation surfaces
     # ------------------------------------------------------------------
-    async def _backend_get(self, shard: Shard, path: str) -> bytes | None:
-        """Fetch one GET endpoint from a shard; ``None`` when unreachable."""
+    async def _backend_call(self, shard: Shard, method: str, path: str) -> bytes | None:
+        """One bodiless request to a shard on a fresh connection, within
+        ``probe_timeout``; the body of a 200 answer, else ``None``."""
         try:
             async with asyncio.timeout(self.probe_timeout):
                 reader, writer = await asyncio.open_connection(shard.host, shard.port)
                 try:
-                    writer.write(
-                        f"GET {path} HTTP/1.1\r\nHost: fleet\r\n"
-                        f"Connection: close\r\n\r\n".encode("latin-1")
+                    response = await http.exchange(
+                        reader, writer, http.request_head(method, path, shard.endpoint, 0),
+                        None,
                     )
-                    await writer.drain()
-                    status, _, body = await _read_http_response(reader)
                 finally:
                     writer.close()
-            return body if status == 200 else None
-        except (OSError, asyncio.TimeoutError, asyncio.IncompleteReadError):
+        except (OSError, asyncio.TimeoutError, TransportError):
             return None
+        return response.body if response.status == 200 else None
 
     async def _aggregate_stats(self):
         """Summed :class:`~repro.service.metrics.ServiceStats` across the
@@ -561,7 +496,7 @@ class FleetRouter:
         totals: dict[str, float] = {}
         per_shard: dict[str, dict] = {}
         for shard in self.alive_shards():
-            raw = await self._backend_get(shard, "/v1/stats")
+            raw = await self._backend_call(shard, "GET", "/v1/stats")
             if raw is None:
                 continue
             try:
@@ -578,7 +513,7 @@ class FleetRouter:
                     totals[name] = totals.get(name, 0) + value
         fields = set(ServiceStats.__dataclass_fields__)
         merged = ServiceStats(**{k: v for k, v in totals.items() if k in fields})
-        return _json_response(200, {
+        return http.json_response(200, {
             "status": "ok",
             "stats": merged.as_dict(),
             "fleet": {
@@ -609,7 +544,7 @@ class FleetRouter:
         maxes: dict[str, float] = {}
         order: list[str] = []
         for shard in self.alive_shards():
-            raw = await self._backend_get(shard, "/metrics")
+            raw = await self._backend_call(shard, "GET", "/metrics")
             if raw is None:
                 continue
             for line in raw.decode("utf-8", "replace").splitlines():
@@ -655,104 +590,4 @@ class FleetRouter:
     async def _broadcast_shutdown(self) -> None:
         """Ask every registered shard to drain (best effort)."""
         for shard in list(self._shards.values()):
-            try:
-                async with asyncio.timeout(self.probe_timeout):
-                    reader, writer = await asyncio.open_connection(
-                        shard.host, shard.port
-                    )
-                    try:
-                        writer.write(
-                            b"POST /v1/shutdown HTTP/1.1\r\nHost: fleet\r\n"
-                            b"Content-Length: 0\r\nConnection: close\r\n\r\n"
-                        )
-                        await writer.drain()
-                        await _read_http_response(reader)
-                    finally:
-                        writer.close()
-            except (OSError, asyncio.TimeoutError, asyncio.IncompleteReadError):
-                pass
-
-
-class _StaleBackendConn(Exception):
-    """Internal: a pooled backend connection was dead on arrival."""
-
-
-# ----------------------------------------------------------------------
-# shared HTTP/1.1 framing helpers (the dialect of repro.service.server)
-# ----------------------------------------------------------------------
-async def _read_http_request(reader: asyncio.StreamReader):
-    """Parse one request; mirrors ``ScheduleServer._read_request``."""
-    try:
-        head = await reader.readuntil(b"\r\n\r\n")
-    except asyncio.IncompleteReadError:
-        return None
-    except (asyncio.LimitOverrunError, ValueError):
-        return None
-    lines = head[:-4].decode("latin-1").split("\r\n")
-    parts = lines[0].split()
-    if len(parts) < 2:
-        return None
-    method, path = parts[0].upper(), parts[1]
-    headers: dict[str, str] = {}
-    for line in lines[1:]:
-        name, _, value = line.partition(":")
-        headers[name.strip().lower()] = value.strip()
-    try:
-        content_length = int(headers.get("content-length", 0))
-    except ValueError:
-        content_length = 0
-    if content_length > MAX_BODY:
-        return method, path, b"\x00too-large", headers
-    body = await reader.readexactly(content_length) if content_length else b""
-    return method, path, body, headers
-
-
-async def _read_http_response(reader: asyncio.StreamReader,
-                              ) -> tuple[int, dict[str, str], bytes]:
-    """Read one framed response: status, lowercase headers, exact body."""
-    header = await reader.readuntil(b"\r\n\r\n")
-    headers: dict[str, str] = {}
-    for line in header.split(b"\r\n")[1:]:
-        name, _, value = line.decode("latin-1").partition(":")
-        if name:
-            headers[name.strip().lower()] = value.strip()
-    status_line = header.split(b"\r\n", 1)[0].decode("latin-1")
-    try:
-        status = int(status_line.split()[1])
-    except (IndexError, ValueError):
-        raise asyncio.IncompleteReadError(partial=header, expected=None) from None
-    try:
-        content_length = int(headers.get("content-length", "0"))
-    except ValueError:
-        content_length = 0
-    body = await reader.readexactly(content_length) if content_length else b""
-    return status, headers, body
-
-
-def _write_http_response(writer: asyncio.StreamWriter, status: int,
-                         content_type: str, payload: bytes,
-                         extra_headers: dict[str, str] | None = None,
-                         keep_alive: bool = False) -> None:
-    reason = _REASONS.get(status, "Unknown")
-    extras = "".join(
-        f"{name}: {value}\r\n" for name, value in (extra_headers or {}).items()
-    )
-    connection = "keep-alive" if keep_alive else "close"
-    head = (
-        f"HTTP/1.1 {status} {reason}\r\n"
-        f"Content-Type: {content_type}\r\n"
-        f"Content-Length: {len(payload)}\r\n"
-        f"{extras}"
-        f"Connection: {connection}\r\n\r\n"
-    )
-    writer.write(head.encode("latin-1") + payload)
-
-
-def _json_response(status: int, doc: dict,
-                   extra_headers: dict[str, str] | None = None):
-    return (status, "application/json", json.dumps(doc).encode("utf-8"),
-            extra_headers or {})
-
-
-# Re-export for the manager and tests; time is used by the manager too.
-_ = time
+            await self._backend_call(shard, "POST", "/v1/shutdown")

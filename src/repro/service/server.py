@@ -1,9 +1,9 @@
 """Minimal asyncio HTTP endpoint in front of the engine.
 
-Stdlib-only by design (``asyncio.start_server`` + hand-rolled HTTP/1.1
-framing): the service has to run in the same environments the library
-does, with no web-framework dependency.  The surface is deliberately
-tiny:
+Stdlib-only by design (``asyncio.start_server`` plus the framing of
+:mod:`repro.service.http`): the service has to run in the same
+environments the library does, with no web-framework dependency.  The
+surface is deliberately tiny:
 
 ====================  =================================================
 ``POST /v1/schedule``  schedule one instance (JSON request document)
@@ -32,7 +32,9 @@ binary clients skip document building on both sides.  Errors are
 always JSON (they must stay debuggable from a shell).  Connections
 close after one exchange unless the client asks ``Connection:
 keep-alive``; the binary client does, which removes the per-request
-TCP connect from the warm path.
+TCP connect from the warm path.  A malformed request, or one whose body
+is past :data:`~repro.service.http.MAX_BODY`, gets a JSON 400 or 413
+and the connection closes.
 """
 
 from __future__ import annotations
@@ -42,14 +44,11 @@ import hashlib
 import json
 from collections import OrderedDict
 
-from repro.service import wire
+from repro.service import http, wire
 from repro.service.cache import request_key_from_fingerprint
 from repro.service.engine import SchedulingEngine
 from repro.service.errors import RequestError, ServiceError
 from repro.service.protocol import parse_request_doc
-
-#: Largest accepted request body (a ~100k-task instance document).
-MAX_BODY = 64 * 1024 * 1024
 
 #: Entries kept in the exact-body fast-path map (body digest -> request
 #: key).  Each entry is two hex digests, so this is a few hundred kB.
@@ -65,18 +64,6 @@ ENCODED_MAP_SIZE = 1024
 #: stay byte-identical across requests — the exact-body fast path and
 #: the client's body memo both depend on that.
 DEADLINE_HEADER = "x-repro-deadline"
-
-_REASONS = {
-    200: "OK",
-    400: "Bad Request",
-    404: "Not Found",
-    405: "Method Not Allowed",
-    413: "Payload Too Large",
-    429: "Too Many Requests",
-    500: "Internal Server Error",
-    503: "Service Unavailable",
-    504: "Gateway Timeout",
-}
 
 
 class ScheduleServer:
@@ -157,106 +144,39 @@ class ScheduleServer:
                       writer: asyncio.StreamWriter) -> None:
         self._conns.add(writer)
         try:
-            while True:
-                request = await self._read_request(reader)
-                if request is None:
-                    return
-                method, path, body, headers = request
-                status, content_type, payload, extra = await self._route(
-                    method, path, body, headers
-                )
-                # Close after one exchange unless the client opted into
-                # keep-alive (the binary client does; legacy JSON
-                # clients never send the header and see the historical
-                # one-shot behaviour).  A stopping server always closes.
-                keep_alive = (
-                    headers.get("connection", "").lower() == "keep-alive"
-                    and self._server is not None
-                )
-                await self._write_response(writer, status, content_type, payload,
-                                           extra, keep_alive=keep_alive)
-                if not keep_alive:
-                    return
-        except (ConnectionResetError, BrokenPipeError, asyncio.IncompleteReadError):
-            pass  # client went away mid-request
-        except asyncio.CancelledError:
-            # Loop teardown cancelled a parked keep-alive handler.
-            # Swallowing (not re-raising) keeps the stdlib streams
-            # done-callback from logging a spurious traceback.
-            pass
+            await http.serve_connection(reader, writer, self._route,
+                                        lambda: self._server is not None)
         finally:
             self._conns.discard(writer)
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionResetError, BrokenPipeError, asyncio.CancelledError):
-                pass
 
-    async def _read_request(self, reader: asyncio.StreamReader):
-        """Parse one HTTP/1.x request; returns (method, path, body, headers).
-
-        The whole header block is read with a single ``readuntil`` —
-        one syscall-ish await instead of a per-line loop, which matters
-        on the keep-alive warm path where header parsing is a visible
-        fraction of the total exchange.
-        """
-        try:
-            head = await reader.readuntil(b"\r\n\r\n")
-        except asyncio.IncompleteReadError:
-            return None  # clean close (or trailing garbage) between requests
-        except (asyncio.LimitOverrunError, ValueError):
-            return None
-        lines = head[:-4].decode("latin-1").split("\r\n")
-        parts = lines[0].split()
-        if len(parts) < 2:
-            return None
-        method, path = parts[0].upper(), parts[1]
-        headers: dict[str, str] = {}
-        for line in lines[1:]:
-            name, _, value = line.partition(":")
-            headers[name.strip().lower()] = value.strip()
-        try:
-            content_length = int(headers.get("content-length", 0))
-        except ValueError:
-            content_length = 0
-        if content_length > MAX_BODY:
-            return method, path, b"\x00too-large", headers
-        body = await reader.readexactly(content_length) if content_length else b""
-        return method, path, body, headers
-
-    async def _route(self, method: str, path: str, body: bytes,
-                     headers: dict[str, str] | None = None):
-        """Dispatch one request; returns (status, content-type, bytes,
-        extra response headers)."""
-        headers = headers or {}
-        if body.startswith(b"\x00too-large"):
-            return self._json(413, {"status": "error", "error": "request body too large"})
-        path = path.split("?", 1)[0]
+    async def _route(self, request: http.Request) -> http.Reply:
+        """Dispatch one request to its endpoint."""
+        method, path = request.method, request.path
         if path == "/healthz":
             if method != "GET":
-                return self._json(405, {"status": "error", "error": "use GET"})
-            return self._json(200, {"status": "ok", "draining": self.engine.draining})
+                return http.json_response(405, {"status": "error", "error": "use GET"})
+            return http.json_response(200, {"status": "ok", "draining": self.engine.draining})
         if path == "/metrics":
             if method != "GET":
-                return self._json(405, {"status": "error", "error": "use GET"})
+                return http.json_response(405, {"status": "error", "error": "use GET"})
             return (200, "text/plain; version=0.0.4",
                     self.engine.render_metrics().encode(), {})
         if path == "/v1/stats":
             if method != "GET":
-                return self._json(405, {"status": "error", "error": "use GET"})
-            return self._json(200, {"status": "ok", "stats": self.engine.stats().as_dict()})
+                return http.json_response(405, {"status": "error", "error": "use GET"})
+            return http.json_response(200, {"status": "ok", "stats": self.engine.stats().as_dict()})
         if path == "/v1/shutdown":
             if method != "POST":
-                return self._json(405, {"status": "error", "error": "use POST"})
+                return http.json_response(405, {"status": "error", "error": "use POST"})
             # Respond first, then trip the shutdown event: the caller
             # gets its 200 before the listener closes.
             asyncio.get_running_loop().call_soon(self.request_shutdown)
-            return self._json(200, {"status": "ok", "shutting_down": True})
+            return http.json_response(200, {"status": "ok", "shutting_down": True})
         if path == "/v1/schedule":
             if method != "POST":
-                return self._json(405, {"status": "error", "error": "use POST"})
-            return await self._handle_schedule(body, headers)
-        return self._json(404, {"status": "error", "error": f"no such route {path}"})
+                return http.json_response(405, {"status": "error", "error": "use POST"})
+            return await self._handle_schedule(request.body, request.headers)
+        return http.json_response(404, {"status": "error", "error": f"no such route {path}"})
 
     async def _handle_schedule(self, body: bytes, headers: dict[str, str]):
         binary_request = (
@@ -322,7 +242,7 @@ class ScheduleServer:
                 if hint is None:
                     hint = self.engine.retry_after_hint()
                 extra["Retry-After"] = f"{hint:g}"
-            return self._json(exc.status, {"status": kind, "error": str(exc)}, extra)
+            return http.json_response(exc.status, {"status": kind, "error": str(exc)}, extra)
         return self._respond_schedule(payload, binary_response)
 
     @staticmethod
@@ -341,7 +261,7 @@ class ScheduleServer:
     def _respond_schedule(self, payload: dict, binary: bool):
         """Serialise one successful schedule answer in the negotiated form."""
         if not binary:
-            return self._json(200, {"status": "ok", "result": payload})
+            return http.json_response(200, {"status": "ok", "result": payload})
         result = dict(payload)
         cache_hit = bool(result.pop("cache_hit", False))
         fingerprint = str(result.pop("fingerprint", ""))
@@ -381,28 +301,3 @@ class ScheduleServer:
         self._exact.move_to_end(body_key)
         while len(self._exact) > EXACT_MAP_SIZE:
             self._exact.popitem(last=False)
-
-    @staticmethod
-    def _json(status: int, doc: dict, extra_headers: dict[str, str] | None = None):
-        return (status, "application/json", json.dumps(doc).encode("utf-8"),
-                extra_headers or {})
-
-    @staticmethod
-    async def _write_response(writer: asyncio.StreamWriter, status: int,
-                              content_type: str, payload: bytes,
-                              extra_headers: dict[str, str] | None = None,
-                              keep_alive: bool = False) -> None:
-        reason = _REASONS.get(status, "Unknown")
-        extras = "".join(
-            f"{name}: {value}\r\n" for name, value in (extra_headers or {}).items()
-        )
-        connection = "keep-alive" if keep_alive else "close"
-        head = (
-            f"HTTP/1.1 {status} {reason}\r\n"
-            f"Content-Type: {content_type}\r\n"
-            f"Content-Length: {len(payload)}\r\n"
-            f"{extras}"
-            f"Connection: {connection}\r\n\r\n"
-        )
-        writer.write(head.encode("latin-1") + payload)
-        await writer.drain()
