@@ -4,8 +4,9 @@ Times the E1-style replication sweep four ways — the scalar object path
 (serial, through the test-side ``tests/object_path.py`` helper), the
 compiled executor (serial), and the parallel runner at 2 and 4 workers
 — verifies all four produce *identical* per-replication results,
-microbenchmarks the rank kernel against its scalar reference, and
-writes everything to ``BENCH_hotpath.json`` at the repo root.
+microbenchmarks the kernel's rank recurrence against its scalar
+reference, and writes everything to ``BENCH_hotpath.json`` at the repo
+root.
 
 Run directly to regenerate the JSON:
 
@@ -17,7 +18,9 @@ a silent performance regression (or a broken equivalence) fails CI.
 
 from __future__ import annotations
 
+import gc
 import json
+import statistics
 import sys
 import time
 from contextlib import nullcontext
@@ -61,49 +64,51 @@ def _time_sweep(workers: int, legacy: bool = False) -> tuple[float, object]:
     return elapsed, res
 
 
-def _bench_ranks(trials: int = 20) -> dict[str, float]:
-    inst = W.random_instance(np.random.default_rng(5), num_tasks=120, num_procs=8)
-    t0 = time.perf_counter()
-    for _ in range(trials):
-        upward_ranks_scalar(inst)
-    scalar = (time.perf_counter() - t0) / trials
-    inst.kernel.upward("mean")  # warm the level structure once
-    t0 = time.perf_counter()
-    for _ in range(trials):
-        # fresh instance-equivalent call path minus the one-time build
-        dict(inst.kernel.upward("mean"))
-    vectorized = (time.perf_counter() - t0) / trials
+def _bench_ranks(trials: int = 20, repeats: int = 5) -> dict[str, float]:
+    """The kernel's rank recurrence against its scalar reference.
 
-    # Cold path: one first call per FRESH instance, both legs, so the
-    # comparison is first-call vs first-call (the vectorized leg pays
-    # the kernel's adjacency memo, the scalar leg pays the uncached
-    # per-edge lookups).  Instances are pre-generated OUTSIDE the timed
-    # region — the old harness generated them inside the loop, so the
-    # "cold" number mostly measured workload generation.
+    *Cached*: repeat calls on one instance whose kernel already holds
+    the ranks.  *Cold*: one first call per fresh instance, each leg on
+    its own freshly built batch, built outside the timed region (the
+    kernel leg pays the kernel's adjacency memo; the scalar leg pays the
+    uncached per-edge lookups).  The legs alternate which runs first,
+    ``gc.collect()`` runs before every timed batch and each figure is the
+    median over ``repeats`` batches: timed one after the other, whichever
+    leg ran second read about 1.7-1.9x slower.
+    """
+
     def fresh() -> list:
         return [
             W.random_instance(np.random.default_rng(5), num_tasks=120, num_procs=8)
             for _ in range(trials)
         ]
 
-    cold_insts = fresh()
-    t0 = time.perf_counter()
-    for cold in cold_insts:
-        upward_ranks_scalar(cold)
-    scalar_cold = (time.perf_counter() - t0) / trials
-    cold_insts = fresh()
-    t0 = time.perf_counter()
-    for cold in cold_insts:
-        upward_ranks(cold)
-    end_to_end = (time.perf_counter() - t0) / trials
-    return {
-        "scalar_s": scalar,
-        "scalar_cold_s": scalar_cold,
-        "vectorized_cached_s": vectorized,
-        "vectorized_cold_s": end_to_end,
-        "speedup_cached": scalar / vectorized if vectorized > 0 else float("inf"),
-        "speedup_cold": scalar_cold / end_to_end if end_to_end > 0 else float("inf"),
+    def timed(fn, batch: list) -> float:
+        gc.collect()
+        t0 = time.perf_counter()
+        for inst in batch:
+            fn(inst)
+        return (time.perf_counter() - t0) / len(batch)
+
+    warm = fresh()[0]
+    warm.kernel.upward("mean")  # the kernel's per-aggregation rank cache
+    legs = {
+        "scalar_s": lambda: timed(upward_ranks_scalar, [warm] * trials),
+        "kernel_cached_s": lambda: timed(upward_ranks, [warm] * trials),
+        "scalar_cold_s": lambda: timed(upward_ranks_scalar, fresh()),
+        "kernel_cold_s": lambda: timed(upward_ranks, fresh()),
     }
+    pairs = [("scalar_s", "kernel_cached_s"), ("scalar_cold_s", "kernel_cold_s")]
+    samples: dict[str, list[float]] = {name: [] for name in legs}
+    for rep in range(repeats):
+        for pair in pairs:
+            for name in pair if rep % 2 == 0 else reversed(pair):
+                samples[name].append(legs[name]())
+    out = {name: statistics.median(vals) for name, vals in samples.items()}
+    out["speedup_cached"] = out["scalar_s"] / out["kernel_cached_s"]
+    out["speedup_cold"] = out["scalar_cold_s"] / out["kernel_cold_s"]
+    out["repeats"] = repeats
+    return out
 
 
 def run_regression() -> dict:
@@ -140,8 +145,7 @@ def test_hotpath_regression():
     )
     assert report["ranks"]["speedup_cached"] > 1.0
     # First-call (cold) ranks must not regress below the scalar path:
-    # small instances take the scalar recurrence over memoized adjacency
-    # instead of paying the level build.
+    # the kernel runs the same recurrence over its memoized adjacency.
     assert report["ranks"]["speedup_cold"] > 1.0
 
 
@@ -156,7 +160,8 @@ def main() -> None:
     print(f"parallel x4       : {sweep['parallel4_s']:.3f}s "
           f"({sweep['speedup_parallel4_vs_legacy']:.2f}x vs legacy)")
     print(f"identical results : {sweep['results_identical_across_modes']}")
-    print(f"rank kernel       : {report['ranks']['speedup_cached']:.1f}x")
+    print(f"rank kernel       : {report['ranks']['speedup_cached']:.1f}x cached, "
+          f"{report['ranks']['speedup_cold']:.2f}x cold")
     print(f"wrote {OUT}")
 
 

@@ -1,4 +1,4 @@
-"""Per-instance caches and the vectorized rank kernels.
+"""Per-instance cost tables and the rank recurrences.
 
 Every figure of the reconstructed protocol averages hundreds of
 replications, and each replication runs every compared scheduler on the
@@ -10,20 +10,20 @@ every cost query the schedulers make:
   communication costs, per-pair communication constants (for the
   uniform/zero link models every experiment uses) and a dense ETC array
   in canonical (machine) processor order;
-* level-grouped NumPy evaluation of the upward/downward rank recurrences
-  (``np.maximum.reduceat`` over the DAG's depth levels), cached per
-  aggregation so HEFT, CPOP and the improved scheduler's rank-variant
-  search never recompute a rank for the same instance;
+* per-task rank weights read from the ETC matrix's cached row
+  aggregates, and the upward/downward rank recurrences — one scalar
+  pass over the memoized adjacency, cached per aggregation so HEFT,
+  CPOP and the improved scheduler's rank-variant search never recompute
+  a rank for the same instance;
 * the compiled flat-array lowering (:meth:`InstanceKernel.compiled`),
   which runs every production scheduler;
 * :meth:`InstanceKernel.ready_times`, the object path's all-processor
   data-ready vector for any communication model.
 
-The rank kernels reproduce the scalar recurrences in
-:mod:`repro.schedulers.ranking` exactly — same additions, in the same
-order, with exact min/max reductions — so ranks are bit-identical to
-the ``*_scalar`` specifications (asserted by
-``tests/core/test_vectorized_equivalence.py``).
+The rank recurrences replay the ``*_scalar`` specifications in
+:mod:`repro.schedulers.ranking` exactly — same weights, same additions
+in the same order, an exact max fold — so ranks are bit-identical to
+them (asserted by ``tests/core/test_vectorized_equivalence.py``).
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro.exceptions import (
-    ConfigurationError,
     GraphError,
     SchedulingError,
     UnknownProcessorError,
@@ -51,18 +50,8 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.schedule.schedule import Schedule
     from repro.types import ProcId, TaskId
 
-#: Aggregations a rank kernel understands (mirrors ranking.RankAggregation).
+#: Rank aggregations the kernel understands (mirrors ranking.RankAggregation).
 _AGGS = ("mean", "median", "best", "worst")
-
-#: Below this task count the *first* rank computation per direction runs
-#: the scalar recurrence over the kernel's memoized adjacency instead of
-#: building the level structure — the one-time ``_build_levels`` cost
-#: dominates the vectorized win for small DAGs (measured crossover is
-#: well above typical experiment sizes).  A second aggregation request
-#: builds the levels, since the build then amortizes across the cached
-#: variants.  Both paths replay the same float operations, so results
-#: stay bit-identical either way.
-_SCALAR_RANK_CUTOFF = 256
 
 
 class InstanceKernel:
@@ -107,13 +96,14 @@ class InstanceKernel:
         self.topo: list["TaskId"] = dag.topological_order()
         self.pos: dict["TaskId", int] = {t: i for i, t in enumerate(self.topo)}
 
-        # Per-edge data volumes and machine-average communication times.
+        # Per-edge data volumes and machine-average communication times
+        # (``edge_avg``: the c̄ of every rank recurrence).
         self.edge_data: dict["TaskId", dict["TaskId", float]] = {t: {} for t in self.tasks}
-        self._avg_comm: dict["TaskId", dict["TaskId", float]] = {t: {} for t in self.tasks}
+        self.edge_avg: dict["TaskId", dict["TaskId", float]] = {t: {} for t in self.tasks}
         for u, v in dag.edges():
             data = dag.data(u, v)
             self.edge_data[u][v] = data
-            self._avg_comm[u][v] = machine.avg_comm_time(data)
+            self.edge_avg[u][v] = machine.avg_comm_time(data)
 
         # Per-pair constants: with the uniform (or zero) link model the
         # cost of an edge is one constant for every distinct pair — the
@@ -135,18 +125,16 @@ class InstanceKernel:
 
         # Lazy per-aggregation caches.  Bounding policy: every keyed
         # cache is keyed by a rank aggregation, and :meth:`weights`
-        # validates the key against ``_AGGS`` *before* inserting, so each
+        # rejects any key outside ``_AGGS`` *before* inserting, so each
         # dict holds at most ``len(_AGGS)`` (= 4) entries for the life of
-        # the instance; the unkeyed memos (exec table, level structures,
-        # compiled form) are singletons.  Nothing here can grow with
-        # request volume — :meth:`cache_info` exposes the sizes and caps
-        # so tests can assert the bound.
-        self._weights: dict[str, np.ndarray] = {}
+        # the instance; the unkeyed memos (exec table, compiled form) are
+        # singletons.  Nothing here can grow with request volume —
+        # :meth:`cache_info` exposes the sizes and caps so tests can
+        # assert the bound.
+        self._weights: dict[str, dict["TaskId", float]] = {}
         self._upward: dict[str, dict["TaskId", float]] = {}
         self._downward: dict[str, dict["TaskId", float]] = {}
         self._rank_order: dict[str, list["TaskId"]] = {}
-        self._up_levels: list[tuple] | None = None
-        self._down_levels: list[tuple] | None = None
         self._exec: dict["TaskId", dict["ProcId", float]] | None = None
         self._compiled: object | None = None
         self._compiled_built = False
@@ -180,7 +168,7 @@ class InstanceKernel:
     def avg_comm(self, parent: "TaskId", child: "TaskId") -> float:
         """Machine-average transfer time of one edge (== Instance.avg_comm_time)."""
         try:
-            return self._avg_comm[parent][child]
+            return self.edge_avg[parent][child]
         except KeyError:
             raise GraphError(f"no edge {parent!r} -> {child!r}") from None
 
@@ -206,184 +194,61 @@ class InstanceKernel:
             self._exec = table
         return table
 
-    def weights(self, agg: str) -> np.ndarray:
-        """Per-task scalar weight vector for one rank aggregation.
+    def weights(self, agg: str) -> dict["TaskId", float]:
+        """Per-task scalar weight for one rank aggregation.
 
-        Delegates to the ETCMatrix accessors so the floats are the exact
-        ones the scalar rank implementations see.
+        Read from the ETC matrix's cached row aggregates, so the floats
+        are exactly what ``ETCMatrix.mean`` … ``worst`` return.
         """
         cached = self._weights.get(agg)
-        if cached is not None:
-            return cached
-        if agg == "mean":
-            fn = self._etc.mean
-        elif agg == "median":
-            fn = self._etc.median
-        elif agg == "best":
-            fn = self._etc.best
-        elif agg == "worst":
-            fn = self._etc.worst
-        else:
-            raise ConfigurationError(f"unknown rank aggregation {agg!r}")
-        w = np.array([fn(t) for t in self.tasks], dtype=float)
-        w.flags.writeable = False
-        self._weights[agg] = w
-        return w
+        if cached is None:
+            etc = self._etc
+            cached = dict(zip(etc.task_ids, etc.row_aggregate(agg)))  # validates ``agg``
+            self._weights[agg] = cached
+        return cached
 
     # ------------------------------------------------------------------
-    # vectorized rank recurrences
+    # rank recurrences
     # ------------------------------------------------------------------
-    def _build_levels(self, upward: bool) -> list[tuple]:
-        """Group tasks into dependency levels for batched evaluation.
-
-        For the upward recurrence a task's level is ``1 + max`` over its
-        successors' levels (exit tasks at level 0); processing levels in
-        ascending order guarantees every successor rank is final before
-        it is read.  Each level is stored as ``(leaf_idx, seg_idx,
-        seg_ptr, edge_dst, edge_comm)`` where *leaf* tasks have no edges
-        on the relevant side and *seg* tasks own the contiguous edge
-        segments ``[seg_ptr[i], seg_ptr[i+1])``.
-        """
-        n = len(self.tasks)
-        neigh = self.succ if upward else self.pred
-        neigh_idx: list[list[int]] = [
-            [self.ti[s] for s in neigh[t]] for t in self.tasks
-        ]
-        comm_of: list[list[float]] = []
-        for t in self.tasks:
-            if upward:
-                comm_of.append([self._avg_comm[t][s] for s in neigh[t]])
-            else:
-                comm_of.append([self._avg_comm[p][t] for p in neigh[t]])
-        depth = [0] * n
-        order = reversed(self.topo) if upward else self.topo
-        for t in order:
-            i = self.ti[t]
-            d = 0
-            for j in neigh_idx[i]:
-                if depth[j] + 1 > d:
-                    d = depth[j] + 1
-            depth[i] = d
-        by_level: dict[int, list[int]] = {}
-        for i in range(n):
-            by_level.setdefault(depth[i], []).append(i)
-        levels = []
-        for level in sorted(by_level):
-            members = by_level[level]
-            leaf = [i for i in members if not neigh_idx[i]]
-            seg = [i for i in members if neigh_idx[i]]
-            ptr = [0]
-            dst: list[int] = []
-            comm: list[float] = []
-            for i in seg:
-                dst.extend(neigh_idx[i])
-                comm.extend(comm_of[i])
-                ptr.append(len(dst))
-            levels.append(
-                (
-                    np.asarray(leaf, dtype=np.intp),
-                    np.asarray(seg, dtype=np.intp),
-                    np.asarray(ptr, dtype=np.intp),
-                    np.asarray(dst, dtype=np.intp),
-                    np.asarray(comm, dtype=float),
-                )
-            )
-        return levels
-
-    def _upward_scalar(self, agg: str) -> dict["TaskId", float]:
-        """Scalar upward recurrence over the memoized adjacency.
-
-        Bit-identical to the vectorized evaluation: the same weights,
-        the same ``comm + rank`` additions, an exact max fold, and the
-        same final ``w + tail`` rounding.
-        """
-        w = self.weights(agg).tolist()
-        ti = self.ti
-        succ = self.succ
-        avg = self._avg_comm
-        rank: dict["TaskId", float] = {}
-        for t in reversed(self.topo):
-            tail = 0.0
-            row = avg[t]
-            for s in succ[t]:
-                cand = row[s] + rank[s]
-                if cand > tail:
-                    tail = cand
-            rank[t] = w[ti[t]] + tail
-        return rank
-
-    def _downward_scalar(self, agg: str) -> dict["TaskId", float]:
-        """Scalar downward recurrence (see :meth:`_upward_scalar`)."""
-        w = self.weights(agg).tolist()
-        ti = self.ti
-        pred = self.pred
-        avg = self._avg_comm
-        rank: dict["TaskId", float] = {}
-        for t in self.topo:
-            best = 0.0
-            for p in pred[t]:
-                cand = (rank[p] + w[ti[p]]) + avg[p][t]
-                if cand > best:
-                    best = cand
-            rank[t] = best
-        return rank
-
     def upward(self, agg: str) -> dict["TaskId", float]:
-        """Cached upward ranks (HEFT's ``rank_u``) for one aggregation."""
-        cached = self._upward.get(agg)
-        if cached is not None:
-            return cached
-        if (
-            self._up_levels is None
-            and not self._upward
-            and len(self.tasks) < _SCALAR_RANK_CUTOFF
-        ):
-            out = self._upward_scalar(agg)
-            self._upward[agg] = out
-            return out
-        w = self.weights(agg)
-        if self._up_levels is None:
-            self._up_levels = self._build_levels(upward=True)
-        n = len(self.tasks)
-        rank = np.zeros(n)
-        for leaf, seg, ptr, dst, comm in self._up_levels:
-            if leaf.size:
-                rank[leaf] = w[leaf]
-            if seg.size:
-                cand = comm + rank[dst]
-                tails = np.maximum.reduceat(cand, ptr[:-1])
-                rank[seg] = w[seg] + tails
-        out = {t: float(rank[i]) for i, t in enumerate(self.tasks)}
-        self._upward[agg] = out
-        return out
+        """Cached upward ranks (HEFT's ``rank_u``) for one aggregation:
+        ``w + max(0, max_s(c̄ + rank_u(s)))`` in reverse topological
+        order."""
+        rank = self._upward.get(agg)
+        if rank is None:
+            w = self.weights(agg)
+            succ = self.succ
+            avg = self.edge_avg
+            rank = {}
+            for t in reversed(self.topo):
+                tail = 0.0
+                row = avg[t]
+                for s in succ[t]:
+                    cand = row[s] + rank[s]
+                    if cand > tail:
+                        tail = cand
+                rank[t] = w[t] + tail
+            self._upward[agg] = rank
+        return rank
 
     def downward(self, agg: str) -> dict["TaskId", float]:
-        """Cached downward ranks (CPOP's ``rank_d``) for one aggregation."""
-        cached = self._downward.get(agg)
-        if cached is not None:
-            return cached
-        if (
-            self._down_levels is None
-            and not self._downward
-            and len(self.tasks) < _SCALAR_RANK_CUTOFF
-        ):
-            out = self._downward_scalar(agg)
-            self._downward[agg] = out
-            return out
-        w = self.weights(agg)
-        if self._down_levels is None:
-            self._down_levels = self._build_levels(upward=False)
-        n = len(self.tasks)
-        rank = np.zeros(n)
-        for leaf, seg, ptr, src, comm in self._down_levels:
-            # Entry tasks rank 0; `leaf` needs no write into the zeros.
-            del leaf
-            if seg.size:
-                cand = (rank[src] + w[src]) + comm
-                rank[seg] = np.maximum.reduceat(cand, ptr[:-1])
-        out = {t: float(rank[i]) for i, t in enumerate(self.tasks)}
-        self._downward[agg] = out
-        return out
+        """Cached downward ranks (CPOP's ``rank_d``) for one aggregation:
+        ``max(0, max_p((rank_d(p) + w(p)) + c̄))`` in topological order."""
+        rank = self._downward.get(agg)
+        if rank is None:
+            w = self.weights(agg)
+            pred = self.pred
+            avg = self.edge_avg
+            rank = {}
+            for t in self.topo:
+                best = 0.0
+                for p in pred[t]:
+                    cand = (rank[p] + w[p]) + avg[p][t]
+                    if cand > best:
+                        best = cand
+                rank[t] = best
+            self._downward[agg] = rank
+        return rank
 
     def rank_order(self, agg: str = "mean") -> list["TaskId"]:
         """Cached decode order: decreasing upward rank, ties by
@@ -465,8 +330,6 @@ class InstanceKernel:
             "upward": {"size": len(self._upward), "maxsize": cap},
             "downward": {"size": len(self._downward), "maxsize": cap},
             "rank_order": {"size": len(self._rank_order), "maxsize": cap},
-            "up_levels": {"size": int(self._up_levels is not None), "maxsize": 1},
-            "down_levels": {"size": int(self._down_levels is not None), "maxsize": 1},
             "exec_table": {"size": int(self._exec is not None), "maxsize": 1},
             "compiled": {"size": int(self._compiled is not None), "maxsize": 1},
         }

@@ -27,12 +27,27 @@ from typing import Literal, Mapping, Sequence
 import numpy as np
 
 from repro.dag.graph import TaskDAG
-from repro.exceptions import CostError, MachineError, UnknownProcessorError, UnknownTaskError
+from repro.exceptions import (
+    ConfigurationError,
+    CostError,
+    MachineError,
+    UnknownProcessorError,
+    UnknownTaskError,
+)
 from repro.machine.cluster import Machine
 from repro.types import ProcId, TaskId
 from repro.utils.rng import SeedLike, as_generator
 
 Consistency = Literal["consistent", "inconsistent", "partially-consistent"]
+
+#: Row reductions behind :meth:`ETCMatrix.row_aggregate`, one per rank
+#: aggregation (see ``repro.schedulers.ranking.RankAggregation``).
+_ROW_REDUCTIONS = {
+    "mean": lambda w: w.mean(axis=1),
+    "median": lambda w: np.median(w, axis=1),
+    "best": lambda w: w.min(axis=1),
+    "worst": lambda w: w.max(axis=1),
+}
 
 
 class ETCMatrix:
@@ -44,7 +59,10 @@ class ETCMatrix:
         proc_ids: Sequence[ProcId],
         values: np.ndarray,
     ) -> None:
-        values = np.asarray(values, dtype=float)
+        # An own C-contiguous read-only copy: a caller mutating its array
+        # afterwards must not change the matrix (or desync the cached
+        # aggregates and every kernel snapshot built from it).
+        values = np.array(values, dtype=float, order="C")
         if values.shape != (len(task_ids), len(proc_ids)):
             raise MachineError(
                 f"ETC shape {values.shape} does not match "
@@ -60,15 +78,14 @@ class ETCMatrix:
             raise MachineError("duplicate task ids in ETC")
         if len(self._pcol) != len(self._procs):
             raise MachineError("duplicate processor ids in ETC")
+        values.flags.writeable = False
         self._w = values
+        self._aggs: dict[str, list[float]] = {}
 
     # -- access --------------------------------------------------------
     def time(self, task: TaskId, proc: ProcId) -> float:
         """Execution time of ``task`` on ``proc``."""
-        try:
-            i = self._trow[task]
-        except KeyError:
-            raise UnknownTaskError(task) from None
+        i = self._row_index(task)
         try:
             j = self._pcol[proc]
         except KeyError:
@@ -77,49 +94,50 @@ class ETCMatrix:
 
     def row(self, task: TaskId) -> Mapping[ProcId, float]:
         """All per-processor times of one task."""
+        i = self._row_index(task)
+        return {p: float(self._w[i, j]) for j, p in enumerate(self._procs)}
+
+    def row_aggregate(self, agg: str) -> list[float]:
+        """One aggregate (``mean``, ``median``, ``best`` = min or
+        ``worst`` = max) of every row, in :attr:`task_ids` order.
+
+        Computed once per aggregation by one axis reduction over the
+        C-contiguous matrix, which gives each row the float a reduction
+        of that row alone gives.  The list is shared: treat it as
+        read-only.
+        """
+        cached = self._aggs.get(agg)
+        if cached is None:
+            reduce = _ROW_REDUCTIONS.get(agg)
+            if reduce is None:
+                raise ConfigurationError(f"unknown rank aggregation {agg!r}")
+            cached = self._aggs[agg] = reduce(self._w).tolist()
+        return cached
+
+    def _row_index(self, task: TaskId) -> int:
         try:
-            i = self._trow[task]
+            return self._trow[task]
         except KeyError:
             raise UnknownTaskError(task) from None
-        return {p: float(self._w[i, j]) for j, p in enumerate(self._procs)}
 
     def mean(self, task: TaskId) -> float:
         """Mean execution time of a task across processors (HEFT's w̄)."""
-        try:
-            i = self._trow[task]
-        except KeyError:
-            raise UnknownTaskError(task) from None
-        return float(self._w[i].mean())
+        return self.row_aggregate("mean")[self._row_index(task)]
 
     def median(self, task: TaskId) -> float:
-        try:
-            i = self._trow[task]
-        except KeyError:
-            raise UnknownTaskError(task) from None
-        return float(np.median(self._w[i]))
+        return self.row_aggregate("median")[self._row_index(task)]
 
     def best(self, task: TaskId) -> float:
         """Minimum (fastest-processor) execution time of a task."""
-        try:
-            i = self._trow[task]
-        except KeyError:
-            raise UnknownTaskError(task) from None
-        return float(self._w[i].min())
+        return self.row_aggregate("best")[self._row_index(task)]
 
     def worst(self, task: TaskId) -> float:
         """Maximum (slowest-processor) execution time of a task."""
-        try:
-            i = self._trow[task]
-        except KeyError:
-            raise UnknownTaskError(task) from None
-        return float(self._w[i].max())
+        return self.row_aggregate("worst")[self._row_index(task)]
 
     def best_proc(self, task: TaskId) -> ProcId:
         """Processor on which the task runs fastest (deterministic ties)."""
-        try:
-            i = self._trow[task]
-        except KeyError:
-            raise UnknownTaskError(task) from None
+        i = self._row_index(task)
         return self._procs[int(np.argmin(self._w[i]))]
 
     @property

@@ -39,6 +39,13 @@ class ScheduledTask:
         return self.end - self.start
 
 
+def entry_order(placed: ScheduledTask) -> tuple[float, str]:
+    """Sort key of a processor's placements: start time, then the task's
+    display string.  Sorts using it are stable, so placements sharing a
+    key keep :meth:`Schedule.all_placements` order and none is dropped."""
+    return (placed.start, str(placed.task))
+
+
 class Schedule:
     """A (possibly partial) assignment of tasks to processor time slots."""
 
@@ -150,14 +157,13 @@ class Schedule:
         return out
 
     def proc_entries(self, proc: ProcId) -> list[ScheduledTask]:
-        """Placements on one processor ordered by start time."""
+        """Every placement on one processor, ordered by :func:`entry_order`."""
         if proc not in self._timelines:
             raise UnknownProcessorError(proc)
-        by_key = {}
-        for placed in self.all_placements():
-            if placed.proc == proc:
-                by_key[(placed.start, str(placed.task))] = placed
-        return [by_key[k] for k in sorted(by_key)]
+        return sorted(
+            (placed for placed in self.all_placements() if placed.proc == proc),
+            key=entry_order,
+        )
 
     def timeline(self, proc: ProcId) -> Timeline:
         """The (live) timeline of one processor."""

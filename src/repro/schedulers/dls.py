@@ -32,7 +32,7 @@ class DLS(Scheduler):
         with tracer.span("sched.run", alg=self.name, tasks=instance.num_tasks) as run:
             with tracer.span("sched.rank", alg=self.name):
                 sl = machine_static_levels(instance, agg="median")
-                wstar = {t: instance.etc.median(t) for t in instance.dag.tasks()}
+                wstar = instance.kernel.weights("median")
             ci = compiled_for(instance)
             with tracer.span("sched.place", alg=self.name):
                 if ci is not None:

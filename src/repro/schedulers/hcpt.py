@@ -25,17 +25,16 @@ class HCPT(ListScheduler):
         self.name = "HCPT" if agg == "mean" else f"HCPT-{agg}"
 
     def priority_order(self, instance: Instance) -> list[TaskId]:
-        dag = instance.dag
+        kernel = instance.kernel
+        tasks, pred, pos = kernel.tasks, kernel.pred, kernel.pos
         aest = est_times(instance, self.agg)
         alst = alap_times(instance, self.agg)
-        order = dag.topological_order()
-        pos = {t: i for i, t in enumerate(order)}
 
         slack_tol = 1e-9 * (1.0 + max(alst.values(), default=0.0))
-        critical = [t for t in dag.tasks() if abs(alst[t] - aest[t]) <= slack_tol]
+        critical = [t for t in tasks if abs(alst[t] - aest[t]) <= slack_tol]
         if not critical:
             # Degenerate numerics: fall back to the minimum-slack task.
-            critical = sorted(dag.tasks(), key=lambda t: (alst[t] - aest[t], pos[t]))[:1]
+            critical = sorted(tasks, key=lambda t: (alst[t] - aest[t], pos[t]))[:1]
         # Stack initialised with critical tasks, smallest ALST on top.
         stack = sorted(critical, key=lambda t: (-alst[t], -pos[t]))
 
@@ -43,7 +42,7 @@ class HCPT(ListScheduler):
         listed_set: set[TaskId] = set()
         while stack:
             top = stack[-1]
-            unlisted_parents = [p for p in dag.predecessors(top) if p not in listed_set]
+            unlisted_parents = [p for p in pred[top] if p not in listed_set]
             if unlisted_parents:
                 # Push the most urgent (smallest ALST) unlisted parent.
                 parent = min(unlisted_parents, key=lambda p: (alst[p], pos[p]))
@@ -56,14 +55,14 @@ class HCPT(ListScheduler):
 
         # Non-critical leftovers (tasks not on any critical parent tree,
         # e.g. descendants of the CP) follow in urgency order.
-        for t in sorted(dag.tasks(), key=lambda t: (alst[t], pos[t])):
+        for t in sorted(tasks, key=lambda t: (alst[t], pos[t])):
             if t not in listed_set:
                 # Parents may also be unlisted; emit them first.
                 chain: list[TaskId] = []
                 stack2 = [t]
                 while stack2:
                     u = stack2[-1]
-                    missing = [p for p in dag.predecessors(u) if p not in listed_set]
+                    missing = [p for p in pred[u] if p not in listed_set]
                     if missing:
                         stack2.append(min(missing, key=lambda p: (alst[p], pos[p])))
                     else:

@@ -38,7 +38,7 @@ def upward_ranks(instance: Instance, agg: RankAggregation = "mean") -> dict[Task
     machine's average communication time for the edge.  Exit tasks rank
     at their own weight.
 
-    Served from the instance's vectorized rank kernel (cached per
+    Served from the instance kernel's rank recurrence (cached per
     aggregation), bit-identical to :func:`upward_ranks_scalar`.
     """
     return dict(instance.kernel.upward(agg))
@@ -47,7 +47,7 @@ def upward_ranks(instance: Instance, agg: RankAggregation = "mean") -> dict[Task
 def upward_ranks_scalar(instance: Instance, agg: RankAggregation = "mean") -> dict[TaskId, float]:
     """Reference scalar implementation of :func:`upward_ranks`.
 
-    Kept as the specification the vectorized kernel is differentially
+    Kept as the specification the kernel's recurrence is differentially
     tested against (``tests/core/test_vectorized_equivalence.py``).
     """
     w = _weight_fn(instance, agg)
@@ -67,7 +67,7 @@ def downward_ranks(instance: Instance, agg: RankAggregation = "mean") -> dict[Ta
     """CPOP's downward rank: longest average path from an entry task to
     ``t`` excluding ``t``'s own weight.
 
-    Served from the cached vectorized kernel like :func:`upward_ranks`.
+    Served from the kernel's cached recurrence like :func:`upward_ranks`.
     """
     return dict(instance.kernel.downward(agg))
 
@@ -92,46 +92,43 @@ def machine_static_levels(instance: Instance, agg: RankAggregation = "median") -
 
     DLS traditionally uses the median execution time, hence the default.
     """
-    w = _weight_fn(instance, agg)
-    dag = instance.dag
+    kernel = instance.kernel
+    w = kernel.weights(agg)
+    succ = kernel.succ
     level: dict[TaskId, float] = {}
-    for t in reversed(dag.topological_order()):
-        tail = max((level[s] for s in dag.successors(t)), default=0.0)
-        level[t] = w(t) + tail
+    for t in reversed(kernel.topo):
+        tail = max((level[s] for s in succ[t]), default=0.0)
+        level[t] = w[t] + tail
     return level
 
 
 def est_times(instance: Instance, agg: RankAggregation = "mean") -> dict[TaskId, float]:
-    """Machine-averaged earliest start times (unbounded processors)."""
-    w = _weight_fn(instance, agg)
-    dag = instance.dag
-    est: dict[TaskId, float] = {}
-    for t in dag.topological_order():
-        best = 0.0
-        for p in dag.predecessors(t):
-            cand = est[p] + w(p) + instance.avg_comm_time(p, t)
-            if cand > best:
-                best = cand
-        est[t] = best
-    return est
+    """Machine-averaged earliest start times (unbounded processors).
+
+    The same recurrence as CPOP's downward rank, so it is served from
+    the kernel's cached :func:`downward_ranks`.
+    """
+    return dict(instance.kernel.downward(agg))
 
 
 def alap_times(instance: Instance, agg: RankAggregation = "mean") -> dict[TaskId, float]:
     """As-late-as-possible start times against the average-cost critical
     path (MCP's priority).  Smaller ALAP = more urgent."""
-    w = _weight_fn(instance, agg)
-    dag = instance.dag
+    kernel = instance.kernel
+    w = kernel.weights(agg)
+    succ = kernel.succ
+    avg = kernel.edge_avg
     # Longest average path length defines the deadline every exit task
     # must meet.
-    ranks = upward_ranks(instance, agg)
-    horizon = max(ranks.values(), default=0.0)
+    horizon = max(kernel.upward(agg).values(), default=0.0)
     alap: dict[TaskId, float] = {}
-    for t in reversed(dag.topological_order()):
-        succs = dag.successors(t)
+    for t in reversed(kernel.topo):
+        succs = succ[t]
         if not succs:
-            alap[t] = horizon - w(t)
+            alap[t] = horizon - w[t]
         else:
-            alap[t] = min(alap[s] - instance.avg_comm_time(t, s) for s in succs) - w(t)
+            row = avg[t]
+            alap[t] = min(alap[s] - row[s] for s in succs) - w[t]
     return alap
 
 

@@ -1,8 +1,8 @@
-"""Differential suite: the kernel memos and rank kernels are exact.
+"""Differential suite: the kernel memos and rank recurrences are exact.
 
 Every cost query a scheduler makes goes through ``Instance.kernel``: the
-memoized adjacency, exec and comm tables, the vectorized rank
-recurrences and the all-processor ``ready_times``.  This suite checks on
+memoized adjacency, exec and comm tables, the rank recurrences and the
+all-processor ``ready_times``.  This suite checks on
 the seeded 60-instance corpus (``tests/population.py``: heterogeneous in
 all consistency classes, homogeneous and per-link machines, all four rank
 aggregations) that each reproduces its source — the ETC matrix, the
@@ -99,13 +99,33 @@ def test_ranks_match_scalar_reference(population):
                 assert down_vec[t] == pytest.approx(down_ref[t], abs=1e-9), (label, agg, t)
 
 
+def _large_instances():
+    """100-300-task instances, uniform and per-link: sizes a 256-task
+    cutoff once sent down a separate level-vectorized rank path."""
+    from repro.machine.topology import ring_machine
+
+    out = [
+        (f"random-{n}", W.random_instance(np.random.default_rng(n), num_tasks=n, num_procs=8))
+        for n in (100, 200, 255, 256, 300)
+    ]
+    dag = random_dag(280, seed=28)
+    machine = ring_machine(8)
+    etc = generate_etc(dag, machine, heterogeneity=0.5, seed=28)
+    out.append(("ring-280", Instance(dag=dag, machine=machine, etc=etc)))
+    return out
+
+
 def test_ranks_are_bit_identical(population):
-    # Stronger than the 1e-9 contract: the kernels replay the scalar
-    # float operations exactly.
-    for label, inst in population[::5]:
+    # Stronger than the 1e-9 contract: the kernel replays the scalar
+    # float operations exactly, in every direction and aggregation
+    # order (the first and the later aggregations take the same path).
+    for label, inst in population + _large_instances():
         for agg in AGGS:
             assert inst.kernel.upward(agg) == upward_ranks_scalar(inst, agg), (label, agg)
             assert inst.kernel.downward(agg) == downward_ranks_scalar(inst, agg), (label, agg)
+        for agg in reversed(AGGS):
+            assert upward_ranks(inst, agg) == upward_ranks_scalar(inst, agg), (label, agg)
+            assert downward_ranks(inst, agg) == downward_ranks_scalar(inst, agg), (label, agg)
 
 
 def test_batched_eft_ready_times_match_scalar(population):

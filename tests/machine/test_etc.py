@@ -6,7 +6,13 @@ import pytest
 from repro.dag.generators import random_dag
 from repro.dag.graph import TaskDAG
 from repro.dag.task import Task
-from repro.exceptions import CostError, MachineError, UnknownProcessorError, UnknownTaskError
+from repro.exceptions import (
+    ConfigurationError,
+    CostError,
+    MachineError,
+    UnknownProcessorError,
+    UnknownTaskError,
+)
 from repro.machine.cluster import Machine
 from repro.machine.etc import ETCMatrix, etc_from_speeds, generate_etc
 
@@ -64,6 +70,37 @@ class TestETCMatrix:
         arr[0, 0] = 99.0
         assert etc.time("a", 0) == 1.0
 
+    def test_caller_array_is_copied(self):
+        # Regression: the matrix used to alias the caller's array, so a
+        # later write changed ``time`` but not the instance kernel's
+        # snapshot, and a fresh HEFT schedule failed validation with
+        # "copy of 'a' on 0 runs 4, ETC says 100".
+        from repro.instance import Instance
+        from repro.schedule.validation import validate
+        from repro.schedulers.registry import get_scheduler
+
+        arr = np.array([[4.0, 6.0], [5.0, 3.0]])
+        dag = TaskDAG.from_edges([("a", "b", 1.0)], costs={"a": 5.0, "b": 4.0})
+        etc = ETCMatrix(["a", "b"], [0, 1], arr)
+        inst = Instance(dag=dag, machine=Machine.homogeneous(2), etc=etc)
+        get_scheduler("HEFT").schedule(inst)
+        arr[0, 0] = 100.0
+        assert etc.time("a", 0) == 4.0
+        assert etc.mean("a") == 5.0
+        validate(get_scheduler("HEFT").schedule(inst), inst)
+
+    def test_stored_matrix_is_read_only_and_c_contiguous(self):
+        etc = ETCMatrix(["a", "b"], [0, 1], np.asfortranarray([[1.0, 2.0], [3.0, 4.0]]))
+        assert etc._w.flags.c_contiguous and not etc._w.flags.writeable
+        assert etc.as_array().flags.writeable
+
+    def test_unknown_aggregation_rejected(self):
+        etc = ETCMatrix(["a"], [0], np.array([[1.0]]))
+        with pytest.raises(ConfigurationError):
+            etc.row_aggregate("p99")
+        with pytest.raises(UnknownTaskError):
+            etc.median("z")
+
     def test_consistency_detection(self):
         consistent = ETCMatrix(["a", "b"], [0, 1], np.array([[1.0, 2.0], [3.0, 4.0]]))
         assert consistent.is_consistent()
@@ -75,6 +112,38 @@ class TestETCMatrix:
         assert homo.heterogeneity() == 0.0
         hetero = ETCMatrix(["a"], [0, 1], np.array([[1.0, 3.0]]))
         assert hetero.heterogeneity() == pytest.approx(1.0)
+
+
+def _layouts(values: np.ndarray) -> dict[str, np.ndarray]:
+    """The same matrix as a C-ordered, a Fortran-ordered and a strided
+    (column-sliced) array."""
+    wide = np.repeat(values, 2, axis=1)
+    return {
+        "C": np.ascontiguousarray(values),
+        "F": np.asfortranarray(values),
+        "sliced": wide[:, ::2],
+    }
+
+
+@pytest.mark.parametrize("width", range(1, 131))
+def test_cached_aggregates_equal_row_reductions_bit_for_bit(width):
+    """Each cached aggregate is the float a reduction of that row alone
+    gives, whatever the caller's memory layout, with ties and zeros."""
+    rng = np.random.default_rng(width)
+    values = rng.uniform(0.0, 50.0, size=(6, width))
+    values[1] = 0.0                                  # an all-zero row
+    values[2, ::2] = values[2, 0]                    # ties
+    values[3] = np.round(values[3])                  # integer-valued ties
+    values[4, : width // 2] = 0.0                    # zeros beside positives
+    tasks = [f"t{i}" for i in range(values.shape[0])]
+    for label, arr in _layouts(values).items():
+        etc = ETCMatrix(tasks, list(range(width)), arr)
+        for i, t in enumerate(tasks):
+            row = arr[i]
+            got = (etc.mean(t), etc.median(t), etc.best(t), etc.worst(t))
+            want = (float(row.mean()), float(np.median(row)), float(row.min()), float(row.max()))
+            assert [x.hex() for x in got] == [x.hex() for x in want], (label, width, t)
+            assert all(type(x) is float for x in got)
 
 
 class TestEtcFromSpeeds:

@@ -73,6 +73,14 @@ class TestQueries:
         entries = schedule.proc_entries(0)
         assert [e.task for e in entries] == ["a", "c"]
 
+    def test_proc_entries_keeps_coinciding_keys(self, machine):
+        # Task 1 and task "1" share the (start, str(task)) sort key; both
+        # stay, in insertion order (the sort is stable).
+        s = Schedule(machine)
+        s.add(1, 0, 0.0, 0.0)
+        s.add("1", 0, 0.0, 3.0)
+        assert [p.task for p in s.proc_entries(0)] == [1, "1"]
+
     def test_proc_entries_unknown(self, schedule):
         with pytest.raises(UnknownProcessorError):
             schedule.proc_entries(42)

@@ -105,3 +105,19 @@ class TestDuplicationAware:
 
         with _pytest.raises(ScheduleError):
             s.add("a", 0, 1.0, 1.0, duplicate=True)
+
+
+class TestCoincidingEntries:
+    """Placements sharing a ``(processor, start, str(task))`` key are all
+    checked; the per-processor grouping used to keep only the last."""
+
+    def test_primary_and_duplicate_on_one_slot_overlap(self):
+        from repro.dag.graph import TaskDAG
+
+        dag = TaskDAG()
+        dag.add_task("a", cost=5.0)
+        inst = homogeneous_instance(dag, num_procs=2)
+        s = Schedule(inst.machine)
+        s.add("a", 0, 0.0, 5.0)
+        s.add("a", 0, 0.0, 5.0, duplicate=True, check=False)
+        assert violations(s, inst) == ["overlap on 0: 'a' [0,5) vs 'a' [0,5)"]

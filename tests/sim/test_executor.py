@@ -97,6 +97,25 @@ class TestHandBuiltSemantics:
         assert c.start < b.start
 
 
+class TestCoincidingEntries:
+    def test_tasks_sharing_a_start_and_display_string_all_run(self):
+        # Regression: zero-cost task 1 and task "1" both start at 0 on
+        # one processor; the per-processor sequence used to keep only "1".
+        from repro.dag.graph import TaskDAG
+
+        dag = TaskDAG()
+        dag.add_task(1, cost=0.0)
+        dag.add_task("1", cost=3.0)
+        inst = homogeneous_instance(dag, num_procs=1)
+        s = Schedule(inst.machine)
+        s.add(1, 0, 0.0, 0.0)
+        s.add("1", 0, 0.0, 3.0)
+        res = execute(s, inst)
+        assert [c.task for c in res.copies] == [1, "1"]
+        assert res.all_tasks_completed(inst)
+        assert res.makespan == 3.0
+
+
 class TestNoise:
     def test_noise_changes_makespan(self, topcuoglu_instance):
         s = HEFT().schedule(topcuoglu_instance)
