@@ -84,7 +84,6 @@ _COUNTS = {
     "list_schedules": 0,
     "dls_schedules": 0,
     "improved_passes": 0,
-    "batch_calls": 0,
     "online_schedules": 0,
     "fallbacks": 0,
 }
@@ -177,23 +176,15 @@ class CompiledInstance:
         self.order.flags.writeable = False
         self._order_list: list[int] = self.order.tolist()
 
-        # Predecessor CSR over canonical task indices.  ``pred_cost[e]``
-        # is the edge's cost operand: the uniform/zero constant (the
-        # exact float the object path's ready_time adds for a
-        # cross-processor transfer) or the per-link data volume.
-        ptr = [0]
-        idx: list[int] = []
-        cost: list[float] = []
-        for t in self.tasks:
-            for parent in kernel.pred[t]:
-                idx.append(ti[parent])
-                cost.append(consts[parent][t])
-            ptr.append(len(idx))
-        self.pred_ptr = np.array(ptr, dtype=np.intp)
-        self.pred_idx = np.array(idx, dtype=np.intp)
-        self.pred_cost = np.array(cost, dtype=float)
-        for arr in (self.pred_ptr, self.pred_idx, self.pred_cost):
-            arr.flags.writeable = False
+        # Predecessor CSR over canonical task indices, shared with the
+        # kernel.  ``pred_cost[e]`` is the edge's cost operand: the
+        # uniform/zero constant (the exact float the object path's
+        # ready_time adds for a cross-processor transfer) or the per-link
+        # data volume.
+        self.pred_ptr, _, self.pred_idx, self.pred_cost = kernel.pred_csr()
+        ptr = self.pred_ptr.tolist()
+        idx = self.pred_idx.tolist()
+        cost = self.pred_cost.tolist()
 
         # Python-level mirrors for the hot loop: per-task (parent index,
         # edge operand) pairs, and the ETC matrix as nested lists.
@@ -202,7 +193,7 @@ class CompiledInstance:
             for i in range(n)
         ]
         self.etc = kernel.etc_arr  # shared read-only view
-        self._etc_rows: list[list[float]] = self.etc.tolist()
+        self._etc_rows: list[list[float]] = kernel.etc_rows
 
         # Successor mirrors (the list executors and the improved pass
         # walk children for lookahead / deadline checks / ready sets):
@@ -516,26 +507,6 @@ class CompiledInstance:
         _COUNTS["list_schedules"] += 1
         return CompiledSchedule(makespan, start_of, darg_of, proc_of, [])
 
-    def schedule_batch(
-        self,
-        orders: Sequence[Sequence[int]],
-        *,
-        insertion: bool = True,
-        policy: str = "eft",
-    ) -> list[CompiledSchedule]:
-        """Run several priority orders over one lowering in one call.
-
-        The cold-path analogue of :meth:`decode_batch`: the service's
-        batching engine and the benchmarks amortise lowering + dispatch
-        over every order of a coalesced batch.
-        """
-        out = [
-            self.schedule_list(order, insertion=insertion, policy=policy)
-            for order in orders
-        ]
-        _COUNTS["batch_calls"] += 1
-        return out
-
     def schedule_onto(
         self,
         order: Sequence[int],
@@ -760,27 +731,38 @@ class CompiledInstance:
     def materialize(
         self, result: CompiledSchedule, machine, name: str
     ) -> "Schedule":
-        """Raise a flat result back into a real :class:`Schedule`.
+        """Turn a flat result into a :class:`Schedule`'s columns.
 
-        Every placement goes through ``Schedule.add`` with the exact
-        duration argument the object path would have passed, so the
-        recorded ``ScheduledTask`` floats (including the double-rounded
-        ends) are bit-identical.
+        Primaries in canonical task order, then the duplicates; every end
+        is ``start + duration`` with the exact duration argument the
+        object path passes to ``Schedule.add``, so the recorded floats
+        (including the double-rounded ends) are bit-identical.  No
+        placement objects are built until a caller asks for them.
         """
-        from repro.schedule.schedule import Schedule
+        from repro.schedule.schedule import Schedule, ScheduleColumns
 
-        schedule = Schedule(machine, name=name)
         tasks = self.tasks
         procs = self.procs
-        start = result.start
-        darg = result.darg
-        proc = result.proc
-        add = schedule.add
-        for t in range(self.n):
-            add(tasks[t], procs[proc[t]], start[t], darg[t], check=False)
-        for dt, dj, ds, dd in result.dups:
-            add(tasks[dt], procs[dj], ds, dd, duplicate=True, check=False)
-        return schedule
+        dups = result.dups
+        task_idx = list(range(self.n))
+        proc_idx = list(result.proc)
+        start_col = list(result.start)
+        end_col = [s + d for s, d in zip(result.start, result.darg)]
+        for dt, dj, ds, dd in dups:
+            task_idx.append(dt)
+            proc_idx.append(dj)
+            start_col.append(ds)
+            end_col.append(ds + dd)
+        columns = ScheduleColumns(
+            [tasks[t] for t in task_idx],
+            [procs[j] for j in proc_idx],
+            start_col,
+            end_col,
+            [False] * self.n + [True] * len(dups),
+        )
+        return Schedule.from_columns(
+            machine, columns, name=name, index=(self._ti, self._pi, task_idx, proc_idx)
+        )
 
     # ------------------------------------------------------------------
     # compiled improved-scheduler pass

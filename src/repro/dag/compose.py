@@ -22,7 +22,6 @@ import numpy as np
 from repro.dag.graph import TaskDAG
 from repro.dag.task import Task
 from repro.exceptions import GraphError
-from repro.instance import Instance
 from repro.schedule.schedule import Schedule
 from repro.types import TaskId
 
@@ -118,20 +117,3 @@ def unfairness(
     if np.any(~np.isfinite(slowdowns)):
         raise GraphError("solo spans must be positive and finite")
     return float(np.abs(slowdowns - slowdowns.mean()).mean())
-
-
-def multi_instance_spans(
-    scheduler,
-    dags: Mapping[str, TaskDAG],
-    make_shared_instance,
-) -> tuple[Instance, Schedule, dict[str, float]]:
-    """Convenience: schedule the union and return per-app spans.
-
-    ``make_shared_instance(composite_dag) -> Instance`` lets the caller
-    control the machine/ETC; the same callable can then be reused for
-    the solo runs needed by :func:`unfairness`.
-    """
-    composite = disjoint_union(dags)
-    instance = make_shared_instance(composite)
-    schedule = scheduler.schedule(instance)
-    return instance, schedule, per_dag_spans(schedule, composite)

@@ -22,7 +22,7 @@ from typing import TextIO, Union
 
 from repro.dag.graph import TaskDAG
 from repro.dag.task import Task
-from repro.exceptions import ParseError
+from repro.exceptions import ParseError, ReproError
 
 PathLike = Union[str, Path]
 
@@ -170,22 +170,28 @@ def from_json(text: str) -> TaskDAG:
 
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise ParseError(f"invalid JSON: {exc}") from None
     if not isinstance(doc, dict) or "tasks" not in doc:
         raise ParseError("JSON document must be an object with a 'tasks' key")
     dag = TaskDAG(doc.get("name", "dag"))
-    for rec in doc["tasks"]:
-        dag.add_task(
-            Task(
-                id=decode_id(rec["id"]),
-                cost=rec.get("cost", 1.0),
-                name=rec.get("name", ""),
-                attrs=rec.get("attrs", {}),
+    try:
+        for rec in doc["tasks"]:
+            dag.add_task(
+                Task(
+                    id=decode_id(rec["id"]),
+                    cost=rec.get("cost", 1.0),
+                    name=rec.get("name", ""),
+                    attrs=rec.get("attrs", {}),
+                )
             )
-        )
-    for rec in doc.get("edges", []):
-        dag.add_edge(decode_id(rec["src"]), decode_id(rec["dst"]), data=rec.get("data", 0.0))
+        for rec in doc.get("edges", []):
+            dag.add_edge(decode_id(rec["src"]), decode_id(rec["dst"]), data=rec.get("data", 0.0))
+    except ReproError:
+        raise
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+        # A record without a required key, or a field of the wrong type.
+        raise ParseError(f"malformed DAG JSON: {type(exc).__name__}: {exc}") from None
     dag.validate()
     return dag
 

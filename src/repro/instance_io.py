@@ -24,7 +24,7 @@ from typing import Union
 import numpy as np
 
 from repro.dag import io as dag_io
-from repro.exceptions import ParseError
+from repro.exceptions import ParseError, ReproError
 from repro.instance import Instance
 from repro.machine.cluster import Machine
 from repro.machine.comm import (
@@ -143,22 +143,30 @@ def instance_from_json(text: str) -> Instance:
     """Rebuild an instance from :func:`instance_to_json` output."""
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise ParseError(f"invalid JSON: {exc}") from None
+    if not isinstance(doc, dict):
+        raise ParseError("instance JSON must be an object")
     if doc.get("format") != "repro-instance-v1":
         raise ParseError(f"unsupported instance format {doc.get('format')!r}")
-    dag = dag_io.from_json(json.dumps(doc["dag"]))
-    machine = machine_from_dict(doc["machine"])
-    etc_doc = doc["etc"]
-    etc = ETCMatrix(
-        [decode_id(t) for t in etc_doc["tasks"]],
-        [decode_id(p) for p in etc_doc["procs"]],
-        np.asarray(etc_doc["values"], dtype=float),
-    )
-    return Instance(
-        dag=dag, machine=machine, etc=etc,
-        name=doc.get("name", ""), deadline=doc.get("deadline"),
-    )
+    try:
+        dag = dag_io.from_json(json.dumps(doc["dag"]))
+        machine = machine_from_dict(doc["machine"])
+        etc_doc = doc["etc"]
+        etc = ETCMatrix(
+            [decode_id(t) for t in etc_doc["tasks"]],
+            [decode_id(p) for p in etc_doc["procs"]],
+            np.asarray(etc_doc["values"], dtype=float),
+        )
+        return Instance(
+            dag=dag, machine=machine, etc=etc,
+            name=doc.get("name", ""), deadline=doc.get("deadline"),
+        )
+    except ReproError:
+        raise
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+        # A missing section, a field of the wrong type or a ragged ETC row.
+        raise ParseError(f"malformed instance JSON: {type(exc).__name__}: {exc}") from None
 
 
 # ----------------------------------------------------------------------

@@ -88,6 +88,8 @@ class InstanceKernel:
         else:
             self.etc_arr = np.zeros((len(self.tasks), len(self.procs)))
         self.etc_arr.flags.writeable = False
+        #: The same cells as nested lists of Python floats (row = task).
+        self.etc_rows: list[list[float]] = self.etc_arr.tolist()
 
         # Adjacency, memoized once instead of per networkx query.
         self.succ: dict["TaskId", list["TaskId"]] = {t: dag.successors(t) for t in self.tasks}
@@ -136,8 +138,10 @@ class InstanceKernel:
         self._downward: dict[str, dict["TaskId", float]] = {}
         self._rank_order: dict[str, list["TaskId"]] = {}
         self._exec: dict["TaskId", dict["ProcId", float]] | None = None
+        self._csr: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray | None] | None = None
         self._compiled: object | None = None
         self._compiled_built = False
+        self._links = self._link_tables()
 
     # ------------------------------------------------------------------
     # memoized cost queries
@@ -182,15 +186,14 @@ class InstanceKernel:
     def exec_table(self) -> dict["TaskId", dict["ProcId", float]]:
         """Nested ``{task: {proc: time}}`` memo of the ETC lookups.
 
-        Built lazily from ``ETCMatrix.time`` itself so the floats are the
-        exact values the scalar path sees.
+        Built lazily from :attr:`etc_rows`, whose cells are the ETC's
+        stored floats copied verbatim, so each entry is the exact value
+        ``ETCMatrix.time`` returns.
         """
         table = self._exec
         if table is None:
-            time = self._etc.time
-            table = {
-                t: {p: time(t, p) for p in self.procs} for t in self.tasks
-            }
+            procs = self.procs
+            table = {t: dict(zip(procs, row)) for t, row in zip(self.tasks, self.etc_rows)}
             self._exec = table
         return table
 
@@ -266,6 +269,40 @@ class InstanceKernel:
     # ------------------------------------------------------------------
     # compiled flat-array form
     # ------------------------------------------------------------------
+    def pred_csr(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray | None]:
+        """Predecessor lists in CSR form over canonical task indices.
+
+        ``ptr`` holds ``n + 1`` offsets into the per-edge arrays:
+        ``child`` and ``parent`` (each task's parents in :attr:`pred`
+        order) and ``operand``, each edge's cost operand — the
+        uniform/zero constant of :attr:`out_const`, the data volume on a
+        per-link machine (priced through :meth:`link_tables`), ``None``
+        for a custom model.  Built once, read-only.
+        """
+        csr = self._csr
+        if csr is None:
+            ti = self.ti
+            consts = self.out_const
+            if consts is None and self._links is not None:
+                consts = self.edge_data
+            ptr = [0]
+            parent: list[int] = []
+            for t in self.tasks:
+                parent.extend(ti[u] for u in self.pred[t])
+                ptr.append(len(parent))
+            operand = None
+            if consts is not None:
+                operand = np.array(
+                    [float(consts[u][t]) for t in self.tasks for u in self.pred[t]], dtype=float
+                )
+            ptr_arr = np.array(ptr, dtype=np.intp)
+            child = np.arange(len(self.tasks), dtype=np.intp).repeat(np.diff(ptr_arr))
+            csr = self._csr = (ptr_arr, child, np.array(parent, dtype=np.intp), operand)
+            for arr in csr:
+                if arr is not None:
+                    arr.flags.writeable = False
+        return csr
+
     def link_tables(self) -> tuple[list[list[float]], list[list[float]]] | None:
         """Per-pair ``(latency, bandwidth)`` tables of a per-link machine.
 
@@ -273,8 +310,11 @@ class InstanceKernel:
         ``procs[i] -> procs[j]`` in canonical processor order (the
         diagonal is never read), so ``lat + data / bw`` is the exact
         float :meth:`LinkCommunication.time` returns.  ``None`` for any
-        other communication model.
+        other communication model.  Built with the kernel; shared.
         """
+        return self._links
+
+    def _link_tables(self) -> tuple[list[list[float]], list[list[float]]] | None:
         comm = self._comm
         if not isinstance(comm, LinkCommunication):
             return None
@@ -331,6 +371,7 @@ class InstanceKernel:
             "downward": {"size": len(self._downward), "maxsize": cap},
             "rank_order": {"size": len(self._rank_order), "maxsize": cap},
             "exec_table": {"size": int(self._exec is not None), "maxsize": 1},
+            "pred_csr": {"size": int(self._csr is not None), "maxsize": 1},
             "compiled": {"size": int(self._compiled is not None), "maxsize": 1},
         }
 

@@ -1,7 +1,7 @@
 """Schedule representation, feasibility validation and quality metrics."""
 
 from repro.schedule.timeline import Slot, Timeline
-from repro.schedule.schedule import Schedule, ScheduledTask
+from repro.schedule.schedule import Schedule, ScheduleColumns, ScheduledTask
 from repro.schedule.validation import validate, violations
 from repro.schedule.diff import ScheduleDiff, TaskMove, diff_report, diff_schedules
 from repro.schedule.io import (
@@ -27,6 +27,7 @@ __all__ = [
     "Slot",
     "Timeline",
     "Schedule",
+    "ScheduleColumns",
     "ScheduledTask",
     "validate",
     "violations",

@@ -13,7 +13,7 @@ import json
 from pathlib import Path
 from typing import Union
 
-from repro.exceptions import ParseError
+from repro.exceptions import ParseError, ReproError
 from repro.machine.cluster import Machine
 from repro.schedule.schedule import Schedule
 from repro.utils.encoding import decode_id as _decode_id
@@ -22,23 +22,34 @@ from repro.utils.encoding import encode_id as _encode_id
 PathLike = Union[str, Path]
 
 
+def placement_records(schedule: Schedule) -> list[dict]:
+    """Every placement as a JSON-ready record, read from the schedule's
+    columns and sorted by ``(start, str(proc), str(task))``.
+
+    The sort is stable over :meth:`Schedule.columns` row order, so equal
+    schedules give equal record lists — the placements of both the JSON
+    document and the service's response payload.
+    """
+    task_col, proc_col, start_col, end_col, dup_col = schedule.columns()
+    keys = [(s, str(p), str(t)) for s, p, t in zip(start_col, proc_col, task_col)]
+    return [
+        {
+            "task": _encode_id(task_col[i]),
+            "proc": _encode_id(proc_col[i]),
+            "start": start_col[i],
+            "end": end_col[i],
+            "duplicate": dup_col[i],
+        }
+        for i in sorted(range(len(keys)), key=keys.__getitem__)
+    ]
+
+
 def schedule_to_json(schedule: Schedule) -> str:
     """Serialise a schedule (placements, duplicates, machine name)."""
     doc = {
         "name": schedule.name,
         "machine": schedule.machine.name,
-        "placements": [
-            {
-                "task": _encode_id(p.task),
-                "proc": _encode_id(p.proc),
-                "start": p.start,
-                "end": p.end,
-                "duplicate": p.duplicate,
-            }
-            for p in sorted(
-                schedule.all_placements(), key=lambda p: (p.start, str(p.proc), str(p.task))
-            )
-        ],
+        "placements": placement_records(schedule),
     }
     return json.dumps(doc, indent=2)
 
@@ -52,27 +63,33 @@ def schedule_from_json(text: str, machine: Machine) -> Schedule:
     """
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise ParseError(f"invalid JSON: {exc}") from None
     if not isinstance(doc, dict) or "placements" not in doc:
         raise ParseError("schedule JSON must be an object with 'placements'")
     schedule = Schedule(machine, name=doc.get("name", "schedule"))
     records = doc["placements"]
-    for want_duplicate in (False, True):
-        for rec in records:
-            if bool(rec.get("duplicate", False)) != want_duplicate:
-                continue
-            start = float(rec["start"])
-            end = float(rec["end"])
-            if end < start:
-                raise ParseError(f"placement with end < start: {rec!r}")
-            schedule.add(
-                _decode_id(rec["task"]),
-                _decode_id(rec["proc"]),
-                start,
-                end - start,
-                duplicate=want_duplicate,
-            )
+    try:
+        for want_duplicate in (False, True):
+            for rec in records:
+                if bool(rec.get("duplicate", False)) != want_duplicate:
+                    continue
+                start = float(rec["start"])
+                end = float(rec["end"])
+                if end < start:
+                    raise ParseError(f"placement with end < start: {rec!r}")
+                schedule.add(
+                    _decode_id(rec["task"]),
+                    _decode_id(rec["proc"]),
+                    start,
+                    end - start,
+                    duplicate=want_duplicate,
+                )
+    except ReproError:
+        raise
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+        # A record without a required key, or a field of the wrong type.
+        raise ParseError(f"malformed schedule JSON: {type(exc).__name__}: {exc}") from None
     return schedule
 
 

@@ -133,12 +133,17 @@ class Timeline:
 
         Raises :class:`ScheduleError` if the interval overlaps an existing
         slot (beyond floating-point tolerance).  ``check=False`` skips the
-        overlap scan for callers that already guarantee feasibility (the
-        compiled executor materialising a schedule whose slots came from
-        :func:`scan_slots` in the first place); the stored floats are
-        identical either way.
+        overlap scan for callers that already guarantee feasibility; the
+        stored floats are identical either way.
         """
-        slot = Slot(start=start, end=start + duration, task=task)
+        return self.add_slot(Slot(start=start, end=start + duration, task=task), check=check)
+
+    def add_slot(self, slot: Slot, check: bool = True) -> Slot:
+        """Occupy ``slot`` as given (its ``end`` is stored, not recomputed).
+
+        :meth:`add` with the same overlap rules; a schedule's object view
+        replays its stored placements through here.
+        """
         idx = bisect.bisect_left(self._starts, slot.start)
 
         if check:

@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Mapping, Sequence
 
-from repro.exceptions import SchedulingError
+from repro.exceptions import ScheduleError, SchedulingError
 from repro.instance import Instance
 from repro.obs import get_tracer
 from repro.schedule.schedule import Schedule
@@ -359,9 +359,16 @@ def schedulability_doc(schedule: Schedule, instance: Instance) -> dict:
     deadline = instance.deadline
     if deadline is None:
         raise SchedulingError("instance has no deadline: schedulability is undefined")
-    ends = {
-        t: min(c.end for c in schedule.copies(t)) for t in instance.dag.tasks()
-    }
+    task_col, _, _, end_col, _ = schedule.columns()
+    earliest: dict = {}
+    for t, end in zip(task_col, end_col):
+        if t not in earliest or end < earliest[t]:
+            earliest[t] = end
+    ends = {}
+    for t in instance.dag.tasks():
+        if t not in earliest:
+            raise ScheduleError(f"task {t!r} is not scheduled")
+        ends[t] = earliest[t]
     tasks = []
     for t in sorted(ends, key=lambda t: (str(type(t)), str(t))):
         end = ends[t]

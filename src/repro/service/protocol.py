@@ -21,6 +21,7 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 
 from repro.instance import Instance
+from repro.schedule.io import placement_records
 from repro.schedule.schedule import Schedule
 from repro.service.wire import (  # noqa: F401  (re-exported: wire lives here too)
     BINARY_CONTENT_TYPE,
@@ -34,7 +35,7 @@ from repro.service.wire import (  # noqa: F401  (re-exported: wire lives here to
     encode_request,
     encode_response,
 )
-from repro.utils.encoding import decode_id, encode_id
+from repro.utils.encoding import decode_id
 
 #: Version tag of the request/response documents.
 PROTOCOL = "repro-service-v1"
@@ -138,9 +139,11 @@ def clear_lowering_cache() -> None:
 def schedule_payload(schedule: Schedule, instance: Instance, alg: str) -> dict:
     """Serialise a computed schedule into the canonical response payload.
 
-    Placements are sorted by ``(start, proc, task)`` exactly like
-    :func:`repro.schedule.io.schedule_to_json`, so two runs that produce
-    the same schedule produce byte-identical payload JSON.
+    Placements are the records :func:`repro.schedule.io.schedule_to_json`
+    writes (:func:`~repro.schedule.io.placement_records`, read from the
+    schedule's columns and sorted by ``(start, proc, task)``), so two
+    runs that produce the same schedule produce byte-identical payload
+    JSON.
 
     Deadline-annotated instances additionally carry the structured
     schedulability verdict (met/missed and slack per task, see
@@ -154,18 +157,7 @@ def schedule_payload(schedule: Schedule, instance: Instance, alg: str) -> dict:
         "num_procs": instance.num_procs,
         "makespan": schedule.makespan,
         "num_duplicates": schedule.num_duplicates(),
-        "placements": [
-            {
-                "task": encode_id(p.task),
-                "proc": encode_id(p.proc),
-                "start": p.start,
-                "end": p.end,
-                "duplicate": p.duplicate,
-            }
-            for p in sorted(
-                schedule.all_placements(), key=lambda p: (p.start, str(p.proc), str(p.task))
-            )
-        ],
+        "placements": placement_records(schedule),
     }
     if instance.deadline is not None:
         from repro.schedulers.resilient import schedulability_doc

@@ -307,7 +307,11 @@ class _Reader:
         if tag == _ID_I64:
             return _I64.unpack_from(self._take(8))[0]
         if tag == _ID_BIG:
-            return int(self.str())
+            text = self.str()
+            try:
+                return int(text)
+            except ValueError:
+                raise WireFormatError(f"invalid big-int id {text[:40]!r}") from None
         if tag == _ID_F64:
             return self.f64()
         if tag == _ID_STR:
@@ -530,8 +534,10 @@ def decode_instance(buf: bytes | memoryview) -> "Instance":
         lat: dict = {p: {} for p in proc_ids}
         bw: dict = {p: {} for p in proc_ids}
         for _ in range(r.u32()):
-            s = proc_ids[r.u32()]
-            d = proc_ids[r.u32()]
+            i, j = r.u32(), r.u32()
+            if i >= q or j >= q:
+                raise WireFormatError(f"link record references processor {max(i, j)} of {q}")
+            s, d = proc_ids[i], proc_ids[j]
             lat[s][d] = r.f64()
             bw[s][d] = r.f64()
         comm = LinkCommunication(proc_ids, lat, bw)
@@ -789,7 +795,10 @@ def decode_payload(buf: bytes | memoryview) -> dict:
     while not r.done():
         tag = r.u8()
         if tag == _TRAILER_SCHEDULABILITY:
-            out["schedulability"] = json.loads(r.str())
+            try:
+                out["schedulability"] = json.loads(r.str())
+            except (ValueError, RecursionError) as exc:
+                raise WireFormatError(f"invalid schedulability JSON: {exc}") from None
         else:
             raise WireFormatError(f"unknown payload trailer tag {tag}")
     return out
