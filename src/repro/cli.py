@@ -497,6 +497,8 @@ def _cmd_submit(args: argparse.Namespace) -> int:
     print(f"cache hit  : {'yes' if result.cache_hit else 'no'}")
     print(f"makespan   : {result.makespan:.4f}")
     print(f"server ms  : {result.server_ms:.3f}")
+    if result.trace_id:
+        print(f"trace id   : {result.trace_id}")
     if client.retry_stats.retries:
         print(f"retries    : {client.retry_stats.retries} "
               f"({client.retry_stats.backoff_s:.3f}s backoff)")

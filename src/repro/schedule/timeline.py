@@ -27,13 +27,19 @@ def scan_slots(starts: list[float], ends: list[float], ready: float, duration: f
     """Insertion-policy slot search over parallel start/end lists.
 
     ``starts``/``ends`` describe non-overlapping busy intervals sorted by
-    start time (ties in original insertion order).  Returns the earliest
-    start ``>= ready`` of an idle gap that fits ``duration``, falling
-    back to the end of the last busy interval — the exact float sequence
-    of :meth:`Timeline.find_slot`, shared with the compiled flat-array
-    decoder (:mod:`repro.compiled`) so both paths are bit-identical by
-    construction.  Zero-width intervals (``end - start <= EPS``) occupy
-    no time and are skipped, as in :meth:`Timeline.find_slot`.
+    start time.  Returns the earliest start ``>= ready`` of an idle gap
+    that fits ``duration``, falling back to the end of the last busy
+    interval — the exact float sequence of :meth:`Timeline.find_slot`,
+    shared with the compiled flat-array decoder (:mod:`repro.compiled`)
+    so both paths are bit-identical by construction.  Zero-width
+    intervals (``end - start <= EPS``) occupy no time and are skipped,
+    as in :meth:`Timeline.find_slot`.
+
+    Intervals with equal starts are newest first: every insertion site
+    (:meth:`Timeline.add_slot`, the compiled flat timelines) inserts
+    with ``bisect_left``, ahead of equal starts.  Only a zero-width
+    interval can share its start with another, and the scan skips it,
+    so the tie order does not change the returned start.
     """
     if not starts:
         return ready
@@ -197,7 +203,12 @@ class Timeline:
         raise ScheduleError(f"task {task!r} not on this timeline")
 
     def slots(self) -> list[Slot]:
-        """Copy of the slot list, ordered by start time."""
+        """Copy of the slot list, ordered by start time.
+
+        Slots with equal starts are listed newest first (:meth:`add_slot`
+        inserts with ``bisect_left``): zero-width ``a`` and ``b`` and then
+        ``c = [0, 2)``, all at 0.0, list as ``[c, b, a]``.
+        """
         return list(self._slots)
 
     def gaps(self) -> list[tuple[float, float]]:

@@ -1,4 +1,4 @@
-"""Asynchronous batching engine: the compute core of the service.
+"""Asynchronous scheduling engine: the compute core of the service.
 
 Request lifecycle::
 
@@ -8,16 +8,26 @@ Request lifecycle::
         │                                          ├───────> share the
         └──> bounded queue (full -> 429) ──> dispatcher      same future)
                                                 │
-                             batch of <= batch_size jobs
+                       drains <= batch_size jobs, then hands each job
+                       to its own worker slot (one slot per worker)
                                                 │
                                   ProcessPoolExecutor worker
-                              (compute_schedule_payload: parse,
-                               schedule, validate, serialise)
+                        (compute_in_worker -> compute_schedule_payload:
+                         parse, schedule, validate, serialise)
                                                 │
                                cache.put + resolve the future
 
 Design notes:
 
+* **One cold path, traced or not.**  Every job is one worker call
+  (:func:`~repro.service.protocol.compute_in_worker`) under its own
+  dispatch slot.  Tracing only decides whether the worker ships a trace
+  export back with the payload; it never changes routing, so the pool
+  healing the chaos tests exercise is the one every ``repro serve``
+  daemon (which always traces) runs.  Jobs are never chunked into one
+  worker call: with 2 workers, chunking would return a burst of 8 cold
+  jobs in two chunks of 4, so the first response would wait for four
+  computations.
 * **Coalescing at two levels.**  The content-addressed cache folds
   repeats over time; the in-flight table folds repeats *in the same
   instant* — N concurrent submissions of one instance cost one
@@ -30,11 +40,13 @@ Design notes:
   waiting (HTTP 504), but the computation — potentially shared with
   other waiters, and cacheable — runs to completion behind
   :func:`asyncio.shield`.
-* **Workers are processes.**  The cold path pickles ``(instance JSON,
-  alg)`` to a :class:`~concurrent.futures.ProcessPoolExecutor`, the
-  same module-level-function discipline as the PR-1 sweep runner, so
-  the GIL never serialises scheduling work.  ``workers=0`` degrades to
-  a thread, which tests use to monkeypatch the compute function.
+* **Workers are processes.**  The cold path pickles ``(instance JSON
+  or wire bytes, alg)`` to a
+  :class:`~concurrent.futures.ProcessPoolExecutor`, the same
+  module-level-function discipline as the parallel sweep runner
+  (:mod:`repro.bench.runner`), so the GIL never serialises scheduling
+  work.  ``workers=0`` degrades to a thread, which tests use to
+  monkeypatch the compute function.
 * **Lowering is memoised per worker.**  Inside each worker,
   :func:`~repro.service.protocol.compute_schedule_payload` resolves the
   request body through a fingerprint-keyed LRU of parsed instances, so
@@ -490,24 +502,7 @@ class SchedulingEngine:
                     except asyncio.QueueEmpty:
                         break
                 self.metrics.batch(len(batch))
-                if self.tracer.enabled:
-                    # Traced requests dispatch one job per worker call so
-                    # each gets its own service.compute span and absorbed
-                    # worker trace.
-                    groups = [[item] for item in batch]
-                    runner = self._run_job_group_traced
-                else:
-                    # Cold path: the drained batch is split into one
-                    # contiguous chunk per pool worker and each chunk
-                    # ships as a single batched worker call — one IPC
-                    # round trip amortised over the chunk, consecutive
-                    # same-content jobs sharing the worker's lowered
-                    # instance memo.
-                    n_groups = min(len(batch), max(1, self.config.workers))
-                    size = -(-len(batch) // n_groups)
-                    groups = [batch[i:i + size] for i in range(0, len(batch), size)]
-                    runner = self._run_group
-                for group in groups:
+                for job in batch:
                     if not await self._acquire_slot(stop_wait):
                         return  # hard stop mid-batch; stop() owns the futures
                     # The dispatcher owns the slot lifecycle end to end:
@@ -516,7 +511,7 @@ class SchedulingEngine:
                     # would leak the slot if the task were cancelled
                     # before its first await (the coroutine never enters
                     # ``try``).
-                    task = asyncio.create_task(runner(group))
+                    task = asyncio.create_task(self._run_job(job))
                     self._running.add(task)
                     task.add_done_callback(self._job_task_done)
         finally:
@@ -566,24 +561,15 @@ class SchedulingEngine:
         while True:
             generation = self._pool_generation
             try:
-                if tracer.enabled:
-                    # The traced compute function builds a local tracer in
-                    # the worker (process or thread) and ships its export
-                    # back with the payload; absorbing it under the
-                    # service.compute span yields one merged request tree.
-                    with tracer.span("service.compute", parent=job.sid,
-                                     alg=job.alg, trace_id=job.trace_id,
-                                     attempt=attempt) as cs:
-                        payload, worker_trace, worker_stats = await loop.run_in_executor(
-                            self._pool, protocol.compute_schedule_payload_traced,
-                            job.text, job.alg, job.trace_id,
-                        )
-                    tracer.absorb(worker_trace, parent=cs.sid)
-                    tracer.count("service.computes")
-                    self.metrics.worker_stats(worker_stats)
-                else:
-                    payload = await loop.run_in_executor(
-                        self._pool, protocol.compute_schedule_payload, job.text, job.alg
+                # A traced worker builds a local tracer and ships its
+                # export back with the payload; absorbing it under the
+                # service.compute span yields one merged request tree.
+                with tracer.span("service.compute", parent=job.sid,
+                                 alg=job.alg, trace_id=job.trace_id,
+                                 attempt=attempt) as cs:
+                    payload, worker_trace, deltas = await loop.run_in_executor(
+                        self._pool, protocol.compute_in_worker,
+                        job.text, job.alg, tracer.enabled, job.trace_id,
                     )
                 break
             except asyncio.CancelledError:
@@ -613,79 +599,15 @@ class SchedulingEngine:
                 if not job.future.done():
                     job.future.set_exception(WorkerError(f"{type(exc).__name__}: {exc}"))
                 return
+        if worker_trace is not None:
+            tracer.absorb(worker_trace, parent=cs.sid)
+            tracer.count("service.computes")
+        self.metrics.worker_stats(deltas)
         self.cache.put(job.key, payload)
         self._persist(job.key, payload)
         self._inflight.pop(job.key, None)
         if not job.future.done():
             job.future.set_result(payload)
-
-    async def _run_job_group_traced(self, group: list[_Job]) -> None:
-        """Traced dispatch adapter: the group is always a single job."""
-        await self._run_job(group[0])
-
-    async def _run_group(self, jobs: list[_Job]) -> None:
-        """Execute one chunk of cold jobs as a single batched worker call.
-
-        The worker resolves each item independently (per-item faults
-        become per-item ``WorkerError``), but pool breakage propagates
-        whole — the computation is pure and content-addressed, so the
-        entire chunk transparently re-executes on the healed pool, the
-        same semantics :meth:`_run_job` gives a single job.  The worker
-        also returns its lowering-memo and compiled-executor counter
-        deltas for the call, which are folded into the service metrics.
-        """
-        loop = asyncio.get_running_loop()
-        items = [(job.text, job.alg) for job in jobs]
-
-        def _fail_all(make_exc) -> None:
-            for job in jobs:
-                self.metrics.error()
-                self._inflight.pop(job.key, None)
-                if not job.future.done():
-                    job.future.set_exception(make_exc())
-
-        while True:
-            generation = self._pool_generation
-            try:
-                results, worker_stats = await loop.run_in_executor(
-                    self._pool, protocol.compute_schedule_payload_batch, items
-                )
-                break
-            except asyncio.CancelledError:
-                for job in jobs:
-                    self._inflight.pop(job.key, None)
-                    if not job.future.done():
-                        job.future.set_exception(
-                            ServiceClosedError("computation cancelled")
-                        )
-                raise
-            except BrokenExecutor as exc:
-                if not await self._heal_pool(generation, exc):
-                    _fail_all(lambda: ServiceClosedError(
-                        "worker pool broken and respawn budget exhausted "
-                        f"({self.config.max_respawns} per "
-                        f"{self.config.respawn_window:g}s); engine closed"
-                    ))
-                    return
-                self.metrics.retry()
-                continue
-            except Exception as exc:
-                # The batch call itself failed before producing per-item
-                # results (e.g. the items could not reach the worker).
-                _fail_all(lambda: WorkerError(f"{type(exc).__name__}: {exc}"))
-                return
-        self.metrics.worker_stats(worker_stats)
-        for job, (status, value) in zip(jobs, results):
-            self._inflight.pop(job.key, None)
-            if status == "ok":
-                self.cache.put(job.key, value)
-                self._persist(job.key, value)
-                if not job.future.done():
-                    job.future.set_result(value)
-            else:
-                self.metrics.error()
-                if not job.future.done():
-                    job.future.set_exception(WorkerError(str(value)))
 
     def _persist(self, key: str, payload: dict) -> None:
         """Durably append one computed payload to the segment store.

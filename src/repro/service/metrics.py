@@ -145,11 +145,11 @@ class ServiceMetrics:
         self.batched_jobs += size
 
     def worker_stats(self, deltas: dict) -> None:
-        """Fold one batched worker call's counter deltas into the totals.
+        """Fold one worker call's counter deltas into the totals.
 
         Workers are separate processes, so their lowering-memo and
-        compiled-executor counters can't be read directly; each batched
-        cold call ships its deltas back with the results and the engine
+        compiled-executor counters can't be read directly; each cold
+        call ships its deltas back with the payload and the engine
         accumulates them here for ``/metrics``.
         """
         self.lowering_hits += int(deltas.get("lowering_hits", 0))

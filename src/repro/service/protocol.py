@@ -6,11 +6,12 @@ response is a *payload* dict listing every placement in a deterministic
 order plus the makespan — deterministic so that "bit-identical" is a
 string-equality property, not a tolerance.
 
-:func:`compute_schedule_payload` is the cold path.  It is a module-level
-function of picklable arguments (JSON text + scheduler name), following
-the same pattern as ``repro.bench.runner._run_replication``, so the
-engine can ship it to a :class:`~concurrent.futures.ProcessPoolExecutor`
-unchanged.
+:func:`compute_schedule_payload` is the cold path, and
+:func:`compute_in_worker` the one wrapper the engine ships to a
+:class:`~concurrent.futures.ProcessPoolExecutor` per job.  Both are
+module-level functions of picklable arguments (JSON text or wire bytes
++ scheduler name), following the same pattern as
+``repro.bench.runner._run_replication``.
 """
 
 from __future__ import annotations
@@ -181,7 +182,7 @@ def compute_schedule_payload(instance_text: str | bytes, alg: str) -> dict:
 
     Each stage runs under a span of the current tracer (the no-op
     default unless the caller installed one — see
-    :func:`compute_schedule_payload_traced`), and the lowering memo's
+    :func:`compute_in_worker`), and the lowering memo's
     hit/miss deltas land in ``worker.lowering_hits``/``_misses``.
     """
     from repro.obs import get_tracer
@@ -208,86 +209,42 @@ def compute_schedule_payload(instance_text: str | bytes, alg: str) -> dict:
         return schedule_payload(schedule, instance, alg)
 
 
-def compute_schedule_payload_batch(
-    items: list[tuple[str | bytes, str]],
-) -> tuple[list[tuple[str, object]], dict[str, int]]:
-    """Batched cold path: several ``(instance_text, alg)`` jobs, one call.
+def compute_in_worker(
+    instance_text: str | bytes, alg: str, traced: bool = False,
+    trace_id: str | None = None,
+) -> tuple[dict, dict | None, dict[str, int]]:
+    """The pool worker's one entry point: one job, traced or not.
 
-    The engine's dispatcher coalesces the requests it drains in one
-    batch into a single worker round trip, amortising executor dispatch
-    and letting consecutive jobs for the same content share the lowered
-    instance memo within the call.  Each item resolves independently to
-    ``("ok", payload)`` or ``("error", "Type: message")`` — except pool
-    breakage (:class:`~concurrent.futures.BrokenExecutor`), which must
-    propagate whole so the engine's self-healing sees it and re-executes
-    the batch on the respawned pool.
-
-    The second element reports worker-side counter deltas for this call:
-    the lowered-instance memo hits/misses and the compiled executor's
-    schedule/fallback counts — the engine folds them into its service
-    stats so cold-path behaviour shows up on ``/metrics``.
+    Returns ``(payload, trace export or None, counter deltas)``.  Calls
+    :func:`compute_schedule_payload` through the module global, so test
+    monkeypatches apply on the in-thread (``workers=0``) path.  With
+    ``traced`` it runs under a fresh local :class:`~repro.obs.Tracer`
+    inside one ``worker.compute`` root span carrying ``trace_id``; the
+    engine absorbs the export under the request's ``service.compute``
+    span.  The deltas (lowering-memo hits/misses, compiled schedules and
+    fallbacks) ride back with the payload because the engine cannot
+    read a worker process's counters.
     """
-    from concurrent.futures import BrokenExecutor
-
-    before = _worker_counts()
-    results: list[tuple[str, object]] = []
-    for instance_text, alg in items:
-        try:
-            # Through the module global so test monkeypatches apply on
-            # the in-thread (workers=0) path.
-            results.append(("ok", compute_schedule_payload(instance_text, alg)))
-        except BrokenExecutor:
-            raise
-        except Exception as exc:  # noqa: BLE001 - per-item fault isolation
-            results.append(("error", f"{type(exc).__name__}: {exc}"))
-    return results, _worker_deltas(before)
-
-
-def compute_schedule_payload_traced(
-    instance_text: str | bytes, alg: str, trace_id: str | None = None
-) -> tuple[dict, dict, dict[str, int]]:
-    """Traced cold path: compute the payload *and* export the worker trace.
-
-    Runs :func:`compute_schedule_payload` (through the module global, so
-    test monkeypatches still apply on the in-thread path) under a fresh
-    local :class:`~repro.obs.Tracer`, wrapped in one ``worker.compute``
-    root span carrying the request's ``trace_id``.  Returns ``(payload,
-    trace_export, counter_deltas)``; the engine absorbs the export into
-    its own tracer, folds the deltas (the same ones
-    :func:`compute_schedule_payload_batch` reports) into its service
-    stats, and caches only the payload — cached responses stay
-    request-pure.
-    """
-    from repro.obs import Tracer, use_tracer
-
-    before = _worker_counts()
-    local = Tracer(name="service-worker")
-    with use_tracer(local):
-        with local.span("worker.compute", alg=alg, trace_id=trace_id):
-            payload = compute_schedule_payload(instance_text, alg)
-    return payload, local.export(), _worker_deltas(before)
-
-
-def _worker_counts() -> tuple[int, int, dict[str, int]]:
-    """Snapshot of this worker's lowering-memo and executor counters."""
     from repro import compiled as compiled_mod
 
-    return _LOWERED.hits, _LOWERED.misses, compiled_mod.schedule_counters()
+    hits0, misses0 = _LOWERED.hits, _LOWERED.misses
+    counts0 = compiled_mod.schedule_counters()
+    trace = None
+    if traced:
+        from repro.obs import Tracer, use_tracer
 
-
-def _worker_deltas(before: tuple[int, int, dict[str, int]]) -> dict[str, int]:
-    """Counter deltas since ``before``, as the engine's ``worker_stats``
-    folds them."""
-    hits0, misses0, counts0 = before
-    _, _, counts1 = _worker_counts()
-    return {
+        local = Tracer(name="service-worker")
+        with use_tracer(local), local.span("worker.compute", alg=alg, trace_id=trace_id):
+            payload = compute_schedule_payload(instance_text, alg)
+        trace = local.export()
+    else:
+        payload = compute_schedule_payload(instance_text, alg)
+    counts1 = compiled_mod.schedule_counters()
+    built = ("list_schedules", "dls_schedules", "improved_passes")
+    return payload, trace, {
         "lowering_hits": _LOWERED.hits - hits0,
         "lowering_misses": _LOWERED.misses - misses0,
-        "compiled_schedules": (
-            (counts1["list_schedules"] - counts0["list_schedules"])
-            + (counts1["dls_schedules"] - counts0["dls_schedules"])
-            + (counts1["improved_passes"] - counts0["improved_passes"])
-        ),
+        "compiled_schedules": sum(counts1[k] - counts0[k] for k in built),
         "compiled_fallbacks": counts1["fallbacks"] - counts0["fallbacks"],
     }
 

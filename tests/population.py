@@ -113,6 +113,55 @@ def partially_consistent_instance(seed: int):
 
 
 # ----------------------------------------------------------------------
+# random machines of every communication kind (property draws)
+# ----------------------------------------------------------------------
+#: The communication kinds that lower into the compiled executor.
+COMM_KINDS = ("zero", "uniform", "link")
+
+
+def random_machine(kind: str, num_procs: int, seed: int, max_latency: float = 4.0):
+    """A fully connected machine with random processor speeds.
+
+    ``zero`` keeps the :class:`Machine` default (free transfers),
+    ``uniform`` draws one latency and bandwidth for every link, and
+    ``link`` draws asymmetric per-link tables (latencies up to
+    ``max_latency``) on string processor ids, declared in a different
+    order than the tables list them, so lowering must reindex.
+    """
+    from repro.machine.cluster import Machine
+    from repro.machine.comm import LinkCommunication, UniformCommunication
+    from repro.machine.processor import Processor
+
+    rng = np.random.default_rng(seed)
+    if kind == "link":
+        ids = [f"p{(7 * k) % 11}" for k in range(num_procs)]
+        lat = {a: {b: float(rng.uniform(0.0, max_latency)) for b in ids if b != a}
+               for a in ids}
+        bw = {a: {b: float(rng.uniform(0.1, 8.0)) for b in ids if b != a} for a in ids}
+        procs = [Processor(id=p, speed=float(rng.uniform(0.5, 2.0))) for p in ids]
+        return Machine(procs, comm=LinkCommunication(sorted(ids), lat, bw), name="asym")
+    procs = [Processor(id=k, speed=float(rng.uniform(0.5, 2.0))) for k in range(num_procs)]
+    if kind == "zero":
+        return Machine(procs, name="zero")
+    if kind == "uniform":
+        comm = UniformCommunication(float(rng.uniform(0.0, 2.0)), float(rng.uniform(0.25, 4.0)))
+        return Machine(procs, comm=comm, name="uniform")
+    raise ValueError(f"unknown communication kind {kind!r}; known: {COMM_KINDS}")
+
+
+def random_instance_on(kind: str, num_tasks: int, num_procs: int, ccr: float,
+                       heterogeneity: float, seed: int):
+    """A random DAG with a range-based ETC on a :func:`random_machine`."""
+    from repro.instance import Instance
+    from repro.machine.etc import generate_etc
+
+    machine = random_machine(kind, num_procs, seed)
+    dag = random_dag(num_tasks, ccr=ccr, seed=seed)
+    etc = generate_etc(dag, machine, heterogeneity=heterogeneity, seed=seed)
+    return Instance(dag=dag, machine=machine, etc=etc)
+
+
+# ----------------------------------------------------------------------
 # deadline-annotated corpus (resilient/deadline suites)
 # ----------------------------------------------------------------------
 #: Deadline as a multiple of the HEFT makespan on the same instance:

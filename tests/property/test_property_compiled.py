@@ -1,7 +1,8 @@
 """Property tests: the compiled executor is indistinguishable from the
-object path on arbitrary instances — uniform links and random asymmetric
-per-link tables — and schedules are stable across interpreter restarts
-(hash randomization must not leak into results).
+object path on arbitrary instances — free (zero-cost) links, uniform
+links and random asymmetric per-link tables — and schedules are stable
+across interpreter restarts (hash randomization must not leak into
+results).
 """
 
 from __future__ import annotations
@@ -20,15 +21,13 @@ from repro.compiled import compile_instance
 from repro.core import ImprovedConfig, ImprovedScheduler
 from repro.dag.generators import random_dag
 from repro.instance import Instance, make_instance
-from repro.machine.cluster import Machine
-from repro.machine.comm import LinkCommunication
 from repro.machine.etc import generate_etc
-from repro.machine.processor import Processor
 from repro.schedule.validation import violations
 from repro.schedulers.meta.decoder import decode_assignment, rank_order
 from repro.schedulers.registry import get_scheduler
 from repro.service.protocol import schedule_payload
 from tests.object_path import object_path
+from tests.population import random_instance_on, random_machine
 
 instance_params = st.tuples(
     st.integers(min_value=1, max_value=30),      # tasks
@@ -50,10 +49,14 @@ def _payload(schedule, instance, alg) -> str:
 
 
 @given(instance_params, st.sampled_from(["HEFT", "CPOP", "HCPT", "PETS",
-                                         "DLS", "HLFET", "MCP", "IMP"]))
-@settings(max_examples=80, deadline=None)
-def test_compiled_equals_object_path(params, name):
-    instance = build(params)
+                                         "DLS", "HLFET", "MCP", "IMP"]),
+       st.sampled_from(["uniform", "zero"]))
+@settings(max_examples=100, deadline=None)
+def test_compiled_equals_object_path(params, name, comm):
+    # ``zero`` is the Machine default: every edge lowers to a 0.0
+    # constant and ranks carry no communication term.
+    instance = build(params) if comm == "uniform" else random_instance_on("zero", *params)
+    assert compile_instance(instance) is not None
     scheduler = get_scheduler(name)
     fast = scheduler.schedule(instance)
     with object_path():
@@ -94,21 +97,12 @@ link_params = st.tuples(
 
 
 def build_link(params):
-    """A random DAG on a machine with random asymmetric per-link tables.
-
-    Processor ids are strings, declared in a different order than the
-    tables list them, so the lowering's canonical reindexing is exercised.
-    """
+    """A random DAG on a :func:`~tests.population.random_machine` with
+    random asymmetric per-link tables: string processor ids, declared in
+    a different order than the tables list them, so the lowering's
+    canonical reindexing is exercised."""
     n, q, ccr, max_lat, seed = params
-    rng = np.random.default_rng(seed)
-    ids = [f"p{(7 * k) % 11}" for k in range(q)]
-    lat = {a: {b: float(rng.uniform(0.0, max_lat)) for b in ids if b != a} for a in ids}
-    bw = {a: {b: float(rng.uniform(0.1, 8.0)) for b in ids if b != a} for a in ids}
-    machine = Machine(
-        [Processor(id=p, speed=float(rng.uniform(0.5, 2.0))) for p in ids],
-        comm=LinkCommunication(sorted(ids), lat, bw),
-        name="asym",
-    )
+    machine = random_machine("link", q, seed, max_latency=max_lat)
     dag = random_dag(n, ccr=ccr, seed=seed)
     etc = generate_etc(dag, machine, heterogeneity=0.6, seed=seed)
     return Instance(dag=dag, machine=machine, etc=etc)

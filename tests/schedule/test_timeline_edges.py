@@ -87,6 +87,20 @@ class TestZeroWidthSlots:
         # end_time tracks the latest *end*, even of a zero-width slot.
         assert tl.end_time == 6.0
 
+    def test_equal_starts_list_newest_first_on_both_structures(self):
+        # Both insertion sites use bisect_left, so a later slot with an
+        # equal start goes ahead of the earlier ones.
+        from repro.compiled import _FlatState
+
+        tl = Timeline()
+        flat = _FlatState(3, 1)
+        for t, (task, end) in enumerate((("a", 0.0), ("b", 0.0), ("c", 2.0))):
+            tl.add(0.0, end, task=task)
+            flat.tl_add(0, t, 0.0, end)
+        assert [s.task for s in tl.slots()] == ["c", "b", "a"]
+        assert flat.tl_tasks[0] == [2, 1, 0]
+        assert flat.tl_ends[0] == [s.end for s in tl.slots()] == [2.0, 0.0, 0.0]
+
 
 class TestNoInsertion:
     def test_appends_after_end_even_with_gaps(self):

@@ -12,10 +12,12 @@ from __future__ import annotations
 
 import asyncio
 import time
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
 from repro.bench import workloads as W
+from repro.instance_io import instance_to_json
 from repro.service import engine as engine_mod
 from repro.service import protocol
 from repro.service.engine import EngineConfig, SchedulingEngine
@@ -304,6 +306,63 @@ def test_batching_dispatches_queued_requests_together(monkeypatch):
             await engine.stop()
 
     _run(scenario())
+
+
+class _RecordingExecutor(ThreadPoolExecutor):
+    """A thread pool that records every worker call it is handed."""
+
+    def __init__(self) -> None:
+        super().__init__(max_workers=1)
+        self.calls: list[tuple[str, object]] = []
+
+    def submit(self, fn, /, *args, **kwargs):
+        self.calls.append((fn.__name__, args[0]))
+        return super().submit(fn, *args, **kwargs)
+
+
+def test_traced_and_untraced_engines_make_the_same_worker_calls(monkeypatch):
+    """Tracing never changes routing: given the same queued jobs, a
+    traced and an untraced engine hand the worker the same calls, one
+    per job, in queue order — neither chunks a drained batch into one
+    worker call."""
+    from repro.obs import Tracer
+
+    real = protocol.compute_schedule_payload
+
+    def slow(text, alg):
+        time.sleep(0.02)
+        return real(text, alg)
+
+    monkeypatch.setattr(protocol, "compute_schedule_payload", slow)
+    instances = [_instance(seed) for seed in range(5)]
+
+    async def scenario(tracer):
+        recorder = _RecordingExecutor()
+        asyncio.get_running_loop().set_default_executor(recorder)
+        engine = SchedulingEngine(EngineConfig(workers=0, batch_size=8, queue_depth=16),
+                                  tracer=tracer)
+        await engine.start()
+        try:
+            payloads = await asyncio.gather(*[engine.submit(i, "HEFT") for i in instances])
+            stats = engine.stats()
+            assert (stats.batches, stats.batched_jobs) == (1, 5)
+        finally:
+            await engine.stop()
+        return recorder.calls, [p["placements"] for p in payloads]
+
+    texts = [instance_to_json(i) for i in instances]
+
+    def jobs_per_call(calls):
+        # Each call's first argument as a queued job's index, or the
+        # type of whatever else the worker was handed (a chunk of jobs).
+        return [(fn, texts.index(arg) if arg in texts else type(arg).__name__)
+                for fn, arg in calls]
+
+    untraced_calls, untraced_out = _run(scenario(None))
+    traced_calls, traced_out = _run(scenario(Tracer(name="svc")))
+    assert jobs_per_call(untraced_calls) == [("compute_in_worker", k) for k in range(5)]
+    assert jobs_per_call(traced_calls) == jobs_per_call(untraced_calls)
+    assert traced_out == untraced_out
 
 
 def test_engine_config_validation():

@@ -7,9 +7,10 @@ counters with the tracer's ``repro_obs_*`` metrics, and a warm cache
 hit records a ``cache.hit`` span instead of a compute span.
 
 Engines run with ``workers=0`` (thread execution) so worker spans are
-produced in-process; the process-pool path exercises the identical
-absorb machinery through ``compute_schedule_payload_traced``'s
-picklable export.
+produced in-process.  Pool workers run the same ``compute_in_worker``
+entry point and ship the same picklable export back, absorbed by the
+same code; ``test_chaos.py`` covers traced engines with real pool
+workers, including a worker death mid-load.
 """
 
 from __future__ import annotations

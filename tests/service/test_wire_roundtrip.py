@@ -9,8 +9,11 @@ Three layers of guarantees, from strongest to broadest:
   binary payload equals the dict the JSON wire would deliver
   (``json.loads(json.dumps(payload))``), checked across every
   registered scheduler.
-* **Hypothesis sweeps** — randomly drawn instances, request field
-  combinations and synthetic payloads all round-trip exactly.
+* **Hypothesis sweeps** — randomly drawn instances on zero, uniform and
+  random asymmetric per-link machines, request field combinations and
+  synthetic payloads all round-trip exactly; an instance decoded from
+  either wire format keeps its fingerprint and schedules to the same
+  payload bytes.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from repro.machine.profiles import compute_grid
 from repro.schedulers.registry import all_scheduler_names, get_scheduler
 from repro.service import wire
 from repro.service.protocol import schedule_payload
-from tests.population import build_population
+from tests.population import COMM_KINDS, build_population, random_instance_on
 
 CORPUS = build_population()
 
@@ -182,29 +185,35 @@ instance_params = st.tuples(
 )
 
 
-def _build(params):
-    n, q, ccr, beta, seed = params
-    return make_instance(random_dag(n, ccr=ccr, seed=seed), num_procs=q,
-                         heterogeneity=beta, seed=seed)
+def _both_wires(instance):
+    """``instance`` after a binary wire and after a JSON document round trip."""
+    return (wire.decode_instance(wire.encode_instance(instance)),
+            instance_from_json(instance_to_json(instance)))
 
 
-@given(instance_params)
+@given(st.sampled_from(COMM_KINDS), instance_params)
 @settings(max_examples=60, deadline=None)
-def test_random_instance_roundtrip(params):
-    instance = _build(params)
-    decoded = wire.decode_instance(wire.encode_instance(instance))
-    assert _canonical(decoded) == _canonical(instance)
-    assert decoded.fingerprint() == instance.fingerprint()
+def test_random_instance_roundtrip(kind, params):
+    instance = random_instance_on(kind, *params)
+    for decoded in _both_wires(instance):
+        assert _canonical(decoded) == _canonical(instance)
+        assert decoded.fingerprint() == instance.fingerprint()
 
 
-@given(instance_params, st.sampled_from(["HEFT", "CPOP", "TDS", "IMP"]))
+@given(st.sampled_from(COMM_KINDS), instance_params,
+       st.sampled_from(["HEFT", "CPOP", "TDS", "IMP"]))
 @settings(max_examples=40, deadline=None)
-def test_random_schedule_payload_cross_wire(params, alg):
-    instance = _build(params)
+def test_random_schedule_payload_cross_wire(kind, params, alg):
+    instance = random_instance_on(kind, *params)
     payload = schedule_payload(get_scheduler(alg).schedule(instance),
                                instance, alg)
     decoded = wire.decode_payload(wire.encode_payload(payload))
     assert decoded == _json_wire(payload)
+    expected = (json.dumps(payload), wire.encode_payload(payload))
+    for copy in _both_wires(instance):
+        assert copy.fingerprint() == instance.fingerprint()
+        got = schedule_payload(get_scheduler(alg).schedule(copy), copy, alg)
+        assert (json.dumps(got), wire.encode_payload(got)) == expected
 
 
 _id = st.one_of(
