@@ -72,7 +72,7 @@ def _bench_decode_overhead() -> dict:
     population = np.random.default_rng(23).integers(
         0, NUM_PROCS, size=(POP, NUM_TASKS)
     )
-    decode = compiled._decode
+    decode = compiled.decode_span
 
     def raw():
         # decode_batch's body with the tracer hooks deleted.

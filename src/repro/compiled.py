@@ -1,16 +1,8 @@
-"""Compiled flat-array scheduling core for the metaheuristic search loop.
+"""The compiled scheduling engine: every production schedule runs here.
 
-The GA/SA schedulers (:mod:`repro.schedulers.meta`) evaluate thousands of
-candidate assignments, and each evaluation builds a full schedule: walk
-the rank order, compute the data-ready time on the assigned processor,
-insertion-search the processor's timeline, place the task.  The object
-path does that through :class:`~repro.schedule.schedule.Schedule`,
-frozen-dataclass placements and dict-based cost lookups — correct, but
-allocation-heavy, and it caps search quality because the metaheuristics
-are budgeted in *evaluations per second*.
-
-This module lowers an :class:`~repro.instance.Instance` once into flat
-arrays (:class:`CompiledInstance`, cached on ``Instance.kernel``):
+:func:`compile_instance` lowers an :class:`~repro.instance.Instance` once
+into flat arrays (:class:`CompiledInstance`, cached on
+``Instance.kernel``):
 
 * the decode order (decreasing mean upward rank, topological tie-break)
   as integer task indices,
@@ -21,23 +13,31 @@ arrays (:class:`CompiledInstance`, cached on ``Instance.kernel``):
   machine's q×q latency and bandwidth tables,
 * the dense ETC matrix in canonical (task, machine-proc) order.
 
-:meth:`CompiledInstance.decode_fast` then builds a whole schedule in
-preallocated scratch buffers — plain floats and per-processor
-start/end lists, no ``Schedule``/``Placement``/``Slot`` objects — and
-:meth:`CompiledInstance.decode_batch` evaluates an entire GA population
-per call.  The slot search is the *same* helper the object path's
+The passes walk those arrays with plain floats and per-processor
+start/end lists: one static list pass (:meth:`~CompiledInstance.schedule_list`
+for HEFT, CPOP, HCPT, PETS, HLFET and MCP, and
+:meth:`~CompiledInstance.schedule_onto` for the online simulator's
+pre-occupied timelines), the DLS loop, the improved pass (the paper's
+scheduler, LA-HEFT, DUP-HEFT) and the GA/SA decode.  Only the winner
+becomes a :class:`~repro.schedule.schedule.Schedule`, as columns
+(:meth:`CompiledInstance.materialize`).
+
+The slot search is the *same* helper the object path's
 :meth:`~repro.schedule.timeline.Timeline.find_slot` delegates to
 (:func:`~repro.schedule.timeline.scan_slots`), and every arithmetic
-operation replays the object path's float sequence exactly, so decoded
-makespans are bit-identical to
-:func:`repro.schedulers.meta.decoder.decode_assignment` (asserted over
-the differential corpus by ``tests/core/test_compiled_decode.py``).
+operation replays the object path's float sequence exactly, so results
+are bit-identical to the object path that custom communication models
+still take (``tests/core/test_compiled_executor.py`` and
+``tests/core/test_compiled_decode.py`` assert it over the differential
+corpus).
 
 Every fold that adds an edge cost adds either the uniform constant or
 ``lat[src][dst] + data / bw[src][dst]`` — the exact float
-:meth:`~repro.machine.comm.LinkCommunication.time` returns — so zero,
-uniform and per-link machines all lower.  Only a custom
-:class:`~repro.machine.comm.CommunicationModel` subclass makes
+:meth:`~repro.machine.comm.LinkCommunication.time` returns.  Which of
+the two a lowering uses is chosen once, in ``__init__``, as
+``CompiledInstance._fold``: the list, DLS and improved passes fold
+ready times through it without testing the communication kind, and
+zero, uniform and per-link machines all lower.  Only a custom :class:`~repro.machine.comm.CommunicationModel` subclass makes
 :func:`compile_instance` return ``None``; callers then fall back to the
 object path.
 """
@@ -160,6 +160,8 @@ class CompiledInstance:
         #: order; ``None`` on uniform/zero machines, whose edge operand is
         #: already the transfer cost.
         self._lat, self._bw = link if link is not None else (None, None)
+        #: The data-arrival fold every pass calls, chosen once here.
+        self._fold = self._const_fold if link is None else self._link_fold
         self.tasks: list["TaskId"] = kernel.tasks
         self.procs: list["ProcId"] = kernel.procs
         self.n = n = len(self.tasks)
@@ -256,8 +258,11 @@ class CompiledInstance:
     # ------------------------------------------------------------------
     # decoding
     # ------------------------------------------------------------------
-    def _decode(self, genome: Sequence[int]) -> float:
+    def decode_span(self, genome: Sequence[int]) -> float:
         """Makespan of one decode-order genome (no validation, no copies).
+
+        The SA inner loop calls this directly; GA populations go through
+        :meth:`decode_batch`.
 
         Replays ``decode_assignment`` float-for-float: per task, the
         ready time is the max over parents of ``end`` (same processor)
@@ -320,17 +325,13 @@ class CompiledInstance:
         times follow as ``starts + etc[task, proc]``.
         """
         genome = self._as_genome_list(assignment)
-        makespan = self._decode(genome)
+        makespan = self.decode_span(genome)
         starts = np.array(self._start_of, dtype=float)
         procs = np.array(self._proc_of, dtype=np.intp)
         tracer = get_tracer()
         if tracer.enabled:
             tracer.count("compiled.decodes")
         return makespan, starts, procs
-
-    def decode_span(self, genome: Sequence[int]) -> float:
-        """Makespan of one decode-order genome (the SA inner loop)."""
-        return self._decode(genome)
 
     def decode_batch(self, population: np.ndarray | Sequence[Sequence[int]]) -> np.ndarray:
         """Makespans of a whole population, one row per genome.
@@ -343,7 +344,7 @@ class CompiledInstance:
             raise SchedulingError(
                 f"population must have shape (m, {self.n}), got {rows.shape}"
             )
-        decode = self._decode
+        decode = self.decode_span
         tracer = get_tracer()
         if not tracer.enabled:
             return np.array([decode(genome) for genome in rows.tolist()], dtype=float)
@@ -374,7 +375,7 @@ class CompiledInstance:
         """One static-priority list pass over canonical task indices.
 
         Replays the object path per task: batched data-ready times (max
-        over parents of recorded ``end`` / ``end + const``), the shared
+        over parents of recorded ``end`` / ``end + cost``), the shared
         ``scan_slots`` gap scan (or ``max(ready, end_time)`` without
         insertion), EFT (``end < best - 1e-12``) or EST (``start < best -
         1e-12``) processor ties, and ``Schedule.add``'s double rounding
@@ -382,20 +383,90 @@ class CompiledInstance:
         that processor index (CPOP's critical path) with no comparison,
         exactly like ``placement_on``.
         """
+        result = self._list_pass(order, insertion, policy, pinned=pinned)
+        _COUNTS["list_schedules"] += 1
+        return result
+
+    def schedule_onto(
+        self,
+        order: Sequence[int],
+        busy_starts: Sequence[Sequence[float]],
+        busy_ends: Sequence[Sequence[float]],
+        *,
+        release: float = 0.0,
+        insertion: bool = True,
+        policy: str = "eft",
+        etc_scale: Sequence[float] | None = None,
+    ) -> CompiledSchedule:
+        """The :meth:`schedule_list` pass against *pre-occupied* timelines.
+
+        The online multi-tenant simulator (:mod:`repro.sim.online`)
+        schedules each arriving job onto a cluster whose processors
+        already carry residual load: ``busy_starts``/``busy_ends`` seed
+        each processor's timeline with the cluster's current busy
+        intervals (sorted by start, non-overlapping), and every task's
+        data-ready time is floored at ``release`` (the job's arrival
+        time), so no placement can begin in the past.  ``etc_scale``
+        optionally multiplies task ``t``'s durations by ``etc_scale[t]``
+        — the runtime-ETC-noise hook.  With empty seeds, ``release=0``
+        and no scale this is :meth:`schedule_list` float for float.
+
+        The lowering itself (CSR, ETC rows, rank order) is untouched —
+        only the timeline seeds vary between arrivals, which is what
+        makes the cached-lowering path cheap: one lowering per template,
+        one dirty-suffix seed per arrival.
+        """
+        if len(busy_starts) != self.q or len(busy_ends) != self.q:
+            raise SchedulingError(
+                f"busy lists cover {len(busy_starts)} processors, machine has {self.q}"
+            )
+        result = self._list_pass(
+            order,
+            insertion,
+            policy,
+            busy=(busy_starts, busy_ends),
+            release=release,
+            etc_scale=etc_scale,
+        )
+        _COUNTS["online_schedules"] += 1
+        return result
+
+    def _list_pass(
+        self,
+        order: Sequence[int],
+        insertion: bool,
+        policy: str,
+        *,
+        busy: tuple[Sequence[Sequence[float]], Sequence[Sequence[float]]] | None = None,
+        release: float = 0.0,
+        etc_scale: Sequence[float] | None = None,
+        pinned: Sequence[int] | None = None,
+    ) -> CompiledSchedule:
+        """The list pass behind :meth:`schedule_list` and :meth:`schedule_onto`.
+
+        ``busy`` seeds the timelines, ``release`` floors every ready
+        time, ``etc_scale[t]`` multiplies task ``t``'s ETC row (once per
+        task) and ``pinned[t] >= 0`` makes that processor the task's only
+        candidate.
+        """
         if policy not in ("eft", "est"):
             raise SchedulingError(f"unknown placement policy {policy!r}")
         q = self.q
+        qr = range(q)
+        fold = self._fold
         preds = self._preds
-        lat, bw = self._lat, self._bw
         etc_rows = self._etc_rows
         n = self.n
         start_of = [0.0] * n
         end_of = [0.0] * n
         darg_of = [0.0] * n
         proc_of = [-1] * n
-        tl_starts: list[list[float]] = [[] for _ in range(q)]
-        tl_ends: list[list[float]] = [[] for _ in range(q)]
-        tl_max = [0.0] * q
+        if busy is None:
+            tl_starts: list[list[float]] = [[] for _ in qr]
+            tl_ends: list[list[float]] = [[] for _ in qr]
+        else:
+            tl_starts = [list(s) for s in busy[0]]
+            tl_ends = [list(e) for e in busy[1]]
         # Gap-bound fast path: ``tl_gap[j]`` is an upper bound on the
         # widest idle gap of timeline ``j`` (between consecutive
         # nonzero-width slots, including the 0 -> first-slot gap) and
@@ -404,80 +475,52 @@ class CompiledInstance:
         # ``scan_slots`` can succeed, so its result is exactly the
         # fallback ``max(ready, tl_nz[j])`` — the O(1) answer skips the
         # scan without changing a single float.
+        tl_max = [0.0] * q
         tl_gap = [0.0] * q
         tl_nz = [0.0] * q
+        for j in qr:
+            tl_max[j], tl_gap[j], tl_nz[j] = _gap_bounds(tl_starts[j], tl_ends[j])
         eft = policy == "eft"
         makespan = 0.0
-        qr = range(q)
         for t in order:
             row = etc_rows[t]
-            pin = -1 if pinned is None else pinned[t]
-            if pin >= 0:
-                # Single-processor placement (no tie comparison).
-                ready = 0.0
-                for u, w in preds[t]:
-                    cand = end_of[u]
-                    pu = proc_of[u]
-                    if pu != pin:
-                        cand += w if lat is None else lat[pu][pin] + w / bw[pu][pin]
-                    if cand > ready:
-                        ready = cand
-                duration = row[pin]
+            if etc_scale is not None:
+                scale = etc_scale[t]
+                row = [d * scale for d in row]
+            ready_vec = fold([release] * q, preds[t], end_of, proc_of)
+            # A pinned task probes its one processor, which always wins.
+            cands = qr if pinned is None or pinned[t] < 0 else (pinned[t],)
+            best_j = -1
+            best_start = 0.0
+            best_end = 0.0
+            for j in cands:
+                duration = row[j]
+                ready = ready_vec[j]
+                if best_j >= 0:
+                    # Dominance prune: start >= ready, and float addition
+                    # is monotone, so end >= ready + duration — a
+                    # processor that already cannot beat the incumbent
+                    # skips the slot search.
+                    if eft:
+                        if ready + duration >= best_end - _EPS:
+                            continue
+                    elif ready >= best_start - _EPS:
+                        continue
                 if not insertion:
-                    m = tl_max[pin]
+                    m = tl_max[j]
                     start = ready if ready > m else m
-                elif duration - _TL_EPS > tl_gap[pin]:
-                    e = tl_nz[pin]
+                elif duration - _TL_EPS > tl_gap[j]:
+                    e = tl_nz[j]
                     start = ready if ready > e else e
                 else:
-                    start = scan_slots(tl_starts[pin], tl_ends[pin], ready, duration)
-                best_j, best_start, best_end = pin, start, start + duration
-            else:
-                # Per-processor ready times: same fold as the batched
-                # kernel (running max over parents, exact min/max).
-                ready_vec = [0.0] * q
-                if lat is not None:
-                    self._link_fold(ready_vec, preds[t], end_of, proc_of)
-                else:
-                    for u, const in preds[t]:
-                        eu = end_of[u]
-                        pu = proc_of[u]
-                        ec = eu + const
-                        for j in qr:
-                            a = eu if j == pu else ec
-                            if a > ready_vec[j]:
-                                ready_vec[j] = a
-                best_j = -1
-                best_start = 0.0
-                best_end = 0.0
-                for j in qr:
-                    duration = row[j]
-                    ready = ready_vec[j]
-                    if best_j >= 0:
-                        # Dominance prune: start >= ready, and float
-                        # addition is monotone, so end >= ready +
-                        # duration — a processor that already cannot
-                        # beat the incumbent skips the slot search.
-                        if eft:
-                            if ready + duration >= best_end - _EPS:
-                                continue
-                        elif ready >= best_start - _EPS:
-                            continue
-                    if not insertion:
-                        m = tl_max[j]
-                        start = ready if ready > m else m
-                    elif duration - _TL_EPS > tl_gap[j]:
-                        e = tl_nz[j]
-                        start = ready if ready > e else e
-                    else:
-                        start = scan_slots(tl_starts[j], tl_ends[j], ready, duration)
-                    end = start + duration
-                    if best_j < 0 or (
-                        end < best_end - _EPS if eft else start < best_start - _EPS
-                    ):
-                        best_j = j
-                        best_start = start
-                        best_end = end
+                    start = scan_slots(tl_starts[j], tl_ends[j], ready, duration)
+                end = start + duration
+                if best_j < 0 or (
+                    end < best_end - _EPS if eft else start < best_start - _EPS
+                ):
+                    best_j = j
+                    best_start = start
+                    best_end = end
             # Schedule.add replay: duration argument is ``end - start``,
             # the recorded end is ``start + (end - start)``.
             darg = best_end - best_start
@@ -504,141 +547,6 @@ class CompiledInstance:
                 tl_max[best_j] = rend
             if rend > makespan:
                 makespan = rend
-        _COUNTS["list_schedules"] += 1
-        return CompiledSchedule(makespan, start_of, darg_of, proc_of, [])
-
-    def schedule_onto(
-        self,
-        order: Sequence[int],
-        busy_starts: Sequence[Sequence[float]],
-        busy_ends: Sequence[Sequence[float]],
-        *,
-        release: float = 0.0,
-        insertion: bool = True,
-        policy: str = "eft",
-        etc_scale: Sequence[float] | None = None,
-    ) -> CompiledSchedule:
-        """One list pass against *pre-occupied* processor timelines.
-
-        The online multi-tenant simulator (:mod:`repro.sim.online`)
-        schedules each arriving job onto a cluster whose processors
-        already carry residual load: ``busy_starts``/``busy_ends`` seed
-        each processor's timeline with the cluster's current busy
-        intervals (sorted by start, non-overlapping), and every task's
-        data-ready time is floored at ``release`` (the job's arrival
-        time), so no placement can begin in the past.  ``etc_scale``
-        optionally multiplies task ``t``'s durations by ``etc_scale[t]``
-        — the runtime-ETC-noise hook.  With empty seeds, ``release=0``
-        and no scale this replays :meth:`schedule_list` float for float.
-
-        The lowering itself (CSR, ETC rows, rank order) is untouched —
-        only the timeline seeds vary between arrivals, which is what
-        makes the cached-lowering path cheap: one lowering per template,
-        one dirty-suffix seed per arrival.
-        """
-        if policy not in ("eft", "est"):
-            raise SchedulingError(f"unknown placement policy {policy!r}")
-        q = self.q
-        if len(busy_starts) != q or len(busy_ends) != q:
-            raise SchedulingError(
-                f"busy lists cover {len(busy_starts)} processors, machine has {q}"
-            )
-        preds = self._preds
-        etc_rows = self._etc_rows
-        n = self.n
-        start_of = [0.0] * n
-        end_of = [0.0] * n
-        darg_of = [0.0] * n
-        proc_of = [-1] * n
-        tl_starts: list[list[float]] = [list(s) for s in busy_starts]
-        tl_ends: list[list[float]] = [list(e) for e in busy_ends]
-        tl_max = [0.0] * q
-        tl_gap = [0.0] * q
-        tl_nz = [0.0] * q
-        # Rebuild the gap-bound invariants from the seeds, exactly like
-        # _FlatState.tl_remove's one-sweep recompute.
-        for j in range(q):
-            gap = 0.0
-            prev = 0.0
-            m = 0.0
-            for s_, e_ in zip(tl_starts[j], tl_ends[j]):
-                if e_ > m:
-                    m = e_
-                if e_ - s_ > _TL_EPS:
-                    g = s_ - prev
-                    if g > gap:
-                        gap = g
-                    prev = e_
-            tl_max[j] = m
-            tl_gap[j] = gap
-            tl_nz[j] = prev
-        eft = policy == "eft"
-        makespan = 0.0
-        qr = range(q)
-        link = self._lat is not None
-        for t in order:
-            row = etc_rows[t]
-            scale = 1.0 if etc_scale is None else etc_scale[t]
-            ready_vec = [release] * q
-            if link:
-                self._link_fold(ready_vec, preds[t], end_of, proc_of)
-            else:
-                for u, const in preds[t]:
-                    eu = end_of[u]
-                    pu = proc_of[u]
-                    ec = eu + const
-                    for j in qr:
-                        a = eu if j == pu else ec
-                        if a > ready_vec[j]:
-                            ready_vec[j] = a
-            best_j = -1
-            best_start = 0.0
-            best_end = 0.0
-            for j in qr:
-                duration = row[j] if etc_scale is None else row[j] * scale
-                ready = ready_vec[j]
-                if best_j >= 0:
-                    if eft:
-                        if ready + duration >= best_end - _EPS:
-                            continue
-                    elif ready >= best_start - _EPS:
-                        continue
-                if not insertion:
-                    m = tl_max[j]
-                    start = ready if ready > m else m
-                elif duration - _TL_EPS > tl_gap[j]:
-                    e = tl_nz[j]
-                    start = ready if ready > e else e
-                else:
-                    start = scan_slots(tl_starts[j], tl_ends[j], ready, duration)
-                end = start + duration
-                if best_j < 0 or (
-                    end < best_end - _EPS if eft else start < best_start - _EPS
-                ):
-                    best_j = j
-                    best_start = start
-                    best_end = end
-            darg = best_end - best_start
-            rend = best_start + darg
-            start_of[t] = best_start
-            end_of[t] = rend
-            darg_of[t] = darg
-            proc_of[t] = best_j
-            starts = tl_starts[best_j]
-            i = bisect_left(starts, best_start)
-            starts.insert(i, best_start)
-            tl_ends[best_j].insert(i, rend)
-            if rend - best_start > _TL_EPS:
-                nz = tl_nz[best_j]
-                if best_start > nz and best_start - nz > tl_gap[best_j]:
-                    tl_gap[best_j] = best_start - nz
-                if rend > nz:
-                    tl_nz[best_j] = rend
-            if rend > tl_max[best_j]:
-                tl_max[best_j] = rend
-            if rend > makespan:
-                makespan = rend
-        _COUNTS["online_schedules"] += 1
         return CompiledSchedule(makespan, start_of, darg_of, proc_of, [])
 
     def schedule_dls(
@@ -669,7 +577,7 @@ class CompiledInstance:
         ready_cache: dict[int, list[float]] = {}
         makespan = 0.0
         qr = range(q)
-        link = self._lat is not None
+        fold = self._fold
         while ready_set:
             best_key: tuple[float, int, int] | None = None
             best_task = -1
@@ -678,19 +586,7 @@ class CompiledInstance:
             for t in ready_set:
                 vec = ready_cache.get(t)
                 if vec is None:
-                    vec = [0.0] * q
-                    if link:
-                        self._link_fold(vec, preds[t], end_of, proc_of)
-                    else:
-                        for u, const in preds[t]:
-                            eu = end_of[u]
-                            pu = proc_of[u]
-                            ec = eu + const
-                            for j in qr:
-                                a = eu if j == pu else ec
-                                if a > vec[j]:
-                                    vec[j] = a
-                    ready_cache[t] = vec
+                    vec = ready_cache[t] = fold([0.0] * q, preds[t], end_of, proc_of)
                 slt = sl[t]
                 wst = wstar[t]
                 row = etc_rows[t]
@@ -825,6 +721,8 @@ class CompiledInstance:
     ) -> None:
         q = self.q
         qr = range(q)
+        fold = self._fold
+        preds = self._preds
         etc_rows = self._etc_rows
         succs = self._succs
         pos = self._pos
@@ -841,7 +739,7 @@ class CompiledInstance:
                     if child_key is None or k > child_key:
                         child_key = k
                         child = s
-            ready_vec = self._ready_vec(st, t)
+            ready_vec = fold([0.0] * q, preds[t], st.pend, st.pproc, st.dups)
             la_base = self._lookahead_base(st, t, child) if child >= 0 else None
             best_key: tuple[float, float, int] | None = None
             best_j = -1
@@ -898,6 +796,39 @@ class CompiledInstance:
             placed[t] = True
             st.tl_add(best_j, t, best_start, rend)
 
+    def _const_fold(
+        self,
+        ready: list[float],
+        edges: Sequence[tuple[int, float]],
+        end_of: Sequence[float],
+        proc_of: Sequence[int],
+        dups: Sequence[list[tuple[int, float, float, float]]] | None = None,
+    ) -> list[float]:
+        """:meth:`_link_fold` for zero/uniform machines, whose edge operand
+        is already the cross-processor transfer cost: a copy on another
+        processor arrives at ``end + cost``."""
+        qr = range(self.q)
+        for u, const in edges:
+            eu = end_of[u]
+            pu = proc_of[u]
+            ec = eu + const
+            dlist = dups[u] if dups is not None else None
+            if not dlist:
+                for j in qr:
+                    a = eu if j == pu else ec
+                    if a > ready[j]:
+                        ready[j] = a
+            else:
+                for j in qr:
+                    a = eu if j == pu else ec
+                    for dj, _ds, de, _dd in dlist:
+                        c = de if dj == j else de + const
+                        if c < a:
+                            a = c
+                    if a > ready[j]:
+                        ready[j] = a
+        return ready
+
     def _link_fold(
         self,
         ready: list[float],
@@ -933,36 +864,6 @@ class CompiledInstance:
                     a = eu if j == pu else eu + (lr[j] + data / br[j])
                     for dj, _ds, de, _dd in dlist:
                         c = de if dj == j else de + (lat[dj][j] + data / bw[dj][j])
-                        if c < a:
-                            a = c
-                    if a > ready[j]:
-                        ready[j] = a
-        return ready
-
-    def _ready_vec(self, st: "_FlatState", t: int) -> list[float]:
-        """Per-processor ready times (ready_time replay, batched)."""
-        q = self.q
-        ready = [0.0] * q
-        if self._lat is not None:
-            return self._link_fold(ready, self._preds[t], st.pend, st.pproc, st.dups)
-        pend = st.pend
-        pproc = st.pproc
-        dups = st.dups
-        for u, const in self._preds[t]:
-            eu = pend[u]
-            pu = pproc[u]
-            ec = eu + const
-            dlist = dups[u]
-            if not dlist:
-                for j in range(q):
-                    a = eu if j == pu else ec
-                    if a > ready[j]:
-                        ready[j] = a
-            else:
-                for j in range(q):
-                    a = eu if j == pu else ec
-                    for dj, _ds, de, _dd in dlist:
-                        c = de if dj == j else de + const
                         if c < a:
                             a = c
                     if a > ready[j]:
@@ -1079,31 +980,9 @@ class CompiledInstance:
         probe-dependent terms later reproduces the original single fold
         exactly (max is order-independent).
         """
-        q = self.q
-        base = [0.0] * q
         placed = st.placed
-        if self._lat is not None:
-            edges = [(u, w) for u, w in self._preds[child] if u != t and placed[u]]
-            return self._link_fold(base, edges, st.pend, st.pproc, st.dups)
-        pend = st.pend
-        pproc = st.pproc
-        dups = st.dups
-        for u, const in self._preds[child]:
-            if u == t or not placed[u]:
-                continue
-            eu = pend[u]
-            pu = pproc[u]
-            ec = eu + const
-            dlist = dups[u]
-            for j in range(q):
-                a = eu if j == pu else ec
-                for dj, _ds, de, _dd in dlist:
-                    c = de if dj == j else de + const
-                    if c < a:
-                        a = c
-                if a > base[j]:
-                    base[j] = a
-        return base
+        edges = [(u, w) for u, w in self._preds[child] if u != t and placed[u]]
+        return self._fold([0.0] * self.q, edges, st.pend, st.pproc, st.dups)
 
     def _lookahead(
         self,
@@ -1150,6 +1029,8 @@ class CompiledInstance:
         """refine_schedule replay: latest start first, 1e-9 acceptance."""
         n = self.n
         q = self.q
+        fold = self._fold
+        preds = self._preds
         etc_rows = self._etc_rows
         strs = self._str
         pstart = st.pstart
@@ -1168,7 +1049,7 @@ class CompiledInstance:
                 old_j = pproc[t]
                 st.placed[t] = False
                 st.tl_remove(old_j, t, old_start)
-                ready_vec = self._ready_vec(st, t)
+                ready_vec = fold([0.0] * q, preds[t], pend, pproc, dups)
                 best_j = -1
                 best_start = 0.0
                 best_end = 0.0
@@ -1250,11 +1131,13 @@ class CompiledInstance:
 class _FlatState:
     """Mutable flat mirror of Schedule + per-processor Timelines.
 
-    Used by the compiled improved pass, which (unlike the static list
-    executors) removes and re-adds placements: timelines carry task ids
-    so removal can replay ``Timeline.remove``'s first-match semantics,
-    and ``tl_max`` tracks each processor's ``end_time`` including the
-    exact ``max()`` recompute on removal.
+    The state of the improved pass, the one pass that removes placements
+    (duplicate rollback, refinement) and records duplicates.  Timelines
+    carry task ids so removal replays ``Timeline.remove``'s first-match
+    semantics, and each removal rebuilds ``tl_max``, ``tl_gap`` and
+    ``tl_nz`` exactly with :func:`_gap_bounds`, the sweep the list pass
+    runs over its seeds.  The list pass only inserts, so it keeps the
+    same per-processor lists as locals instead.
     """
 
     __slots__ = (
@@ -1277,9 +1160,8 @@ class _FlatState:
         self.tl_ends: list[list[float]] = [[] for _ in range(q)]
         self.tl_tasks: list[list[int]] = [[] for _ in range(q)]
         self.tl_max = [0.0] * q
-        #: upper bound on the widest idle gap per processor (see
-        #: ``schedule_list``'s gap-bound fast path); kept exact again on
-        #: every removal's recompute.
+        #: upper bound on the widest idle gap per processor (see the
+        #: list pass's gap-bound fast path); exact again after a removal.
         self.tl_gap = [0.0] * q
         #: end of the last nonzero-width slot per processor — the exact
         #: ``scan_slots`` fallback value.
@@ -1317,22 +1199,8 @@ class _FlatState:
                 del ends[i]
                 del tasks[i]
                 break
-        # Removal merges gaps; rebuild end_time, the gap bound, and the
-        # last nonzero end exactly in one sweep.
-        gap = 0.0
-        prev = 0.0
-        m = 0.0
-        for s_, e_ in zip(starts, ends):
-            if e_ > m:
-                m = e_
-            if e_ - s_ > _TL_EPS:
-                g = s_ - prev
-                if g > gap:
-                    gap = g
-                prev = e_
-        self.tl_max[j] = m
-        self.tl_gap[j] = gap
-        self.tl_nz[j] = prev
+        # Removal merges gaps: rebuild the bounds exactly.
+        self.tl_max[j], self.tl_gap[j], self.tl_nz[j] = _gap_bounds(starts, ends)
 
     def find_slot(self, j: int, ready: float, duration: float, insertion: bool) -> float:
         if not insertion:
@@ -1343,6 +1211,26 @@ class _FlatState:
             e = self.tl_nz[j]
             return ready if ready > e else e
         return scan_slots(self.tl_starts[j], self.tl_ends[j], ready, duration)
+
+
+def _gap_bounds(
+    starts: Sequence[float], ends: Sequence[float]
+) -> tuple[float, float, float]:
+    """``(end_time, gap bound, last nonzero end)`` of one start-sorted
+    timeline, exact: the widest idle gap counts from 0 to the first
+    nonzero-width slot and between consecutive ones."""
+    gap = 0.0
+    prev = 0.0
+    m = 0.0
+    for s, e in zip(starts, ends):
+        if e > m:
+            m = e
+        if e - s > _TL_EPS:
+            g = s - prev
+            if g > gap:
+                gap = g
+            prev = e
+    return m, gap, prev
 
 
 def compile_instance(instance: "Instance") -> CompiledInstance | None:

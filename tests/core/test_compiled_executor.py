@@ -22,6 +22,7 @@ import pytest
 from repro import compiled
 from repro.compiled import compile_instance
 from repro.dag.generators import random_dag
+from repro.exceptions import SchedulingError
 from repro.instance import Instance
 from repro.machine.cluster import Machine
 from repro.machine.comm import LinkCommunication
@@ -31,7 +32,7 @@ from repro.schedulers.base import compiled_for
 from repro.schedulers.registry import get_scheduler
 from repro.service.protocol import schedule_payload
 from tests.object_path import ROUTED, object_path, routed_insertion_off
-from tests.population import OpaqueCommunication, build_population
+from tests.population import OpaqueCommunication, build_population, random_instance_on
 
 
 @pytest.fixture(scope="module")
@@ -177,3 +178,60 @@ def test_insertion_off_matches_object_path(population):
             with object_path():
                 ref = scheduler.schedule(inst)
             assert _payload(fast, inst, alg) == _payload(ref, inst, alg), (label, alg)
+
+
+# ----------------------------------------------------------------------
+# the list-pass contract: two entry points, one pass
+# ----------------------------------------------------------------------
+#: Zero-cost machines (the ``Machine`` default) are not in the corpus,
+#: which is all uniform or per-link; these add them.
+ZERO_COMM = [(f"zero-{seed}", random_instance_on("zero", 20, 4, 2.0, 0.8, seed))
+             for seed in range(4)]
+
+
+@pytest.mark.parametrize("policy", ["eft", "est"])
+@pytest.mark.parametrize("insertion", [True, False], ids=["insert", "append"])
+def test_schedule_onto_on_empty_timelines_is_schedule_list(population, insertion, policy):
+    """``schedule_onto`` with empty seeds, release 0 and no ETC scale
+    returns what ``schedule_list`` returns, float for float, on zero,
+    uniform and per-link machines; an all-ones scale changes nothing.
+    Each entry point counts under its own key."""
+    for label, inst in population + ZERO_COMM:
+        ci = compile_instance(inst)
+        order = ci.order.tolist()
+        empty = [[]] * ci.q
+        before = compiled.schedule_counters()
+        ref = ci.schedule_list(order, insertion=insertion, policy=policy)
+        mid = compiled.schedule_counters()
+        runs = [ci.schedule_onto(order, empty, empty, insertion=insertion, policy=policy),
+                ci.schedule_onto(order, empty, empty, insertion=insertion, policy=policy,
+                                 etc_scale=[1.0] * ci.n)]
+        after = compiled.schedule_counters()
+        for got in runs:
+            assert (got.start, got.darg, got.proc, got.makespan) == (
+                ref.start, ref.darg, ref.proc, ref.makespan), label
+        assert mid["list_schedules"] == before["list_schedules"] + 1, label
+        assert mid["online_schedules"] == before["online_schedules"], label
+        assert after["online_schedules"] == mid["online_schedules"] + 2, label
+        assert after["list_schedules"] == mid["list_schedules"], label
+
+
+def test_list_pass_rejections(population):
+    """An unknown policy is a ``SchedulingError`` on both entry points,
+    and so are busy lists for the wrong number of processors; a rejected
+    call counts no schedule."""
+    _, inst = population[0]
+    ci = compile_instance(inst)
+    order = ci.order.tolist()
+    empty = [[]] * ci.q
+    before = compiled.schedule_counters()
+    with pytest.raises(SchedulingError, match="unknown placement policy 'lst'"):
+        ci.schedule_list(order, policy="lst")
+    with pytest.raises(SchedulingError, match="unknown placement policy 'lst'"):
+        ci.schedule_onto(order, empty, empty, policy="lst")
+    short = f"busy lists cover {ci.q - 1} processors, machine has {ci.q}"
+    with pytest.raises(SchedulingError, match=short):
+        ci.schedule_onto(order, empty[1:], empty[1:])
+    with pytest.raises(SchedulingError, match="busy lists cover"):
+        ci.schedule_onto(order, empty, empty + [[]])
+    assert compiled.schedule_counters() == before

@@ -150,15 +150,26 @@ def random_machine(kind: str, num_procs: int, seed: int, max_latency: float = 4.
 
 
 def random_instance_on(kind: str, num_tasks: int, num_procs: int, ccr: float,
-                       heterogeneity: float, seed: int):
-    """A random DAG with a range-based ETC on a :func:`random_machine`."""
+                       heterogeneity: float, seed: int, *, tuple_ids: bool = False,
+                       deadline_factor: float | None = None):
+    """A random DAG with a range-based ETC on a :func:`random_machine`.
+
+    ``tuple_ids`` relabels task ``k`` to the nested tuple ``(k % 3,
+    ("t", k))`` before the ETC is drawn; ``deadline_factor`` sets the
+    deadline to that multiple of ``cp_min_length``.
+    """
     from repro.instance import Instance
     from repro.machine.etc import generate_etc
 
     machine = random_machine(kind, num_procs, seed)
     dag = random_dag(num_tasks, ccr=ccr, seed=seed)
+    if tuple_ids:
+        dag = dag.relabel({k: (k % 3, ("t", k)) for k in dag.tasks()})
     etc = generate_etc(dag, machine, heterogeneity=heterogeneity, seed=seed)
-    return Instance(dag=dag, machine=machine, etc=etc)
+    instance = Instance(dag=dag, machine=machine, etc=etc)
+    if deadline_factor is not None:
+        instance = instance.with_deadline(deadline_factor * instance.cp_min_length)
+    return instance
 
 
 # ----------------------------------------------------------------------

@@ -10,9 +10,10 @@ Three layers of guarantees, from strongest to broadest:
   (``json.loads(json.dumps(payload))``), checked across every
   registered scheduler.
 * **Hypothesis sweeps** — randomly drawn instances on zero, uniform and
-  random asymmetric per-link machines, request field combinations and
-  synthetic payloads all round-trip exactly; an instance decoded from
-  either wire format keeps its fingerprint and schedules to the same
+  random asymmetric per-link machines, with or without nested tuple
+  task ids and a deadline, request field combinations and synthetic
+  payloads all round-trip exactly; an instance decoded from either wire
+  format keeps its fingerprint and deadline and schedules to the same
   payload bytes.
 """
 
@@ -185,26 +186,35 @@ instance_params = st.tuples(
 )
 
 
+#: Instance variants on top of the machine kind: nested tuple task ids
+#: or not, and no deadline or one at a multiple of ``cp_min_length``.
+instance_variants = st.fixed_dictionaries({
+    "tuple_ids": st.booleans(),
+    "deadline_factor": st.one_of(st.none(), st.floats(min_value=0.5, max_value=4.0)),
+})
+
+
 def _both_wires(instance):
     """``instance`` after a binary wire and after a JSON document round trip."""
     return (wire.decode_instance(wire.encode_instance(instance)),
             instance_from_json(instance_to_json(instance)))
 
 
-@given(st.sampled_from(COMM_KINDS), instance_params)
+@given(st.sampled_from(COMM_KINDS), instance_params, instance_variants)
 @settings(max_examples=60, deadline=None)
-def test_random_instance_roundtrip(kind, params):
-    instance = random_instance_on(kind, *params)
+def test_random_instance_roundtrip(kind, params, variant):
+    instance = random_instance_on(kind, *params, **variant)
     for decoded in _both_wires(instance):
         assert _canonical(decoded) == _canonical(instance)
         assert decoded.fingerprint() == instance.fingerprint()
+        assert decoded.deadline == instance.deadline
 
 
-@given(st.sampled_from(COMM_KINDS), instance_params,
+@given(st.sampled_from(COMM_KINDS), instance_params, instance_variants,
        st.sampled_from(["HEFT", "CPOP", "TDS", "IMP"]))
 @settings(max_examples=40, deadline=None)
-def test_random_schedule_payload_cross_wire(kind, params, alg):
-    instance = random_instance_on(kind, *params)
+def test_random_schedule_payload_cross_wire(kind, params, variant, alg):
+    instance = random_instance_on(kind, *params, **variant)
     payload = schedule_payload(get_scheduler(alg).schedule(instance),
                                instance, alg)
     decoded = wire.decode_payload(wire.encode_payload(payload))
@@ -212,6 +222,7 @@ def test_random_schedule_payload_cross_wire(kind, params, alg):
     expected = (json.dumps(payload), wire.encode_payload(payload))
     for copy in _both_wires(instance):
         assert copy.fingerprint() == instance.fingerprint()
+        assert copy.deadline == instance.deadline
         got = schedule_payload(get_scheduler(alg).schedule(copy), copy, alg)
         assert (json.dumps(got), wire.encode_payload(got)) == expected
 
