@@ -19,16 +19,23 @@ records the >= 5x measured on a quiet machine).
 from __future__ import annotations
 
 import json
+import sys
 import time
-from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
 
-from repro.bench import workloads as W
-from repro.schedulers.meta.decoder import compiled_decoder, decode_assignment, rank_order
-
 ROOT = Path(__file__).resolve().parent.parent
+if str(ROOT) not in sys.path:
+    # The object-path helper lives in the tests package; direct
+    # ``python benchmarks/bench_meta.py`` runs need the repo root.
+    sys.path.insert(0, str(ROOT))
+
+from repro.bench import workloads as W
+from repro.compiled import compile_instance
+from repro.schedulers.meta.decoder import decode_assignment, rank_order
+from tests.object_path import object_path
+
 OUT = ROOT / "BENCH_meta.json"
 
 #: (num_tasks, num_procs) per workload row; GA-default population size.
@@ -37,25 +44,9 @@ POP = 24
 ROUNDS = 6
 
 
-@contextmanager
-def _compiled_core_disabled():
-    """Force the pre-compiled-core GA/SA fitness path (object decodes)
-    while leaving the rest of the kernel layer untouched."""
-    import repro.schedulers.meta.annealing as A
-    import repro.schedulers.meta.genetic as G
-
-    saved = (G.compiled_decoder, A.compiled_decoder)
-    G.compiled_decoder = A.compiled_decoder = lambda instance: None
-    try:
-        yield
-    finally:
-        G.compiled_decoder, A.compiled_decoder = saved
-
-
 def _bench_decode(num_tasks: int, num_procs: int) -> dict:
     inst = W.random_instance(np.random.default_rng(17), num_tasks=num_tasks, num_procs=num_procs)
-    compiled = compiled_decoder(inst)
-    assert compiled is not None
+    compiled = compile_instance(inst)
     order = rank_order(inst)
     tasks = list(order)
     procs = inst.machine.proc_ids()
@@ -101,7 +92,7 @@ def _bench_end_to_end() -> dict:
         ("ga", lambda: GeneticScheduler(population=20, generations=20, seed=3)),
         ("sa", lambda: SimulatedAnnealingScheduler(iterations=600, seed=3)),
     ):
-        with _compiled_core_disabled():
+        with object_path():
             t0 = time.perf_counter()
             legacy = make().schedule(inst)
             legacy_s = time.perf_counter() - t0

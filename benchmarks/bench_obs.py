@@ -38,7 +38,6 @@ from repro.compiled import compile_instance
 from repro.obs import NULL_TRACER, Tracer, get_tracer, use_tracer
 from repro.schedule.schedule import Schedule
 from repro.schedulers.heft import HEFT
-from repro.schedulers.meta.decoder import compiled_decoder
 
 ROOT = Path(__file__).resolve().parent.parent
 OUT = ROOT / "BENCH_obs.json"
@@ -67,8 +66,7 @@ def _instance(seed: int = 17):
 
 def _bench_decode_overhead() -> dict:
     inst = _instance()
-    compiled = compiled_decoder(inst)
-    assert compiled is not None
+    compiled = compile_instance(inst)
     population = np.random.default_rng(23).integers(
         0, NUM_PROCS, size=(POP, NUM_TASKS)
     )

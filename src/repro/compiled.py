@@ -8,9 +8,9 @@ into flat arrays (:class:`CompiledInstance`, cached on
   as integer task indices,
 * a predecessor CSR (``pred_ptr``/``pred_idx``/``pred_cost``) whose
   per-edge entry is the edge's cost operand: the pair-independent
-  constant of the uniform/zero link models, or — on per-link machines —
-  the edge's data volume, priced per processor pair through the
-  machine's q×q latency and bandwidth tables,
+  constant of the uniform/zero link models, or — for every other
+  model — the edge's data volume, priced per processor pair through
+  the q×q latency and bandwidth tables the model's ``link()`` gives,
 * the dense ETC matrix in canonical (task, machine-proc) order.
 
 The passes walk those arrays with plain floats and per-processor
@@ -25,21 +25,21 @@ becomes a :class:`~repro.schedule.schedule.Schedule`, as columns
 The slot search is the *same* helper the object path's
 :meth:`~repro.schedule.timeline.Timeline.find_slot` delegates to
 (:func:`~repro.schedule.timeline.scan_slots`), and every arithmetic
-operation replays the object path's float sequence exactly, so results
-are bit-identical to the object path that custom communication models
-still take (``tests/core/test_compiled_executor.py`` and
+operation replays the object-level primitives' float sequence exactly
+(``eft_placement``, ``PlacementEngine.place``, ``refine_schedule``,
+``decode_assignment``), so results are bit-identical to them
+(``tests/core/test_compiled_executor.py`` and
 ``tests/core/test_compiled_decode.py`` assert it over the differential
-corpus).
+corpus, against the reference engine of ``tests/object_path.py``).
 
 Every fold that adds an edge cost adds either the uniform constant or
 ``lat[src][dst] + data / bw[src][dst]`` — the exact float
-:meth:`~repro.machine.comm.LinkCommunication.time` returns.  Which of
+:meth:`~repro.machine.comm.CommunicationModel.time` returns.  Which of
 the two a lowering uses is chosen once, in ``__init__``, as
 ``CompiledInstance._fold``: the list, DLS and improved passes fold
-ready times through it without testing the communication kind, and
-zero, uniform and per-link machines all lower.  Only a custom :class:`~repro.machine.comm.CommunicationModel` subclass makes
-:func:`compile_instance` return ``None``; callers then fall back to the
-object path.
+ready times through it without testing the communication kind.  Every
+communication model prices a transfer through ``link()``, so every
+instance lowers.
 """
 
 from __future__ import annotations
@@ -64,7 +64,6 @@ __all__ = [
     "CompiledInstance",
     "CompiledSchedule",
     "compile_instance",
-    "note_fallback",
     "reset_schedule_counters",
     "schedule_counters",
 ]
@@ -79,7 +78,9 @@ _TOL = 1e-9  # refinement acceptance / child-deadline tolerance
 # The compiled schedule executors are plain-int counted, traced or not:
 # the counts cost one dict update per schedule, so they stay on even
 # with the no-op tracer, and the service workers ship their deltas back
-# to the engine for ``/metrics``.
+# to the engine for ``/metrics``.  ``fallbacks`` always reads 0 now that
+# every instance lowers; it stays while the benchmark and ``/metrics``
+# still report it.
 _COUNTS = {
     "list_schedules": 0,
     "dls_schedules": 0,
@@ -98,11 +99,6 @@ def reset_schedule_counters() -> None:
     """Zero the compiled-executor counters (tests/benchmarks)."""
     for k in _COUNTS:
         _COUNTS[k] = 0
-
-
-def note_fallback() -> None:
-    """Record one object-path fallback (custom communication model)."""
-    _COUNTS["fallbacks"] += 1
 
 
 class CompiledSchedule:
@@ -145,11 +141,7 @@ class CompiledInstance:
 
     def __init__(self, kernel: "InstanceKernel") -> None:
         consts = kernel.out_const
-        link = kernel.link_tables() if consts is None else None
-        if consts is None and link is None:
-            raise SchedulingError(
-                "cannot compile an instance with a custom communication model"
-            )
+        link = kernel.link_tables()
         if consts is None:
             # Per-link: the cost operand of an edge is its data volume.
             consts = {
@@ -1233,14 +1225,12 @@ def _gap_bounds(
     return m, gap, prev
 
 
-def compile_instance(instance: "Instance") -> CompiledInstance | None:
-    """The cached compiled form of ``instance``, or ``None``.
+def compile_instance(instance: "Instance") -> CompiledInstance:
+    """The cached compiled form of ``instance``.
 
     Delegates to ``instance.kernel.compiled()`` — the lowering happens
     once per instance and is shared by every subsequent caller (the
     schedulers, the metaheuristics, the service workers, the online
-    simulator).  Zero, uniform and per-link machines lower; ``None``
-    only for a custom :class:`~repro.machine.comm.CommunicationModel`
-    subclass, whose callers fall back to the object path.
+    simulator).  Every instance lowers.
     """
     return instance.kernel.compiled()

@@ -3,9 +3,10 @@
 One full list-scheduling pass is run per configured rank variant, each
 pass using the lookahead/duplication placement engine, followed by the
 refinement post-pass; the best resulting schedule wins.  Passes run in
-the compiled executor (only the winner is raised into a real
-:class:`~repro.schedule.schedule.Schedule`); a custom communication
-model runs them over real schedules with the same span structure.  With
+the compiled executor, which replays :meth:`PlacementEngine.place` and
+:func:`~repro.core.refinement.refine_schedule` float for float; only
+the winner is raised into a real
+:class:`~repro.schedule.schedule.Schedule`.  With
 :meth:`ImprovedConfig.baseline_heft` the algorithm reduces exactly to
 HEFT, which the test suite asserts — the improvements are strict
 supersets, not a different algorithm.
@@ -15,11 +16,10 @@ from __future__ import annotations
 
 from repro.core.config import ImprovedConfig
 from repro.core.placement import PlacementEngine
-from repro.core.refinement import refine_schedule
 from repro.instance import Instance
 from repro.obs import get_tracer
 from repro.schedule.schedule import Schedule
-from repro.schedulers.base import Scheduler, compiled_for
+from repro.schedulers.base import Scheduler
 from repro.schedulers.ranking import upward_ranks
 
 
@@ -63,7 +63,7 @@ class ImprovedScheduler(Scheduler):
         best = None
         best_name = ""
         with tracer.span("sched.run", alg=self.name, tasks=instance.num_tasks) as run:
-            ci = compiled_for(instance)
+            ci = instance.kernel.compiled()
             for agg in variants:
                 with tracer.span("sched.rank", alg=self.name, agg=agg):
                     ranks = upward_ranks(instance, agg)
@@ -71,43 +71,24 @@ class ImprovedScheduler(Scheduler):
                 name = f"{self.name}({agg}):{instance.name}"
                 for kind, engine in engines:
                     with tracer.span("imp.pass", agg=agg, engine=kind):
-                        if ci is not None:
-                            with tracer.span("sched.place", alg=self.name, agg=agg):
-                                candidate = ci.schedule_improved(
-                                    ci.order_indices(order),
-                                    [ranks[t] for t in ci.tasks],
-                                    lookahead=engine.lookahead,
-                                    duplication=engine.duplication,
-                                    insertion=engine.insertion,
-                                    refinement=cfg.refinement,
-                                    refinement_rounds=cfg.refinement_rounds,
-                                )
-                        else:
-                            candidate = self._object_pass(instance, order, ranks, engine, name)
+                        with tracer.span("sched.place", alg=self.name, agg=agg):
+                            candidate = ci.schedule_improved(
+                                ci.order_indices(order),
+                                [ranks[t] for t in ci.tasks],
+                                lookahead=engine.lookahead,
+                                duplication=engine.duplication,
+                                insertion=engine.insertion,
+                                refinement=cfg.refinement,
+                                refinement_rounds=cfg.refinement_rounds,
+                            )
                     if tracer.enabled:
                         tracer.count("imp.passes")
                     if best is None or candidate.makespan < best.makespan - 1e-12:
                         best = candidate
                         best_name = name
             assert best is not None
-            if ci is not None:
-                # Only the winning compiled pass becomes a real Schedule.
-                best = ci.materialize(best, instance.machine, best_name)
+            # Only the winning pass becomes a real Schedule.
+            best = ci.materialize(best, instance.machine, best_name)
             if tracer.enabled:
                 run.set(makespan=best.makespan)
         return best
-
-    def _object_pass(
-        self, instance: Instance, order: list, ranks: dict, engine: PlacementEngine, name: str
-    ) -> Schedule:
-        """One pass over a real :class:`Schedule`: the engine places every
-        task in ``order``, then the refinement post-pass runs."""
-        tracer = get_tracer()
-        schedule = Schedule(instance.machine, name=name)
-        with tracer.span("sched.place", alg=self.name):
-            for task in order:
-                engine.place(schedule, instance, task, ranks)
-        if self.config.refinement:
-            with tracer.span("imp.refine"):
-                refine_schedule(schedule, instance, max_rounds=self.config.refinement_rounds)
-        return schedule

@@ -17,11 +17,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.exceptions import SchedulingError
 from repro.instance import Instance
 from repro.obs import get_tracer
 from repro.schedule.schedule import Schedule, ScheduledTask
-from repro.schedulers.base import Placement, compiled_for, placement_on, ready_time
+from repro.schedulers.base import Placement, placement_on, ready_time
 from repro.schedulers.ranking import RankAggregation, upward_ranks
 from repro.types import ProcId, TaskId
 
@@ -246,30 +245,20 @@ class PlacementEngine:
         and DUP-HEFT.
 
         Runs as one compiled improved pass without refinement, which
-        replays :meth:`place` float for float; only a custom
-        communication model loops :meth:`place` over a real
-        :class:`Schedule`.
+        replays :meth:`place` float for float.
         """
         ranks = upward_ranks(instance, agg)
-        name = f"{label}:{instance.name}"
-        ci = compiled_for(instance)
+        ci = instance.kernel.compiled()
         pos = instance.kernel.pos
         order = sorted(instance.dag.tasks(), key=lambda t: (-ranks[t], pos[t]))
-        if ci is not None:
-            result = ci.schedule_improved(
-                ci.order_indices(order),
-                [ranks[t] for t in ci.tasks],
-                lookahead=self.lookahead,
-                duplication=self.duplication,
-                insertion=self.insertion,
-                refinement=False,
-                refinement_rounds=0,
-                max_duplications_per_task=self.max_duplications_per_task,
-            )
-            return ci.materialize(result, instance.machine, name)
-        schedule = Schedule(instance.machine, name=name)
-        for task in order:
-            self.place(schedule, instance, task, ranks)
-        if len(schedule) != instance.num_tasks:
-            raise SchedulingError(f"{label} scheduled {len(schedule)}/{instance.num_tasks}")
-        return schedule
+        result = ci.schedule_improved(
+            ci.order_indices(order),
+            [ranks[t] for t in ci.tasks],
+            lookahead=self.lookahead,
+            duplication=self.duplication,
+            insertion=self.insertion,
+            refinement=False,
+            refinement_rounds=0,
+            max_duplications_per_task=self.max_duplications_per_task,
+        )
+        return ci.materialize(result, instance.machine, f"{label}:{instance.name}")

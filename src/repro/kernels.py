@@ -8,17 +8,18 @@ every cost query the schedulers make:
 
 * memoized successor/predecessor lists, per-edge data volumes, average
   communication costs, per-pair communication constants (for the
-  uniform/zero link models every experiment uses) and a dense ETC array
-  in canonical (machine) processor order;
+  uniform/zero link models every experiment uses), the q×q
+  ``link()`` tables of every other model, and a dense ETC array in
+  canonical (machine) processor order;
 * per-task rank weights read from the ETC matrix's cached row
   aggregates, and the upward/downward rank recurrences — one scalar
   pass over the memoized adjacency, cached per aggregation so HEFT,
   CPOP and the improved scheduler's rank-variant search never recompute
   a rank for the same instance;
 * the compiled flat-array lowering (:meth:`InstanceKernel.compiled`),
-  which runs every production scheduler;
-* :meth:`InstanceKernel.ready_times`, the object path's all-processor
-  data-ready vector for any communication model.
+  which every instance has and every production scheduler runs on;
+* :meth:`InstanceKernel.ready_times`, the all-processor data-ready
+  vector of the object-level placement primitives.
 
 The rank recurrences replay the ``*_scalar`` specifications in
 :mod:`repro.schedulers.ranking` exactly — same weights, same additions
@@ -38,11 +39,7 @@ from repro.exceptions import (
     UnknownProcessorError,
     UnknownTaskError,
 )
-from repro.machine.comm import (
-    LinkCommunication,
-    UniformCommunication,
-    ZeroCommunication,
-)
+from repro.machine.comm import UniformCommunication, ZeroCommunication
 from repro.obs import get_tracer
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -73,7 +70,12 @@ class InstanceKernel:
         self.ti: dict["TaskId", int] = {t: i for i, t in enumerate(self.tasks)}
         self.procs: list["ProcId"] = machine.proc_ids()
         self.pi: dict["ProcId", int] = {p: j for j, p in enumerate(self.procs)}
-        self._etc = etc
+        #: The instance's own parts, shared: enough to rebuild an
+        #: equivalent instance from the kernel alone (the differential
+        #: tests' object-level reference engine does).
+        self.dag = dag
+        self.machine = machine
+        self.etc = etc
         self._comm = machine.comm
 
         # Dense ETC in canonical (task insertion, machine proc) order.
@@ -110,9 +112,8 @@ class InstanceKernel:
         # Per-pair constants: with the uniform (or zero) link model the
         # cost of an edge is one constant for every distinct pair — the
         # exact float the model itself would return.  ``None`` for
-        # every other model: the object path then asks the model itself
-        # (the compiled lowering prices per-link machines through
-        # :meth:`link_tables`).
+        # every other model, which is priced per pair through
+        # :meth:`link_tables`.
         self.out_const: dict["TaskId", dict["TaskId", float]] | None
         if isinstance(self._comm, ZeroCommunication):
             self.out_const = {u: {v: 0.0 for v in row} for u, row in self.edge_data.items()}
@@ -138,9 +139,8 @@ class InstanceKernel:
         self._downward: dict[str, dict["TaskId", float]] = {}
         self._rank_order: dict[str, list["TaskId"]] = {}
         self._exec: dict["TaskId", dict["ProcId", float]] | None = None
-        self._csr: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray | None] | None = None
+        self._csr: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray] | None = None
         self._compiled: object | None = None
-        self._compiled_built = False
         self._links = self._link_tables()
 
     # ------------------------------------------------------------------
@@ -205,7 +205,7 @@ class InstanceKernel:
         """
         cached = self._weights.get(agg)
         if cached is None:
-            etc = self._etc
+            etc = self.etc
             cached = dict(zip(etc.task_ids, etc.row_aggregate(agg)))  # validates ``agg``
             self._weights[agg] = cached
         return cached
@@ -269,55 +269,51 @@ class InstanceKernel:
     # ------------------------------------------------------------------
     # compiled flat-array form
     # ------------------------------------------------------------------
-    def pred_csr(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray | None]:
+    def pred_csr(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Predecessor lists in CSR form over canonical task indices.
 
         ``ptr`` holds ``n + 1`` offsets into the per-edge arrays:
         ``child`` and ``parent`` (each task's parents in :attr:`pred`
         order) and ``operand``, each edge's cost operand — the
-        uniform/zero constant of :attr:`out_const`, the data volume on a
-        per-link machine (priced through :meth:`link_tables`), ``None``
-        for a custom model.  Built once, read-only.
+        uniform/zero constant of :attr:`out_const`, or the data volume,
+        priced per pair through :meth:`link_tables`.  Built once,
+        read-only.
         """
         csr = self._csr
         if csr is None:
             ti = self.ti
-            consts = self.out_const
-            if consts is None and self._links is not None:
-                consts = self.edge_data
+            consts = self.out_const if self.out_const is not None else self.edge_data
             ptr = [0]
             parent: list[int] = []
             for t in self.tasks:
                 parent.extend(ti[u] for u in self.pred[t])
                 ptr.append(len(parent))
-            operand = None
-            if consts is not None:
-                operand = np.array(
-                    [float(consts[u][t]) for t in self.tasks for u in self.pred[t]], dtype=float
-                )
+            operand = np.array(
+                [float(consts[u][t]) for t in self.tasks for u in self.pred[t]], dtype=float
+            )
             ptr_arr = np.array(ptr, dtype=np.intp)
             child = np.arange(len(self.tasks), dtype=np.intp).repeat(np.diff(ptr_arr))
             csr = self._csr = (ptr_arr, child, np.array(parent, dtype=np.intp), operand)
             for arr in csr:
-                if arr is not None:
-                    arr.flags.writeable = False
+                arr.flags.writeable = False
         return csr
 
     def link_tables(self) -> tuple[list[list[float]], list[list[float]]] | None:
-        """Per-pair ``(latency, bandwidth)`` tables of a per-link machine.
+        """Per-pair ``(latency, bandwidth)`` tables of the machine.
 
-        ``lat[i][j]``/``bw[i][j]`` are the stored floats of the link
-        ``procs[i] -> procs[j]`` in canonical processor order (the
-        diagonal is never read), so ``lat + data / bw`` is the exact
-        float :meth:`LinkCommunication.time` returns.  ``None`` for any
-        other communication model.  Built with the kernel; shared.
+        ``lat[i][j]``/``bw[i][j]`` are the floats ``link(procs[i],
+        procs[j])`` returns, in canonical processor order (the diagonal
+        is never read), so ``lat + data / bw`` is the exact float
+        :meth:`CommunicationModel.time` returns.  ``None`` on zero and
+        uniform machines, whose :attr:`out_const` already prices every
+        edge.  Built with the kernel; shared.
         """
         return self._links
 
     def _link_tables(self) -> tuple[list[list[float]], list[list[float]]] | None:
-        comm = self._comm
-        if not isinstance(comm, LinkCommunication):
+        if self.out_const is not None:
             return None
+        comm = self._comm
         q = len(self.procs)
         lat = [[0.0] * q for _ in range(q)]
         bw = [[1.0] * q for _ in range(q)]
@@ -328,26 +324,19 @@ class InstanceKernel:
         return lat, bw
 
     def compiled(self):
-        """The :class:`~repro.compiled.CompiledInstance` lowering, or
-        ``None`` for a custom communication model (neither the
-        uniform/zero constant nor per-link tables describe it; callers
-        fall back to the object path).
+        """The :class:`~repro.compiled.CompiledInstance` lowering.
 
+        Every instance lowers: zero and uniform machines through
+        :attr:`out_const`, every other model through :meth:`link_tables`.
         Built once and shared — the service workers key their instance
         memo by fingerprint precisely so repeat requests reuse this.
         """
         tracer = get_tracer()
-        if not self._compiled_built:
-            if self.out_const is None and not isinstance(self._comm, LinkCommunication):
-                self._compiled = None
-            else:
-                from repro.compiled import CompiledInstance  # lazy: avoids cycle
+        if self._compiled is None:
+            from repro.compiled import CompiledInstance  # lazy: avoids cycle
 
-                with tracer.span(
-                    "compiled.lower", tasks=len(self.tasks), procs=len(self.procs)
-                ):
-                    self._compiled = CompiledInstance(self)
-            self._compiled_built = True
+            with tracer.span("compiled.lower", tasks=len(self.tasks), procs=len(self.procs)):
+                self._compiled = CompiledInstance(self)
             if tracer.enabled:
                 tracer.count("kernel.compiled_build")
         elif tracer.enabled:

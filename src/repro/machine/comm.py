@@ -6,7 +6,12 @@ cost of sending ``data`` units from processor ``p`` to processor ``q`` is
     ``time = startup_latency(p, q) + data / bandwidth(p, q)``
 
 and is zero when ``p == q`` (a child co-located with its parent reads the
-data from local memory).  Topology builders in
+data from local memory).  That affine per-link cost is the contract:
+every model implements :meth:`CommunicationModel.link`, the
+``(latency, bandwidth)`` of one ordered pair, and inherits
+:meth:`~CommunicationModel.time` from it, so a custom model defines
+``link()`` and ``average_time()`` and lowers into the compiled engine
+like the built-in ones.  Topology builders in
 :mod:`repro.machine.topology` precompute effective per-pair latency and
 bandwidth over multi-hop routes, so every topology reduces to
 :class:`LinkCommunication` at scheduling time.
@@ -26,11 +31,18 @@ class CommunicationModel(ABC):
     """Abstract per-pair communication-cost model."""
 
     @abstractmethod
-    def time(self, data: float, src: ProcId, dst: ProcId) -> float:
-        """Transfer time of ``data`` units from ``src`` to ``dst``.
+    def link(self, src: ProcId, dst: ProcId) -> tuple[float, float]:
+        """``(latency, bandwidth)`` of the ``src -> dst`` link (distinct
+        processors; the diagonal is never asked for)."""
 
-        Must return 0.0 when ``src == dst``.
-        """
+    def time(self, data: float, src: ProcId, dst: ProcId) -> float:
+        """Transfer time of ``data`` units from ``src`` to ``dst``:
+        0.0 when ``src == dst``, else ``latency + data / bandwidth``."""
+        data = self.validate_pair(data)
+        if src == dst:
+            return 0.0
+        lat, bw = self.link(src, dst)
+        return lat + data / bw
 
     @abstractmethod
     def average_time(self, data: float) -> float:
@@ -54,7 +66,11 @@ class ZeroCommunication(CommunicationModel):
     limit in sweeps.
     """
 
+    def link(self, src: ProcId, dst: ProcId) -> tuple[float, float]:
+        return 0.0, math.inf
+
     def time(self, data: float, src: ProcId, dst: ProcId) -> float:
+        # Not ``0.0 + data / inf``: an infinite volume would read NaN.
         self.validate_pair(data)
         return 0.0
 
@@ -85,11 +101,8 @@ class UniformCommunication(CommunicationModel):
         self.latency = float(latency)
         self.bandwidth = float(bandwidth)
 
-    def time(self, data: float, src: ProcId, dst: ProcId) -> float:
-        data = self.validate_pair(data)
-        if src == dst:
-            return 0.0
-        return self.latency + data / self.bandwidth
+    def link(self, src: ProcId, dst: ProcId) -> tuple[float, float]:
+        return self.latency, self.bandwidth
 
     def average_time(self, data: float) -> float:
         data = self.validate_pair(data)
@@ -141,15 +154,6 @@ class LinkCommunication(CommunicationModel):
         inv_bw = sum(1.0 / v for row in self._bw.values() for v in row.values()) / pairs
         self._avg_inv_bw = inv_bw
 
-    def time(self, data: float, src: ProcId, dst: ProcId) -> float:
-        data = self.validate_pair(data)
-        if src == dst:
-            return 0.0
-        try:
-            return self._lat[src][dst] + data / self._bw[src][dst]
-        except KeyError:
-            raise MachineError(f"unknown link {src!r} -> {dst!r}") from None
-
     def average_time(self, data: float) -> float:
         data = self.validate_pair(data)
         return self._avg_lat + data * self._avg_inv_bw
@@ -157,10 +161,10 @@ class LinkCommunication(CommunicationModel):
     def link(self, src: ProcId, dst: ProcId) -> tuple[float, float]:
         """The stored ``(latency, bandwidth)`` of the ``src -> dst`` link.
 
-        The floats are returned verbatim, so ``lat + data / bw`` replays
-        :meth:`time` bit for bit; encoders and the compiled lowering read
-        the tables through this rather than re-deriving them from
-        :meth:`time`, which loses the last ulp of the bandwidth.
+        The floats are returned verbatim; encoders and the compiled
+        lowering read the tables through this rather than re-deriving
+        them from :meth:`time`, which loses the last ulp of the
+        bandwidth.
         """
         try:
             return self._lat[src][dst], self._bw[src][dst]

@@ -45,10 +45,10 @@ def violations(schedule: Schedule, instance: Instance) -> list[str]:
     in row order, primary first, as :meth:`Schedule.copies` lists them —
     from the kernel's ETC array, predecessor CSR and communication
     tables, with the floats :meth:`InstanceKernel.comm_time` returns.  A
-    custom model, or a row on a processor the instance's machine lacks,
-    is priced through ``comm_time`` itself (which raises for the unknown
-    processor).  Ids are looked up in the instance's own tables, so a
-    schedule built on another instance is checked against this one.
+    row on a processor the instance's machine lacks is priced through
+    ``comm_time`` itself (which raises for the unknown processor).  Ids
+    are looked up in the instance's own tables, so a schedule built on
+    another instance is checked against this one.
     Messages come in the order of the rules, then processors, rows,
     children, child copies and parents.
     """
@@ -136,7 +136,7 @@ def violations(schedule: Schedule, instance: Instance) -> list[str]:
         cand_row = rows[_ranges((count.cumsum() - count)[pair_parent], ncand)]
         cand_start = ncand.cumsum() - ncand
     dst_row = pair_row[cand_pair]
-    if operand is not None and (pix >= 0).all():
+    if (pix >= 0).all():
         src, dst = pix[cand_row], pix[dst_row]
         cost = operand[pair_edge[cand_pair]]
         links = kernel.link_tables()

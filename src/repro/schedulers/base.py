@@ -232,35 +232,22 @@ def topological_by_priority(dag, key) -> list[TaskId]:
     return out
 
 
-def compiled_for(instance: Instance):
-    """The instance's compiled executor, or ``None`` for a custom
-    communication model.
-
-    Zero, uniform and per-link machines all lower, traced or not; a
-    ``None`` from :func:`~repro.compiled.compile_instance` is recorded
-    as an object-path fallback for the service counters.
-    """
-    from repro import compiled as compiled_mod
-
-    ci = compiled_mod.compile_instance(instance)
-    if ci is None:
-        compiled_mod.note_fallback()
-    return ci
-
-
 class ListScheduler(Scheduler):
     """Template for static-priority list schedulers.
 
     Subclasses provide :meth:`priority_order` (a full topological-
     compatible task order) and optionally override :meth:`place` (the
-    default is insertion-based EFT).
+    default is EFT, or EST under the ``"est"`` policy).  A scheduler
+    with a :attr:`compiled_policy` and the default :meth:`place` runs
+    its list pass in the compiled executor; any other places each task
+    through :meth:`place` over a real :class:`Schedule`.
     """
 
     #: Whether the placement phase may use idle-gap insertion.
     insertion: bool = True
 
     #: Placement policy of the compiled executor ("eft"/"est"); ``None``
-    #: keeps the scheduler on the object path (custom ``place``
+    #: keeps the scheduler on the object loop (custom ``place``
     #: overrides the template cannot express in flat form).
     compiled_policy: str | None = None
 
@@ -270,7 +257,8 @@ class ListScheduler(Scheduler):
 
     def place(self, schedule: Schedule, instance: Instance, task: TaskId) -> Placement:
         """Choose a processor and start time for ``task``."""
-        return eft_placement(schedule, instance, task, insertion=self.insertion)
+        place = est_placement if self.compiled_policy == "est" else eft_placement
+        return place(schedule, instance, task, insertion=self.insertion)
 
     def schedule(self, instance: Instance) -> Schedule:
         tracer = get_tracer()
@@ -283,9 +271,12 @@ class ListScheduler(Scheduler):
                     f"{self.name}: priority order covers {len(order)} tasks, "
                     f"instance has {instance.num_tasks}"
                 )
-            ci = compiled_for(instance) if self.compiled_policy is not None else None
+            compiled = (
+                self.compiled_policy is not None and type(self).place is ListScheduler.place
+            )
             with tracer.span("sched.place", alg=self.name):
-                if ci is not None:
+                if compiled:
+                    ci = instance.kernel.compiled()
                     result = ci.schedule_list(
                         ci.order_indices(order),
                         insertion=self.insertion,

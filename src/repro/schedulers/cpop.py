@@ -19,12 +19,7 @@ from repro.exceptions import SchedulingError
 from repro.instance import Instance
 from repro.obs import get_tracer
 from repro.schedule.schedule import Schedule
-from repro.schedulers.base import (
-    Scheduler,
-    compiled_for,
-    eft_placement,
-    placement_on,
-)
+from repro.schedulers.base import Scheduler
 from repro.schedulers.ranking import (
     RankAggregation,
     critical_path_tasks,
@@ -58,13 +53,6 @@ class CPOP(Scheduler):
         if best_proc is None:
             raise SchedulingError("machine has no processors")
         return best_proc
-
-    def _place_one(self, schedule: Schedule, instance: Instance, task, cp_set, cp_proc):
-        if task in cp_set:
-            placed = placement_on(schedule, instance, task, cp_proc, insertion=True)
-        else:
-            placed = eft_placement(schedule, instance, task, insertion=True)
-        schedule.add(task, placed.proc, placed.start, placed.end - placed.start)
 
     def schedule(self, instance: Instance) -> Schedule:
         tracer = get_tracer()
@@ -102,23 +90,17 @@ class CPOP(Scheduler):
                     f"CPOP scheduled {len(order)}/{instance.num_tasks} tasks"
                 )
 
-            ci = compiled_for(instance)
+            ci = instance.kernel.compiled()
             name = f"{self.name}:{instance.name}"
             with tracer.span("sched.place", alg=self.name):
-                if ci is not None:
-                    pi = instance.kernel.pi
-                    cp_j = pi[cp_proc] if cp_proc is not None else -1
-                    result = ci.schedule_list(
-                        ci.order_indices(order),
-                        insertion=True,
-                        policy="eft",
-                        pinned=[cp_j if t in cp_set else -1 for t in ci.tasks],
-                    )
-                    schedule = ci.materialize(result, instance.machine, name)
-                else:
-                    schedule = Schedule(instance.machine, name=name)
-                    for task in order:
-                        self._place_one(schedule, instance, task, cp_set, cp_proc)
+                cp_j = instance.kernel.pi[cp_proc] if cp_proc is not None else -1
+                result = ci.schedule_list(
+                    ci.order_indices(order),
+                    insertion=True,
+                    policy="eft",
+                    pinned=[cp_j if t in cp_set else -1 for t in ci.tasks],
+                )
+                schedule = ci.materialize(result, instance.machine, name)
             if tracer.enabled:
                 tracer.count("sched.tasks_placed", len(order))
                 run.set(makespan=schedule.makespan)

@@ -9,8 +9,7 @@ idle-gap insertion.
 from __future__ import annotations
 
 from repro.instance import Instance
-from repro.schedule.schedule import Schedule
-from repro.schedulers.base import ListScheduler, Placement, est_placement
+from repro.schedulers.base import ListScheduler
 from repro.schedulers.ranking import machine_static_levels
 from repro.types import TaskId
 
@@ -28,6 +27,3 @@ class HLFET(ListScheduler):
         # Static level strictly decreases along edges with positive
         # weights; the positional tie-break covers zero-cost chains.
         return sorted(instance.dag.tasks(), key=lambda t: (-sl[t], pos[t]))
-
-    def place(self, schedule: Schedule, instance: Instance, task: TaskId) -> Placement:
-        return est_placement(schedule, instance, task, insertion=False)

@@ -13,13 +13,7 @@ costs, which is the conventional adaptation.
 from __future__ import annotations
 
 from repro.instance import Instance
-from repro.schedulers.base import (
-    ListScheduler,
-    Placement,
-    est_placement,
-    topological_by_priority,
-)
-from repro.schedule.schedule import Schedule
+from repro.schedulers.base import ListScheduler, topological_by_priority
 from repro.schedulers.ranking import alap_times
 from repro.types import TaskId
 
@@ -44,6 +38,3 @@ class MCP(ListScheduler):
         # zero-communication chains can tie or invert; the priority-driven
         # Kahn pass keeps the order legal in those corners too.
         return topological_by_priority(dag, key)
-
-    def place(self, schedule: Schedule, instance: Instance, task: TaskId) -> Placement:
-        return est_placement(schedule, instance, task, insertion=True)

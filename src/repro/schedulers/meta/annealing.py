@@ -9,7 +9,7 @@ from repro.instance import Instance
 from repro.schedule.schedule import Schedule
 from repro.schedulers.base import Scheduler
 from repro.schedulers.heft import HEFT
-from repro.schedulers.meta.decoder import compiled_decoder, decode_assignment, rank_order
+from repro.schedulers.meta.decoder import decode_assignment, rank_order
 from repro.utils.rng import SeedLike, as_generator
 
 
@@ -65,11 +65,11 @@ class SimulatedAnnealingScheduler(Scheduler):
         if len(procs) == 1 or not tasks:
             return seed_schedule
 
-        # Neighbour evaluation runs on the compiled flat-array core when
-        # available (bit-identical spans, so acceptance decisions — and
-        # therefore the whole walk — are unchanged); the genome mirrors
+        # Neighbour evaluation runs on the compiled flat-array core
+        # (bit-identical spans, so acceptance decisions — and therefore
+        # the whole walk — are the object decoder's); the genome mirrors
         # ``current`` in decode order.
-        compiled = compiled_decoder(instance)
+        compiled = instance.kernel.compiled()
         slot_of = {t: k for k, t in enumerate(order)}
         proc_index = {p: j for j, p in enumerate(procs)}
         genome = [proc_index[current[t]] for t in order]
@@ -81,11 +81,8 @@ class SimulatedAnnealingScheduler(Scheduler):
             alternatives = [p for p in procs if p != old_proc]
             new_proc = alternatives[int(rng.integers(0, len(alternatives)))]
             current[task] = new_proc
-            if compiled is not None:
-                genome[slot_of[task]] = proc_index[new_proc]
-                span = compiled.decode_span(genome)
-            else:
-                span = decode_assignment(instance, current, order).makespan
+            genome[slot_of[task]] = proc_index[new_proc]
+            span = compiled.decode_span(genome)
             delta = span - current_span
             if delta <= 0 or rng.random() < math.exp(-delta / max(temp, 1e-12)):
                 current_span = span
@@ -94,8 +91,7 @@ class SimulatedAnnealingScheduler(Scheduler):
                     best = dict(current)
             else:
                 current[task] = old_proc
-                if compiled is not None:
-                    genome[slot_of[task]] = proc_index[old_proc]
+                genome[slot_of[task]] = proc_index[old_proc]
             temp *= self.cooling
 
         result = decode_assignment(

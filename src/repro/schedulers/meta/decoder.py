@@ -5,16 +5,13 @@ tasks in decreasing upward-rank order, each on its assigned processor at
 the earliest insertion slot — the same substrate as every list
 scheduler, so search quality differences are purely about assignments.
 
-Two decode paths produce bit-identical schedules:
-
-* :func:`decode_assignment` — the object path, building a real
-  :class:`~repro.schedule.schedule.Schedule` (the specification, and
-  what callers use to materialise the final winner);
-* :func:`compiled_decoder` — the flat-array
-  :class:`~repro.compiled.CompiledInstance` used for fitness
-  evaluation in the GA/SA inner loops on zero, uniform and per-link
-  machines (``None`` when the machine uses a custom communication
-  model).
+:func:`decode_assignment` builds a real
+:class:`~repro.schedule.schedule.Schedule` (the specification, and what
+callers use to materialise the final winner); the GA/SA inner loops
+evaluate fitness through the compiled flat-array decoder
+(:meth:`~repro.compiled.CompiledInstance.decode_batch` /
+:meth:`~repro.compiled.CompiledInstance.decode_span`), whose makespans
+are bit-identical to it.
 """
 
 from __future__ import annotations
@@ -36,14 +33,6 @@ def rank_order(instance: Instance) -> list[TaskId]:
     return list(instance.kernel.rank_order("mean"))
 
 
-def compiled_decoder(instance: Instance):
-    """The instance's :class:`~repro.compiled.CompiledInstance`, or
-    ``None`` when the machine's communication model is a custom one the
-    lowering cannot price.
-    """
-    return instance.kernel.compiled()
-
-
 def decode_assignment(
     instance: Instance,
     assignment: Mapping[TaskId, ProcId],
@@ -54,7 +43,7 @@ def decode_assignment(
 
     ``order`` defaults to the rank order; callers running many decodes
     should precompute it once via :func:`rank_order` (or decode through
-    :func:`compiled_decoder`, which is makespan-bit-identical).
+    the compiled decoder, which is makespan-bit-identical).
     """
     if order is None:
         order = rank_order(instance)

@@ -9,7 +9,7 @@ from repro.instance import Instance
 from repro.schedule.schedule import Schedule
 from repro.schedulers.base import Scheduler
 from repro.schedulers.heft import HEFT
-from repro.schedulers.meta.decoder import compiled_decoder, decode_assignment, rank_order
+from repro.schedulers.meta.decoder import decode_assignment, rank_order
 from repro.utils.rng import SeedLike, as_generator
 
 
@@ -64,19 +64,11 @@ class GeneticScheduler(Scheduler):
         def genome_to_assignment(genome: np.ndarray) -> dict:
             return {t: procs[int(g)] for t, g in zip(tasks, genome)}
 
-        # Fitness goes through the compiled flat-array core when the
-        # instance supports it (bit-identical makespans, so the search
-        # trajectory is unchanged); only the final winner is ever
-        # materialised as a real Schedule.
-        compiled = compiled_decoder(instance)
-
-        def fitness(genome: np.ndarray) -> float:
-            return decode_assignment(instance, genome_to_assignment(genome), order).makespan
-
-        def evaluate(population: list[np.ndarray]) -> np.ndarray:
-            if compiled is not None:
-                return compiled.decode_batch(np.stack(population))
-            return np.array([fitness(g) for g in population])
+        # Fitness goes through the compiled flat-array core
+        # (bit-identical makespans, so the search trajectory is the
+        # object decoder's); only the final winner is ever materialised
+        # as a real Schedule.
+        compiled = instance.kernel.compiled()
 
         heft_genome = np.array(
             [proc_index[seed_schedule.proc_of(t)] for t in tasks], dtype=np.int64
@@ -84,7 +76,7 @@ class GeneticScheduler(Scheduler):
         pop = [heft_genome.copy()]
         while len(pop) < self.population:
             pop.append(rng.integers(0, q, size=n))
-        spans = evaluate(pop)
+        spans = compiled.decode_batch(np.stack(pop))
 
         for _ in range(self.generations):
             ranked = np.argsort(spans, kind="stable")
@@ -104,7 +96,7 @@ class GeneticScheduler(Scheduler):
                     child[mutate] = rng.integers(0, q, size=int(mutate.sum()))
                 new_pop.append(child)
             pop = new_pop
-            spans = evaluate(pop)
+            spans = compiled.decode_batch(np.stack(pop))
 
         best = pop[int(np.argmin(spans))]
         result = decode_assignment(

@@ -7,8 +7,8 @@ from a small template catalogue — arrive over time
 already carry residual load (:mod:`repro.sim.cluster`).  Each arrival is
 placed by a static list scheduler from the registry, running against the
 pre-occupied timelines through the compiled core
-(:meth:`~repro.compiled.CompiledInstance.schedule_onto`), on zero,
-uniform and per-link interconnects alike.
+(:meth:`~repro.compiled.CompiledInstance.schedule_onto`), on every
+interconnect.
 
 Two design points carry the performance story:
 
@@ -85,13 +85,7 @@ class _TemplateState:
                 f"{alg.name}: priority order covers {len(self.order_ids)} tasks, "
                 f"template {name!r} has {instance.num_tasks}"
             )
-        ci = instance.kernel.compiled()
-        if ci is None:
-            raise ConfigurationError(
-                f"template {name!r}: its machine's communication model does "
-                f"not lower to the compiled form"
-            )
-        self.ci = ci
+        self.ci = ci = instance.kernel.compiled()
         self.order_idx = ci.order_indices(self.order_ids)
         #: canonical index per task id (noise factors are indexed by this)
         self.ti = instance.kernel.ti
@@ -249,9 +243,10 @@ class OnlineScheduler:
         if not (noise_cv >= 0.0):
             raise ConfigurationError(f"noise_cv must be >= 0, got {noise_cv!r}")
         self.alg = get_scheduler(alg)
-        if not isinstance(self.alg, ListScheduler) or self.alg.compiled_policy not in (
-            "eft",
-            "est",
+        if (
+            not isinstance(self.alg, ListScheduler)
+            or self.alg.compiled_policy not in ("eft", "est")
+            or type(self.alg).place is not ListScheduler.place
         ):
             raise ConfigurationError(
                 f"online scheduling needs a list scheduler with an eft/est "

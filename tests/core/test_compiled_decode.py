@@ -7,7 +7,7 @@ checks that :class:`repro.compiled.CompiledInstance` reproduces it
 *bit-identically* — makespans, starts and processors — for HEFT-derived,
 random and degenerate assignments, that ``decode_batch`` equals
 per-genome decodes, and that the GA/SA schedulers are unchanged with the
-compiled core on vs off (the object path through the test-side
+compiled core on vs off (the object decoder through the test-side
 ``tests/object_path.py`` helper).
 """
 
@@ -27,8 +27,8 @@ from repro.schedule.schedule import Schedule
 from repro.schedule.validation import validate
 from repro.schedulers.heft import HEFT
 from repro.schedulers.meta import GeneticScheduler, SimulatedAnnealingScheduler
-from repro.schedulers.meta.decoder import compiled_decoder, decode_assignment, rank_order
-from tests.object_path import object_path
+from repro.schedulers.meta.decoder import decode_assignment, rank_order
+from tests.object_path import ObjectEngine, object_path
 from tests.population import OpaqueCommunication, build_population
 
 
@@ -175,34 +175,42 @@ def _instance_on(comm, seed: int = 0) -> Instance:
     return Instance(dag=dag, machine=machine, etc=etc)
 
 
-def test_per_link_models_compile_and_custom_models_fall_back():
+def test_per_link_and_custom_models_compile():
+    """Per-link machines and a custom model that defines only ``link()``
+    lower; the metaheuristics decode through the compiled core and stay
+    identical to the object decoder, and a custom model's decodes equal
+    ``decode_assignment``."""
     ids = [0, 1, 2]
     lat = {p: {q: 0.1 * (1 + (p + q) % 3) for q in ids if q != p} for p in ids}
     bw = {p: {q: 1.0 + ((p * 7 + q) % 5) for q in ids if q != p} for p in ids}
-    inst = _instance_on(LinkCommunication(ids, lat, bw))
-    assert compile_instance(inst) is not None
-    assert compiled_decoder(inst) is compile_instance(inst)
-    # The metaheuristics decode through the compiled core and stay
-    # identical to the object path.
-    fast = GeneticScheduler(population=8, generations=3, seed=5).schedule(inst)
-    with object_path():
-        legacy = GeneticScheduler(population=8, generations=3, seed=5).schedule(inst)
-    assert fast.makespan == legacy.makespan
-
-    # A custom model decodes on the object path, deterministically.
-    custom = _instance_on(OpaqueCommunication())
-    assert compile_instance(custom) is None
-    assert compiled_decoder(custom) is None
-    first = GeneticScheduler(population=8, generations=3, seed=5).schedule(custom)
-    again = GeneticScheduler(population=8, generations=3, seed=5).schedule(custom)
-    validate(first, custom)
-    assert first.makespan == again.makespan
+    for comm in (LinkCommunication(ids, lat, bw), OpaqueCommunication()):
+        inst = _instance_on(comm)
+        compiled = compile_instance(inst)
+        assert isinstance(compiled, CompiledInstance)
+        fast = GeneticScheduler(population=8, generations=3, seed=5).schedule(inst)
+        with object_path():
+            legacy = GeneticScheduler(population=8, generations=3, seed=5).schedule(inst)
+        validate(fast, inst)
+        assert fast.makespan == legacy.makespan
+        order = rank_order(inst)
+        for genome in _assignments(inst, compiled, trials=4, seed=3):
+            schedule = decode_assignment(inst, compiled.assignment_of(genome), order)
+            assert compiled.decode_span(list(genome)) == schedule.makespan
 
 
 def test_compiled_decoder_off_on_object_path():
+    """Inside ``object_path()`` the kernel hands out the object-level
+    reference engine, whose decodes are ``decode_assignment``'s; outside
+    it, the cached compiled decoder."""
     from repro.bench import workloads as W
 
     inst = W.random_instance(np.random.default_rng(4), num_tasks=8, num_procs=2)
+    compiled = compile_instance(inst)
+    genome = [0, 1] * 4
     with object_path():
-        assert compiled_decoder(inst) is None
-    assert compiled_decoder(inst) is not None
+        engine = inst.kernel.compiled()
+        assert isinstance(engine, ObjectEngine)
+        reference = decode_assignment(inst, engine.assignment_of(genome), rank_order(inst))
+        assert engine.decode_span(genome) == reference.makespan
+    assert inst.kernel.compiled() is compiled
+    assert compiled.decode_span(genome) == reference.makespan

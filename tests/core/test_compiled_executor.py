@@ -6,11 +6,10 @@ path (``CompiledInstance.schedule_list`` / ``schedule_dls`` /
 :class:`~repro.schedule.schedule.Schedule` is the specification; this
 suite asserts the compiled executor reproduces it *bit for bit* — full
 JSON payloads, not just makespans — across the seeded differential
-population (uniform and per-link machines), and that the routing layer
-falls back to the object path exactly when it must: only a custom
-communication model does, and tracing never changes the route.  The
-object path is reached through the test-side ``tests/object_path.py``
-helper.
+population (uniform and per-link machines) and on a custom model that
+defines only ``link()``, and that every instance routes through the
+executor, traced or not.  The reference engine is reached through the
+test-side ``tests/object_path.py`` helper.
 """
 
 from __future__ import annotations
@@ -20,7 +19,7 @@ import json
 import pytest
 
 from repro import compiled
-from repro.compiled import compile_instance
+from repro.compiled import CompiledInstance, compile_instance
 from repro.dag.generators import random_dag
 from repro.exceptions import SchedulingError
 from repro.instance import Instance
@@ -28,7 +27,6 @@ from repro.machine.cluster import Machine
 from repro.machine.comm import LinkCommunication
 from repro.machine.etc import generate_etc
 from repro.schedule.validation import validate
-from repro.schedulers.base import compiled_for
 from repro.schedulers.registry import get_scheduler
 from repro.service.protocol import schedule_payload
 from tests.object_path import ROUTED, object_path, routed_insertion_off
@@ -104,29 +102,24 @@ def _link_comm() -> LinkCommunication:
     return LinkCommunication(ids, lat, bw)
 
 
-def test_per_link_compiles_and_custom_comm_falls_back():
-    """Per-link machines lower and route through the executor with no
-    fallback counted, matching the object path; a custom communication
-    model still gets ``None`` and is counted."""
-    inst = _instance_on(_link_comm())
-    assert compile_instance(inst) is not None
-    before = compiled.schedule_counters()["fallbacks"]
-    assert compiled_for(inst) is not None
-    assert compiled.schedule_counters()["fallbacks"] == before
-    for alg in ("HEFT", "CPOP", "DLS", "IMP", "LA-HEFT", "DUP-HEFT"):
-        fast = get_scheduler(alg).schedule(inst)
-        with object_path():
-            ref = get_scheduler(alg).schedule(inst)
-        validate(fast, inst)
-        assert _payload(fast, inst, alg) == _payload(ref, inst, alg), alg
-
-    custom = _instance_on(OpaqueCommunication())
-    assert compile_instance(custom) is None
-    before = compiled.schedule_counters()["fallbacks"]
-    assert compiled_for(custom) is None
-    assert compiled.schedule_counters()["fallbacks"] == before + 1
-    for alg in ROUTED:
-        validate(get_scheduler(alg).schedule(custom), custom)
+def test_per_link_and_custom_comm_compile():
+    """Per-link machines and a custom model that defines only ``link()``
+    both lower and route through the executor with no fallback counted,
+    and every routed scheduler's payload equals the reference engine's."""
+    for comm in (_link_comm(), OpaqueCommunication()):
+        inst = _instance_on(comm)
+        assert isinstance(compile_instance(inst), CompiledInstance)
+        before = compiled.schedule_counters()
+        for alg in ROUTED:
+            fast = get_scheduler(alg).schedule(inst)
+            with object_path():
+                ref = get_scheduler(alg).schedule(inst)
+            validate(fast, inst)
+            assert _payload(fast, inst, alg) == _payload(ref, inst, alg), (comm, alg)
+        after = compiled.schedule_counters()
+        built = ("list_schedules", "dls_schedules", "improved_passes")
+        assert sum(after[k] - before[k] for k in built) >= len(ROUTED), comm
+        assert after["fallbacks"] == before["fallbacks"] == 0, comm
 
 
 def test_executor_counters_increment(population):
@@ -155,7 +148,7 @@ def test_routing_enabled_under_tracer(population):
             tracer = Tracer(name="t")
             before = compiled.schedule_counters()
             with use_tracer(tracer):
-                assert compiled_for(inst) is not None
+                assert compile_instance(inst) is not None
                 traced = get_scheduler(alg).schedule(inst)
             after = compiled.schedule_counters()
             kind = kinds.get(alg, "list_schedules")

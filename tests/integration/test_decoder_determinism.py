@@ -16,8 +16,9 @@ from pathlib import Path
 
 import numpy as np
 
+from repro.compiled import compile_instance
 from repro.schedulers.meta import GeneticScheduler, SimulatedAnnealingScheduler
-from repro.schedulers.meta.decoder import compiled_decoder, decode_assignment, rank_order
+from repro.schedulers.meta.decoder import decode_assignment, rank_order
 
 ROOT = Path(__file__).resolve().parent.parent.parent
 
@@ -27,12 +28,13 @@ ROOT = Path(__file__).resolve().parent.parent.parent
 _PROBE = """
 import numpy as np
 from repro.bench import workloads as W
+from repro.compiled import compile_instance
 from repro.schedulers.meta import GeneticScheduler, SimulatedAnnealingScheduler
-from repro.schedulers.meta.decoder import compiled_decoder, decode_assignment, rank_order
+from repro.schedulers.meta.decoder import decode_assignment, rank_order
 
 inst = W.random_instance(np.random.default_rng(77), num_tasks=24, num_procs=5)
 order = rank_order(inst)
-compiled = compiled_decoder(inst)
+compiled = compile_instance(inst)
 genome = np.random.default_rng(3).integers(0, inst.num_procs, size=inst.num_tasks)
 span, starts, procs = compiled.decode_fast(genome)
 sched = decode_assignment(inst, compiled.assignment_of(genome), order)
@@ -77,7 +79,7 @@ def test_identical_tie_breaking_across_decode_paths():
     from repro.bench import workloads as W
 
     inst = W.homogeneous_random_instance(np.random.default_rng(11), num_tasks=20, num_procs=4)
-    compiled = compiled_decoder(inst)
+    compiled = compile_instance(inst)
     order = rank_order(inst)
     rng = np.random.default_rng(5)
     for _ in range(10):

@@ -1,8 +1,8 @@
 """Property tests: the compiled executor is indistinguishable from the
 object path on arbitrary instances — free (zero-cost) links, uniform
-links and random asymmetric per-link tables — and schedules are stable
-across interpreter restarts (hash randomization must not leak into
-results).
+links, a custom model that defines only ``link()`` and random
+asymmetric per-link tables — and schedules are stable across
+interpreter restarts (hash randomization must not leak into results).
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from repro.schedulers.meta.decoder import decode_assignment, rank_order
 from repro.schedulers.registry import get_scheduler
 from repro.service.protocol import schedule_payload
 from tests.object_path import object_path
-from tests.population import random_instance_on, random_machine
+from tests.population import OpaqueCommunication, random_instance_on, random_machine
 
 instance_params = st.tuples(
     st.integers(min_value=1, max_value=30),      # tasks
@@ -44,18 +44,38 @@ def build(params):
     return make_instance(dag, num_procs=q, heterogeneity=beta, seed=seed)
 
 
+def build_custom(params):
+    """The :func:`build` draw on integer processor ids with
+    :class:`~tests.population.OpaqueCommunication` links."""
+    from repro.machine.cluster import Machine
+    from repro.machine.processor import Processor
+
+    n, q, ccr, beta, seed = params
+    dag = random_dag(n, ccr=ccr, seed=seed)
+    machine = Machine([Processor(id=j, speed=1.0) for j in range(q)],
+                      comm=OpaqueCommunication(), name="opaque")
+    etc = generate_etc(dag, machine, heterogeneity=beta, seed=seed)
+    return Instance(dag=dag, machine=machine, etc=etc)
+
+
 def _payload(schedule, instance, alg) -> str:
     return json.dumps(schedule_payload(schedule, instance, alg), sort_keys=True)
 
 
 @given(instance_params, st.sampled_from(["HEFT", "CPOP", "HCPT", "PETS",
                                          "DLS", "HLFET", "MCP", "IMP"]),
-       st.sampled_from(["uniform", "zero"]))
+       st.sampled_from(["uniform", "zero", "custom"]))
 @settings(max_examples=100, deadline=None)
 def test_compiled_equals_object_path(params, name, comm):
     # ``zero`` is the Machine default: every edge lowers to a 0.0
-    # constant and ranks carry no communication term.
-    instance = build(params) if comm == "uniform" else random_instance_on("zero", *params)
+    # constant and ranks carry no communication term.  ``custom`` lowers
+    # through its ``link()`` tables.
+    if comm == "uniform":
+        instance = build(params)
+    elif comm == "zero":
+        instance = random_instance_on("zero", *params)
+    else:
+        instance = build_custom(params)
     assert compile_instance(instance) is not None
     scheduler = get_scheduler(name)
     fast = scheduler.schedule(instance)

@@ -11,10 +11,10 @@ For every line-up schedule of the shared corpus (``tests/population.py``)
 and of 100-200-task uniform, ring, mesh, grid and custom-comm instances,
 the column-born schedule and its twin must agree field for field on the
 object API, give byte-identical response payloads on both wire formats,
-and give the violation lists of ``tests/validation_reference.py``.  A
-custom communication model does not lower, so its schedules are built
-through ``add()``; their column-born twin is
-``Schedule.from_columns(machine, schedule.columns())``.
+and give the violation lists of ``tests/validation_reference.py``.  The
+object-only schedulers TDS (which duplicates) and ETF build their
+schedules through ``add()`` on the sweep-size instances; their
+column-born twin is ``Schedule.from_columns(machine, schedule.columns())``.
 """
 
 from __future__ import annotations
@@ -45,6 +45,8 @@ from tests.population import OpaqueCommunication, build_population
 from tests.validation_reference import reference_violations
 
 LINEUP = W.COMPARED
+#: Schedulers with no compiled entry point: their schedules are add()-built.
+OBJECT_ONLY = ("TDS", "ETF")
 
 
 def _sweep_instances() -> list[tuple[str, Instance]]:
@@ -91,10 +93,12 @@ def twins():
         return real(self, result, machine, name)
 
     out = []
+    runs = [(label, inst, LINEUP) for label, inst in build_population()]
+    runs += [(label, inst, LINEUP + OBJECT_ONLY) for label, inst in _sweep_instances()]
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(CompiledInstance, "materialize", capture)
-        for label, inst in build_population() + _sweep_instances():
-            for alg in LINEUP:
+        for label, inst, algs in runs:
+            for alg in algs:
                 captured.clear()
                 schedule = get_scheduler(alg).schedule(inst)
                 if captured:
@@ -106,7 +110,7 @@ def twins():
 
                     out.append((f"{label}/{alg}", inst, alg, schedule, _add_built(*args), rebuild))
                 else:
-                    # A custom model: the scheduler built through add().
+                    # An object-only scheduler built through add().
                     def rebuild(inst=inst, alg=alg):
                         built = get_scheduler(alg).schedule(inst)
                         return Schedule.from_columns(inst.machine, built.columns(), built.name), built
@@ -127,8 +131,11 @@ def _same_float(a: float, b: float) -> bool:
 
 def test_corpus_covers_compiled_and_custom_schedules(twins):
     custom = [label for label, *_ in twins if label.startswith("opaque")]
-    assert len(twins) >= 66 * len(LINEUP)
-    assert len(custom) == len(LINEUP)
+    added = [born for _, _, alg, born, _, _ in twins if alg in OBJECT_ONLY]
+    assert len(twins) >= 67 * len(LINEUP)
+    assert len(custom) == len(LINEUP) + len(OBJECT_ONLY)
+    assert len(added) == 7 * len(OBJECT_ONLY)
+    assert sum(born.num_duplicates() for born in added) > 0
     assert sum(born.num_duplicates() for _, _, _, born, _, _ in twins) > 0
 
 
@@ -136,7 +143,7 @@ def test_reads_go_through_the_columns_alone(twins):
     """Validation, the payload and the makespan never build the object
     view of a column-born schedule: that is the whole saving."""
     for label, inst, alg, born, _, rebuild in twins:
-        if label.startswith("opaque"):
+        if alg in OBJECT_ONLY:
             continue
         fresh, _ = rebuild()
         assert violations(fresh, inst) == []

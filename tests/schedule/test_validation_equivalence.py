@@ -5,8 +5,10 @@ per task and per processor and prices every cost from the instance
 kernel's tables; ``tests/validation_reference.py`` keeps the
 per-processor, per-edge validator it replaced.  Both must return the
 same messages in the same order on every line-up schedule of the shared
-corpus (``tests/population.py``) and of sweep-size instances, on uniform
-and per-link machines, and on mutated copies of those schedules: shifted
+corpus (``tests/population.py``) and of sweep-size instances, on uniform,
+per-link and custom-model machines, on the ``add()``-built schedules of
+the object-only schedulers TDS (which duplicates) and ETF on the
+sweep-size instances, and on mutated copies of those schedules: shifted
 starts, wrong durations, starts and durations nudged either side of the
 tolerances, a dropped task and an extra duplicate.  No mutated copy
 puts two placements on one ``(processor, start, str(task))`` key, where
@@ -34,10 +36,12 @@ from tests.population import OpaqueCommunication, build_population
 from tests.validation_reference import reference_violations
 
 LINEUP = W.COMPARED
+#: Schedulers with no compiled entry point: their schedules are add()-built.
+OBJECT_ONLY = ("TDS", "ETF")
 
 
 def _sweep_instances() -> list[tuple[str, Instance]]:
-    """Sweep-size DAGs (100-200 tasks) on uniform and per-link machines."""
+    """Sweep-size DAGs (100-200 tasks) on uniform, per-link and custom links."""
     out = []
     for k, size in enumerate((100, 150, 200)):
         dag = random_dag(size, shape=1.0, out_degree=4, ccr=(0.5, 1.0, 5.0)[k],
@@ -58,12 +62,12 @@ def _sweep_instances() -> list[tuple[str, Instance]]:
 
 @pytest.fixture(scope="module")
 def schedules():
-    """``(label, instance, schedule)`` for every line-up schedule."""
-    out = []
-    for label, inst in build_population() + _sweep_instances():
-        for alg in LINEUP:
-            out.append((f"{label}/{alg}", inst, get_scheduler(alg).schedule(inst)))
-    return out
+    """``(label, instance, schedule)`` for every line-up schedule, plus the
+    object-only schedulers' on the sweep-size instances."""
+    runs = [(label, inst, LINEUP) for label, inst in build_population()]
+    runs += [(label, inst, LINEUP + OBJECT_ONLY) for label, inst in _sweep_instances()]
+    return [(f"{label}/{alg}", inst, get_scheduler(alg).schedule(inst))
+            for label, inst, algs in runs for alg in algs]
 
 
 def _rebuild(schedule: Schedule, change) -> Schedule:
@@ -126,6 +130,9 @@ def _mutants(schedule: Schedule, instance: Instance, seed: int) -> dict[str, Sch
 
 def test_line_up_schedules_give_the_reference_messages(schedules):
     assert len(schedules) >= 60 * len(LINEUP)
+    added = [s for label, _, s in schedules if label.rsplit("/", 1)[1] in OBJECT_ONLY]
+    assert len(added) == 7 * len(OBJECT_ONLY)
+    assert sum(s.num_duplicates() for s in added) > 0
     for label, inst, schedule in schedules:
         assert violations(schedule, inst) == reference_violations(schedule, inst) == [], label
 

@@ -124,3 +124,55 @@ class TestListSchedulerTemplate:
 
         with pytest.raises(SchedulingError):
             Reversed().schedule(instance)
+
+
+class TestPlaceOverrides:
+    """A compiled list scheduler runs its list pass in the executor only
+    while it keeps the template's ``place``; a subclass that overrides
+    ``place`` gets its own placement, not the compiled EFT/EST pass."""
+
+    @pytest.fixture
+    def gauss(self):
+        from repro.dag.generators import gaussian_elimination_dag
+        from repro.instance import make_instance
+
+        return make_instance(gaussian_elimination_dag(6), num_procs=4, seed=1)
+
+    def test_heft_subclass_place_is_honoured(self, gauss):
+        from repro.compiled import schedule_counters
+        from repro.schedule.validation import validate
+        from repro.schedulers.heft import HEFT
+
+        class AllOnFirst(HEFT):
+            def place(self, schedule, instance, task):
+                first = instance.machine.proc_ids()[0]
+                return placement_on(schedule, instance, task, first)
+
+        before = schedule_counters()["list_schedules"]
+        schedule = AllOnFirst().schedule(gauss)
+        assert schedule_counters()["list_schedules"] == before
+        validate(schedule, gauss)
+        first = gauss.machine.proc_ids()[0]
+        assert {p.proc for p in schedule.all_placements()} == {first}
+        serial = sum(gauss.exec_time(t, first) for t in gauss.dag.tasks())
+        assert schedule.makespan == pytest.approx(serial)
+        assert HEFT().schedule(gauss).makespan < schedule.makespan
+        assert schedule_counters()["list_schedules"] == before + 1
+
+    @pytest.mark.parametrize("alg", ["MCP", "HLFET"])
+    def test_est_policy_places_by_earliest_start(self, gauss, alg):
+        from repro.schedulers.registry import get_scheduler
+
+        scheduler = get_scheduler(alg)
+        assert scheduler.compiled_policy == "est"
+        assert type(scheduler).place is ListScheduler.place
+        schedule = Schedule(gauss.machine)
+        for task in scheduler.priority_order(gauss):
+            placed = scheduler.place(schedule, gauss, task)
+            assert placed == est_placement(schedule, gauss, task, insertion=scheduler.insertion)
+            schedule.add(task, placed.proc, placed.start, placed.end - placed.start)
+        compiled = scheduler.schedule(gauss)
+        assert compiled.makespan == schedule.makespan
+        assert [compiled.entry(t) for t in gauss.dag.tasks()] == [
+            schedule.entry(t) for t in gauss.dag.tasks()
+        ]

@@ -10,6 +10,7 @@ self-consistent".
 
 from __future__ import annotations
 
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -75,10 +76,12 @@ def test_golden_digest():
 
 def test_stable_across_process_restarts():
     """Same content, fresh interpreter (fresh hash seed) -> same digest."""
+    # The caller's env (PYTHONDONTWRITEBYTECODE included) plus the two
+    # settings under test.
+    env = dict(os.environ, PYTHONPATH=SRC, PYTHONHASHSEED="12345")
     out = subprocess.run(
         [sys.executable, "-c", _GOLDEN_SCRIPT],
-        capture_output=True, text=True, check=True,
-        env={"PYTHONPATH": SRC, "PYTHONHASHSEED": "12345"},
+        capture_output=True, text=True, check=True, env=env,
     )
     assert out.stdout.strip() == GOLDEN
 

@@ -13,6 +13,7 @@ re-home every fleet's keyspace and cold every per-shard cache segment).
 from __future__ import annotations
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -97,11 +98,12 @@ def test_determinism_across_pythonhashseed(tmp_path):
     )
     outputs = []
     for seed in ("0", "12345"):
+        # The caller's env (PYTHONDONTWRITEBYTECODE included) plus the
+        # two settings under test.
+        env = dict(os.environ, PYTHONHASHSEED=seed,
+                   PYTHONPATH=str(Path(__file__).resolve().parents[2] / "src"))
         proc = subprocess.run(
-            [sys.executable, str(script)],
-            capture_output=True, text=True, check=True,
-            env={"PYTHONHASHSEED": seed,
-                 "PYTHONPATH": str(Path(__file__).resolve().parents[2] / "src")},
+            [sys.executable, str(script)], capture_output=True, text=True, check=True, env=env,
         )
         outputs.append(json.loads(proc.stdout))
     assert outputs[0] == outputs[1]

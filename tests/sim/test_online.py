@@ -64,6 +64,23 @@ class TestEquivalence:
         slow = simulate_reference(templates, stream, alg=alg)
         assert fast.payload_json() == slow.payload_json()
 
+    def test_custom_comm_model_matches_reference(self):
+        """A custom model that defines only ``link()`` lowers, and the
+        simulator places onto it exactly as the reference placer."""
+        machine = Machine([Processor(id=i, speed=1.0) for i in range(3)],
+                          comm=OpaqueCommunication())
+        templates = {}
+        for k, name in enumerate(["a", "b"]):
+            dag = random_dag(8 + k, seed=1 + k)
+            etc = generate_etc(dag, machine, heterogeneity=0.5, seed=1 + k)
+            templates[name] = Instance(dag=dag, machine=machine, etc=etc, name=name)
+        stream = PoissonArrivals(rate=0.2, jobs=10, seed=4).realize(sorted(templates))
+        for kw in (dict(policy="queue"), dict(policy="replace", noise_cv=0.3, seed=5)):
+            fast = simulate_online(templates, stream, **kw)
+            slow = simulate_reference(templates, stream, **kw)
+            assert fast.payload_json() == slow.payload_json(), kw
+            assert len(fast.jobs) == len(stream)
+
 
 class TestSemantics:
     def test_every_job_completes(self, templates, stream):
@@ -215,6 +232,21 @@ class TestValidation:
         with pytest.raises(ConfigurationError):
             simulate_online(templates, stream, alg="DLS")
 
+    def test_place_override_rejected(self, templates, stream, monkeypatch):
+        """The simulator places through the compiled EFT/EST pass, so a
+        registered list scheduler that overrides ``place`` is refused
+        rather than silently placed by EFT."""
+        from repro.schedulers.base import placement_on
+        from repro.schedulers.heft import HEFT
+
+        class AllOnFirst(HEFT):
+            def place(self, schedule, instance, task):
+                return placement_on(schedule, instance, task, instance.machine.proc_ids()[0])
+
+        monkeypatch.setattr("repro.sim.online.get_scheduler", lambda name: AllOnFirst())
+        with pytest.raises(ConfigurationError, match="does not qualify"):
+            simulate_online(templates, stream, alg="all-on-first")
+
     def test_unknown_policy_rejected(self, templates, stream):
         with pytest.raises(ConfigurationError):
             simulate_online(templates, stream, policy="nope")
@@ -222,15 +254,6 @@ class TestValidation:
     def test_empty_templates_rejected(self):
         with pytest.raises(ConfigurationError):
             simulate_online({}, PoissonArrivals(rate=1.0, jobs=1))
-
-    def test_custom_comm_model_rejected(self):
-        machine = Machine([Processor(id=i, speed=1.0) for i in range(2)],
-                          comm=OpaqueCommunication())
-        dag = random_dag(6, seed=1)
-        etc = generate_etc(dag, machine, heterogeneity=0.5, seed=1)
-        templates = {"a": Instance(dag=dag, machine=machine, etc=etc, name="a")}
-        with pytest.raises(ConfigurationError, match="communication model"):
-            simulate_online(templates, PoissonArrivals(rate=1.0, jobs=1))
 
 
 class TestResultShape:
