@@ -45,9 +45,9 @@ from repro.service import (
     ServiceClient,
 )
 from repro.service.fleet import FleetManager
-from repro.service.metrics import percentile
 from repro.service.protocol import compute_schedule_payload
 from repro.utils.rng import as_generator
+from repro.utils.stats import percentile
 
 ROOT = Path(__file__).resolve().parent.parent
 OUT = ROOT / "BENCH_fleet.json"

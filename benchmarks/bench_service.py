@@ -34,8 +34,8 @@ from repro.service import (
     SchedulingEngine,
     ServiceClient,
 )
-from repro.service.metrics import percentile
 from repro.utils.rng import as_generator
+from repro.utils.stats import percentile
 
 ROOT = Path(__file__).resolve().parent.parent
 OUT = ROOT / "BENCH_service.json"

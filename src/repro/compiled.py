@@ -460,18 +460,20 @@ class CompiledInstance:
             tl_starts = [list(s) for s in busy[0]]
             tl_ends = [list(e) for e in busy[1]]
         # Gap-bound fast path: ``tl_gap[j]`` is an upper bound on the
-        # widest idle gap of timeline ``j`` (between consecutive
-        # nonzero-width slots, including the 0 -> first-slot gap) and
-        # ``tl_nz[j]`` the end of its last nonzero-width slot.  When
-        # ``duration - EPS > tl_gap[j]`` no gap check inside
-        # ``scan_slots`` can succeed, so its result is exactly the
-        # fallback ``max(ready, tl_nz[j])`` — the O(1) answer skips the
-        # scan without changing a single float.
+        # widest idle gap of timeline ``j`` that a task can still use
+        # (between consecutive nonzero-width slots, each counted from no
+        # earlier than ``release``) and ``tl_nz[j]`` the end of its last
+        # nonzero-width slot, floored at ``release``.  Every ready time
+        # is at least ``release``, so when ``duration - EPS >
+        # tl_gap[j]`` no gap check inside ``scan_slots`` can succeed and
+        # its result is exactly the fallback ``max(ready, tl_nz[j])`` —
+        # the O(1) answer skips the scan without changing a single
+        # float.
         tl_max = [0.0] * q
         tl_gap = [0.0] * q
         tl_nz = [0.0] * q
         for j in qr:
-            tl_max[j], tl_gap[j], tl_nz[j] = _gap_bounds(tl_starts[j], tl_ends[j])
+            tl_max[j], tl_gap[j], tl_nz[j] = _gap_bounds(tl_starts[j], tl_ends[j], release)
         eft = policy == "eft"
         makespan = 0.0
         for t in order:
@@ -1206,13 +1208,16 @@ class _FlatState:
 
 
 def _gap_bounds(
-    starts: Sequence[float], ends: Sequence[float]
+    starts: Sequence[float], ends: Sequence[float], floor: float = 0.0
 ) -> tuple[float, float, float]:
     """``(end_time, gap bound, last nonzero end)`` of one start-sorted
-    timeline, exact: the widest idle gap counts from 0 to the first
-    nonzero-width slot and between consecutive ones."""
+    timeline, exact for ready times of at least ``floor``: each idle gap
+    counts from ``max(floor, end of the previous nonzero-width slot)``
+    to the start of the next one, and the last nonzero end is floored at
+    ``floor`` too (``scan_slots`` starts no slot before its ready time,
+    so a gap that closes before ``floor`` can never be used)."""
     gap = 0.0
-    prev = 0.0
+    prev = floor
     m = 0.0
     for s, e in zip(starts, ends):
         if e > m:
@@ -1221,7 +1226,8 @@ def _gap_bounds(
             g = s - prev
             if g > gap:
                 gap = g
-            prev = e
+            if e > prev:
+                prev = e
     return m, gap, prev
 
 

@@ -16,29 +16,11 @@ distribution the operator actually cares about: *recent* tail latency.
 
 from __future__ import annotations
 
-import math
 import time
 from collections import deque
 from dataclasses import asdict, dataclass
 
-
-def percentile(samples: list[float], q: float) -> float:
-    """Nearest-rank percentile (``q`` in [0, 100]) of raw samples.
-
-    Nearest-rank is defined with a *ceiling*: the result is the smallest
-    sample such that at least ``q`` percent of the data is <= to it,
-    i.e. ``ordered[ceil(q/100 * n)]`` (1-based).  Banker's ``round()``
-    here would under-report by one rank whenever the fractional rank
-    falls below .5 (e.g. p95 of 99 samples is rank 95, not 94).
-
-    Returns 0.0 on an empty sample set — a metrics endpoint should
-    render before the first request, not raise.
-    """
-    if not samples:
-        return 0.0
-    ordered = sorted(samples)
-    rank = max(1, min(len(ordered), math.ceil(q / 100.0 * len(ordered))))
-    return ordered[rank - 1]
+from repro.utils.stats import percentile
 
 
 @dataclass(frozen=True)

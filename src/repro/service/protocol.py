@@ -256,19 +256,25 @@ def payload_to_schedule(payload: dict, machine) -> Schedule:
     machine-scoped).  Primaries are placed before duplicates, as in
     :func:`repro.schedule.io.schedule_from_json`.
     """
-    schedule = Schedule(machine, name=str(payload.get("instance", "served")))
-    records = payload["placements"]
+    placements = [
+        (decode_id(rec["task"]), decode_id(rec["proc"]), rec["start"], rec["end"],
+         bool(rec.get("duplicate", False)))
+        for rec in payload["placements"]
+    ]
+    return _placements_to_schedule(placements, machine, str(payload.get("instance", "served")))
+
+
+def _placements_to_schedule(placements, machine, name: str) -> Schedule:
+    """A :class:`Schedule` named ``name`` from ``(task, proc, start, end,
+    duplicate)`` tuples: every primary, then every duplicate, each in
+    list order."""
+    schedule = Schedule(machine, name=name)
     for want_duplicate in (False, True):
-        for rec in records:
-            if bool(rec.get("duplicate", False)) != want_duplicate:
+        for task, proc, start, end, duplicate in placements:
+            if duplicate != want_duplicate:
                 continue
-            schedule.add(
-                decode_id(rec["task"]),
-                decode_id(rec["proc"]),
-                float(rec["start"]),
-                float(rec["end"]) - float(rec["start"]),
-                duplicate=want_duplicate,
-            )
+            start = float(start)
+            schedule.add(task, proc, start, float(end) - start, duplicate=want_duplicate)
     return schedule
 
 
@@ -319,9 +325,11 @@ class WireScheduleResult:
     Scalars (makespan, algorithm, cache/trace metadata) come straight
     from the response envelope and payload prefix, which the
     :class:`~repro.service.wire.ResponseView` parsed in a few
-    microseconds.  ``placements`` and ``payload`` materialise from the
-    wire buffer on first access and are then memoised — a caller that
-    only reads the makespan never builds a placement dict at all.
+    microseconds.  ``placements`` zips the view's placement columns
+    (:func:`~repro.service.wire.read_payload`) into tuples on first
+    access and memoises them; ``to_schedule`` places those tuples.
+    Neither builds a placement dict: only a caller that reads
+    ``payload`` pays for the dict tree.
 
     Duck-types :class:`ScheduleResult` exactly: same attributes, same
     value types, same ``to_schedule``.
@@ -350,16 +358,12 @@ class WireScheduleResult:
     @property
     def placements(self) -> tuple:
         if self._placements is None:
-            self._placements = tuple(
-                (decode_id(r["task"]), decode_id(r["proc"]),
-                 r["start"], r["end"], r["duplicate"])
-                for r in self.payload["placements"]
-            )
+            self._placements = self._view.columns.placements()
         return self._placements
 
     def to_schedule(self, machine) -> Schedule:
         """Materialise the placements onto ``machine``."""
-        return payload_to_schedule(self.payload, machine)
+        return _placements_to_schedule(self.placements, machine, self.instance)
 
 
 # ----------------------------------------------------------------------

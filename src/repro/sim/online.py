@@ -44,12 +44,12 @@ from repro.instance import Instance
 from repro.obs import get_tracer
 from repro.schedulers.base import ListScheduler
 from repro.schedulers.registry import get_scheduler
-from repro.service.metrics import percentile
 from repro.sim.arrivals import Arrival, ArrivalProcess
 from repro.sim.cluster import ClusterState
 from repro.sim.engine import EventQueue, SimulationError
 from repro.sim.policies import PendingJob, get_policy
 from repro.utils.rng import SeedLike, spawn_children
+from repro.utils.stats import percentile
 
 
 @dataclass(frozen=True)

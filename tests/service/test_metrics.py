@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from repro.service.metrics import ServiceMetrics, ServiceStats, percentile
+from repro.service.metrics import ServiceMetrics, ServiceStats
+from repro.utils.stats import percentile
 
 
 def test_percentile_empty_is_zero():

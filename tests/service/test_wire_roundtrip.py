@@ -8,7 +8,8 @@ Three layers of guarantees, from strongest to broadest:
 * **Cross-wire identity** — for schedules, the dict decoded from the
   binary payload equals the dict the JSON wire would deliver
   (``json.loads(json.dumps(payload))``), checked across every
-  registered scheduler.
+  registered scheduler; a binary response's placement tuples and
+  rebuilt ``Schedule`` equal the JSON client's.
 * **Hypothesis sweeps** — randomly drawn instances on zero, uniform and
   random asymmetric per-link machines, with or without nested tuple
   task ids and a deadline, request field combinations and synthetic
@@ -32,7 +33,7 @@ from repro.machine.etc import generate_etc
 from repro.machine.profiles import compute_grid
 from repro.schedulers.registry import all_scheduler_names, get_scheduler
 from repro.service import wire
-from repro.service.protocol import schedule_payload
+from repro.service.protocol import ScheduleResult, WireScheduleResult, schedule_payload
 from tests.population import COMM_KINDS, build_population, random_instance_on
 
 CORPUS = build_population()
@@ -49,6 +50,20 @@ def _canonical(instance) -> str:
 def _json_wire(payload: dict) -> dict:
     """What the JSON wire format delivers for ``payload``."""
     return json.loads(json.dumps(payload))
+
+
+_ENVELOPE = {"cache_hit": True, "fingerprint": "f" * 64, "server_ms": 1.25}
+
+
+def _client_results(payload: dict) -> tuple[ScheduleResult, WireScheduleResult]:
+    """What the JSON client and the binary client return for ``payload``."""
+    body = wire.encode_response(wire.encode_payload(payload), **_ENVELOPE)
+    return (ScheduleResult.from_payload(_json_wire(dict(payload, **_ENVELOPE))),
+            WireScheduleResult(wire.ResponseView(body)))
+
+
+def _schedule_state(schedule) -> tuple:
+    return schedule.name, schedule.all_placements(), schedule.makespan
 
 
 # ----------------------------------------------------------------------
@@ -174,6 +189,21 @@ def test_response_roundtrip_envelope_and_view():
     assert wire.decode_response(body) == merged
 
 
+def test_binary_placements_build_no_payload_dict():
+    """``placements`` and ``to_schedule`` read the columns: the view's
+    payload dict stays unbuilt until a caller asks for ``payload``."""
+    _, instance = CORPUS[7]
+    payload = schedule_payload(get_scheduler("IMP").schedule(instance), instance, "IMP")
+    via_json, via_bin = _client_results(payload)
+    view = via_bin._view
+    assert via_bin.placements == via_json.placements
+    assert _schedule_state(via_bin.to_schedule(instance.machine)) == \
+        _schedule_state(via_json.to_schedule(instance.machine))
+    assert view._payload is None
+    assert via_bin.payload == via_json.payload
+    assert view._payload is not None
+
+
 # ----------------------------------------------------------------------
 # hypothesis sweeps
 # ----------------------------------------------------------------------
@@ -219,6 +249,10 @@ def test_random_schedule_payload_cross_wire(kind, params, variant, alg):
                                instance, alg)
     decoded = wire.decode_payload(wire.encode_payload(payload))
     assert decoded == _json_wire(payload)
+    via_json, via_bin = _client_results(payload)
+    assert via_bin.placements == via_json.placements
+    assert _schedule_state(via_bin.to_schedule(instance.machine)) == \
+        _schedule_state(via_json.to_schedule(instance.machine))
     expected = (json.dumps(payload), wire.encode_payload(payload))
     for copy in _both_wires(instance):
         assert copy.fingerprint() == instance.fingerprint()

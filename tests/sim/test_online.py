@@ -7,12 +7,18 @@ the per-placement re-lowering baseline in ``tests/sim/online_relower.py``.
 """
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+from repro import compiled
 from repro.dag.generators import random_dag
+from repro.dag.graph import TaskDAG
 from repro.exceptions import ConfigurationError
-from repro.instance import Instance
+from repro.instance import Instance, make_instance
 from repro.machine.cluster import Machine
 from repro.machine.comm import LinkCommunication
 from repro.machine.etc import generate_etc
@@ -26,7 +32,9 @@ from repro.sim import (
     trace_to_json,
 )
 from tests.population import OpaqueCommunication
-from tests.sim.online_reference import simulate_reference
+from tests.sim.online_reference import place_reference, simulate_reference
+
+ROOT = Path(__file__).resolve().parents[2]
 from tests.sim.online_relower import simulate_relowered
 
 
@@ -80,6 +88,35 @@ class TestEquivalence:
             slow = simulate_reference(templates, stream, **kw)
             assert fast.payload_json() == slow.payload_json(), kw
             assert len(fast.jobs) == len(stream)
+
+
+    def test_gap_closed_before_release_skips_the_slot_scan(self, monkeypatch):
+        """Each processor is seeded with a wide idle gap, [1, 100), that
+        closes before the job's release at 200, so no task can use it:
+        the gap bound counts from ``release`` and every placement takes
+        the O(1) answer without calling ``scan_slots``, float for float
+        what the reference placer computes with the scan."""
+        dag = TaskDAG("independent")
+        for i in range(8):
+            dag.add_task(i, cost=5.0 + i)
+        inst = make_instance(dag, num_procs=3, seed=4)
+        kernel = inst.kernel
+        ci = kernel.compiled()
+        order = ci.order.tolist()
+        busy_starts = [[0.0, 100.0]] * ci.q
+        busy_ends = [[1.0, 150.0]] * ci.q
+        scans = []
+        scan = compiled.scan_slots
+        monkeypatch.setattr(compiled, "scan_slots", lambda *a: scans.append(a) or scan(*a))
+        got = ci.schedule_onto(order, busy_starts, busy_ends, release=200.0)
+        assert scans == []
+        intervals, _, last = place_reference(
+            inst, [kernel.tasks[t] for t in order], kernel.ti, busy_starts, busy_ends,
+            200.0, None, insertion=True, eft=True,
+        )
+        assert [(got.proc[t], got.start[t], got.start[t] + got.darg[t]) for t in order] \
+            == intervals
+        assert got.makespan == last
 
 
 class TestSemantics:
@@ -273,3 +310,17 @@ class TestResultShape:
         simulate_online(templates, stream)
         # one baseline per template + one placement per arrival
         assert schedule_counters()["online_schedules"] >= len(stream)
+
+
+def test_sim_and_bench_import_without_the_service_stack():
+    """The simulator and the bench harness need no daemon: a fresh
+    interpreter that imports both loads neither ``repro.service`` nor
+    ``asyncio``."""
+    probe = ("import sys, repro.sim, repro.bench; "
+             "print(sorted(m for m in sys.modules "
+             "if m == 'asyncio' or m.startswith('repro.service')))")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(ROOT / "src") + os.pathsep + env.get("PYTHONPATH", "")
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                         env=env, check=True, cwd=ROOT)
+    assert out.stdout.strip() == "[]"
