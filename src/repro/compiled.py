@@ -36,10 +36,17 @@ Every fold that adds an edge cost adds either the uniform constant or
 ``lat[src][dst] + data / bw[src][dst]`` — the exact float
 :meth:`~repro.machine.comm.CommunicationModel.time` returns.  Which of
 the two a lowering uses is chosen once, in ``__init__``, as
-``CompiledInstance._fold``: the list, DLS and improved passes fold
-ready times through it without testing the communication kind.  Every
-communication model prices a transfer through ``link()``, so every
-instance lowers.
+``CompiledInstance._fold`` (and its twin ``_fold_dom``, which also
+records each processor's dominant parent for duplicate planning): the
+list, DLS and improved passes fold ready times through it without
+testing the communication kind.  Every communication model prices a
+transfer through ``link()``, so every instance lowers.
+
+The passes skip work that provably cannot change a placement — the
+gap bound, dominance prunes, the lookahead bound, positional undo of
+tentative duplicates, O(1) refinement removal and incremental DLS
+scoring (``docs/architecture.md``, "The compiled executor", lists each
+with the condition that keeps it exact).
 """
 
 from __future__ import annotations
@@ -152,8 +159,11 @@ class CompiledInstance:
         #: order; ``None`` on uniform/zero machines, whose edge operand is
         #: already the transfer cost.
         self._lat, self._bw = link if link is not None else (None, None)
-        #: The data-arrival fold every pass calls, chosen once here.
+        #: The data-arrival fold every pass calls, chosen once here, and
+        #: its twin for the duplicating passes, which also records each
+        #: processor's dominant parent.
         self._fold = self._const_fold if link is None else self._link_fold
+        self._fold_dom = self._const_fold_dom if link is None else self._link_fold_dom
         self.tasks: list["TaskId"] = kernel.tasks
         self.procs: list["ProcId"] = kernel.procs
         self.n = n = len(self.tasks)
@@ -203,6 +213,10 @@ class CompiledInstance:
         # Topological position and display string per canonical index —
         # the exact tie-breakers the object path uses.
         self._pos: list[int] = [kernel.pos[t] for t in self.tasks]
+        # The same positions plus one sentinel past every task, read at
+        # index -1 by the dominant-parent folds before a processor has
+        # a dominant parent.
+        self._dom_pos: list[int] = self._pos + [n]
         self._str: list[str] = [str(t) for t in self.tasks]
 
         # Decode scratch (reused; every read is preceded by a same-decode
@@ -552,8 +566,20 @@ class CompiledInstance:
         pair minimising ``(-dl, pos, j)`` wins, where ``dl = sl - start +
         (wstar - etc)``; placement appends at ``max(ready, end_time)``
         and records ``start + duration`` (single rounding — DLS passes
-        the raw duration to ``Schedule.add``).  Per-task ready vectors
-        are cached once all parents are placed, like the object path.
+        the raw duration to ``Schedule.add``).  A task's ready vector is
+        folded once, when its last parent is placed, like the object
+        path.
+
+        The pairing is incremental but exact: every ready task keeps its
+        best ``(key, proc, start)``.  A placement raises only its own
+        processor's ``tl_max``; ``start = max(ready, tl_max)`` and
+        ``-dl`` are monotone in it (float subtraction and addition are
+        monotone), so every key on that processor can only grow.  A task
+        whose best sat elsewhere keeps it; only the tasks whose best sat
+        on the processor just used are re-scored, and only when its
+        ``tl_max`` grew.  Keys are a strict total order (``pos`` and
+        ``j`` are distinct), so the smallest per-task best is the pair
+        a full re-scan would pick.
         """
         n = self.n
         q = self.q
@@ -562,43 +588,50 @@ class CompiledInstance:
         etc_rows = self._etc_rows
         pos = self._pos
         indeg = [len(preds[t]) for t in range(n)]
-        ready_set = {t for t in range(n) if indeg[t] == 0}
         start_of = [0.0] * n
         end_of = [0.0] * n
         darg_of = [0.0] * n
         proc_of = [-1] * n
         tl_max = [0.0] * q
-        ready_cache: dict[int, list[float]] = {}
-        makespan = 0.0
         qr = range(q)
         fold = self._fold
-        while ready_set:
-            best_key: tuple[float, int, int] | None = None
-            best_task = -1
-            best_j = -1
-            best_start = 0.0
-            for t in ready_set:
-                vec = ready_cache.get(t)
-                if vec is None:
-                    vec = ready_cache[t] = fold([0.0] * q, preds[t], end_of, proc_of)
-                slt = sl[t]
-                wst = wstar[t]
-                row = etc_rows[t]
-                pt = pos[t]
-                for j in qr:
-                    dr = vec[j]
-                    m = tl_max[j]
-                    start = dr if dr > m else m
-                    delta = wst - row[j]
-                    dl = slt - start + delta
-                    key = (-dl, pt, j)
-                    if best_key is None or key < best_key:
-                        best_key = key
-                        best_task = t
-                        best_j = j
-                        best_start = start
-            assert best_task >= 0
-            t = best_task
+        #: ready task -> ready vector, folded once all parents are placed
+        vecs: dict[int, list[float]] = {}
+        #: ready task -> (-dl, pos, proc, start, task) of its best pair
+        best: dict[int, tuple[float, int, int, float, int]] = {}
+
+        def score(t: int) -> None:
+            vec = vecs[t]
+            slt = sl[t]
+            wst = wstar[t]
+            row = etc_rows[t]
+            bk = 0.0
+            bj = -1
+            bs = 0.0
+            for j in qr:
+                dr = vec[j]
+                m = tl_max[j]
+                start = dr if dr > m else m
+                delta = wst - row[j]
+                dl = slt - start + delta
+                k = -dl
+                # One task's keys share ``pos``: the smallest -dl wins,
+                # ties to the first processor, as in ``(-dl, pos, j)``.
+                if bj < 0 or k < bk:
+                    bk = k
+                    bj = j
+                    bs = start
+            best[t] = (bk, pos[t], bj, bs, t)
+
+        for t in range(n):
+            if indeg[t] == 0:
+                vecs[t] = fold([0.0] * q, preds[t], end_of, proc_of)
+                score(t)
+        makespan = 0.0
+        while best:
+            _k, _p, best_j, best_start, t = min(best.values())
+            del best[t]
+            del vecs[t]
             duration = etc_rows[t][best_j]
             rend = best_start + duration
             start_of[t] = best_start
@@ -607,14 +640,15 @@ class CompiledInstance:
             proc_of[t] = best_j
             if rend > tl_max[best_j]:
                 tl_max[best_j] = rend
+                for u in [u for u, e in best.items() if e[2] == best_j]:
+                    score(u)
             if rend > makespan:
                 makespan = rend
-            ready_set.discard(t)
-            ready_cache.pop(t, None)
             for c, _const in succs[t]:
                 indeg[c] -= 1
                 if indeg[c] == 0:
-                    ready_set.add(c)
+                    vecs[c] = fold([0.0] * q, preds[c], end_of, proc_of)
+                    score(c)
         _COUNTS["dls_schedules"] += 1
         return CompiledSchedule(makespan, start_of, darg_of, proc_of, [])
 
@@ -676,6 +710,7 @@ class CompiledInstance:
         strict ``(score, end, j)`` tuple key — and the refinement sweep
         (latest start first, child-deadline checks, ``1e-9`` acceptance)
         over flat state, reproducing the object pass float for float.
+        The refinement sweep runs under a ``sched.refine`` span.
         """
         st = _FlatState(self.n, self.q)
         self._improved_place_pass(
@@ -688,7 +723,8 @@ class CompiledInstance:
             max_dups=max_duplications_per_task,
         )
         if refinement:
-            self._refine(st, refinement_rounds)
+            with get_tracer().span("sched.refine"):
+                self._refine(st, refinement_rounds)
         makespan = 0.0
         dups: list[tuple[int, int, float, float]] = []
         for t in range(self.n):
@@ -713,14 +749,44 @@ class CompiledInstance:
         insertion: bool,
         max_dups: int,
     ) -> None:
+        """Place every task of ``order`` (``PlacementEngine.place`` replay).
+
+        Exact shortcuts, each skipping only work whose outcome is fixed:
+
+        * duplicating passes fold the parents once into the ready vector
+          and each processor's dominant parent, which seeds the first
+          round of :meth:`_plan_duplicates`;
+        * a probe's tentative duplicates are undone by position
+          (:meth:`_FlatState.tl_undo`);
+        * passes without duplication skip a processor before its slot
+          search when ``ready + duration`` cannot beat the incumbent key
+          (with a lookahead child, when ``ready + duration + min(child
+          row)`` strictly exceeds the incumbent score);
+        * a probe skips its lookahead when ``p_end + min(child row)``
+          strictly exceeds the incumbent score, and reuses the shared
+          lookahead base unless a planned duplicate is a parent of the
+          child.
+
+        The bounds hold because a start is never before its ready time,
+        ETC cells and transfer costs are ``>= 0``, every lookahead
+        finish is ``r + row[k]`` with ``r >= p_end``, and float addition
+        is monotone; a later processor with an equal key loses, since
+        ``j`` is the key's last field.
+        """
         q = self.q
         qr = range(q)
         fold = self._fold
+        fold_dom = self._fold_dom
         preds = self._preds
         etc_rows = self._etc_rows
         succs = self._succs
+        succ_w = self._succ_w
         pos = self._pos
         placed = st.placed
+        find_slot = st.find_slot
+        dom_vec: list[int] = []
+        la_base: list[float] = []
+        cmin = 0.0
         for t in order:
             row = etc_rows[t]
             child = -1
@@ -733,37 +799,60 @@ class CompiledInstance:
                     if child_key is None or k > child_key:
                         child_key = k
                         child = s
-            ready_vec = fold([0.0] * q, preds[t], st.pend, st.pproc, st.dups)
-            la_base = self._lookahead_base(st, t, child) if child >= 0 else None
+            if duplication:
+                dom_vec = [-1] * q
+                ready_vec = fold_dom([0.0] * q, dom_vec, preds[t], st.pend, st.pproc, st.dups)
+            else:
+                ready_vec = fold([0.0] * q, preds[t], st.pend, st.pproc, st.dups)
+            if child >= 0:
+                la_base = self._lookahead_base(st, t, child)
+                cmin = min(etc_rows[child])
             best_key: tuple[float, float, int] | None = None
             best_j = -1
             best_start = 0.0
             best_end = 0.0
-            best_plans: list[tuple[int, int, float, float]] = []
+            best_plans: list[tuple[int, float, float, int]] = []
             for j in qr:
                 duration = row[j]
-                start = st.find_slot(j, ready_vec[j], duration, insertion)
+                ready = ready_vec[j]
+                if best_key is not None and not duplication:
+                    bound = ready + duration  # <= p_end
+                    if child < 0:
+                        if bound >= best_end:
+                            continue
+                    elif bound + cmin > best_key[0]:
+                        continue
+                start = find_slot(j, ready, duration, insertion)
                 plain_end = start + duration
-                plans: list[tuple[int, int, float, float]] = []
+                plans: list[tuple[int, float, float, int]] = []
                 p_start = start
                 p_end = plain_end
                 if duplication:
-                    plans = self._plan_duplicates(st, t, j, insertion, max_dups)
+                    plans = self._plan_duplicates(
+                        st, t, j, insertion, max_dups, dom_vec[j], ready
+                    )
                     if plans:
                         ready2 = self._ready_on(st, t, j)
-                        s2 = st.find_slot(j, ready2, duration, insertion)
+                        s2 = find_slot(j, ready2, duration, insertion)
                         e2 = s2 + duration
                         if e2 < plain_end - _EPS:
                             p_start = s2
                             p_end = e2
                         else:
-                            self._rollback(st, plans)
+                            st.tl_undo(j, plans)
                             plans = []
                 if child >= 0:
-                    # Tentative duplicates may themselves be parents of
-                    # the lookahead child; the shared base is only valid
-                    # for probes that applied no plans.
-                    base = self._lookahead_base(st, t, child) if plans else la_base
+                    if best_key is not None and p_end + cmin > best_key[0]:
+                        if plans:
+                            st.tl_undo(j, plans)
+                        continue
+                    # A tentative duplicate that is also a parent of the
+                    # child changes the child's arrivals: fold them anew.
+                    base = la_base
+                    for dt, _ds, _dd, _i in plans:
+                        if child in succ_w[dt]:
+                            base = self._lookahead_base(st, t, child)
+                            break
                     score = self._lookahead(st, base, t, child, j, p_end)
                 else:
                     score = p_end
@@ -775,12 +864,12 @@ class CompiledInstance:
                     best_end = p_end
                     best_plans = plans
                 if plans:
-                    self._rollback(st, plans)
+                    st.tl_undo(j, plans)
             # Commit: winning duplicates re-applied in plan order, then
             # the primary (Schedule.add double rounding).
-            for dt, dj, ds, dd in best_plans:
-                st.dups[dt].append((dj, ds, ds + dd, dd))
-                st.tl_add(dj, dt, ds, ds + dd)
+            for dt, ds, dd, _i in best_plans:
+                st.dups[dt].append((best_j, ds, ds + dd, dd))
+                st.tl_add(best_j, dt, ds, ds + dd)
             darg = best_end - best_start
             rend = best_start + darg
             st.pstart[t] = best_start
@@ -864,6 +953,84 @@ class CompiledInstance:
                         ready[j] = a
         return ready
 
+    def _const_fold_dom(
+        self,
+        ready: list[float],
+        dom: list[int],
+        edges: Sequence[tuple[int, float]],
+        end_of: Sequence[float],
+        proc_of: Sequence[int],
+        dups: Sequence[list[tuple[int, float, float, float]]],
+    ) -> list[float]:
+        """:meth:`_const_fold` that also leaves in ``dom[j]`` the parent
+        with the largest ``(arrival, -pos)`` on processor ``j`` — the
+        dominant parent ``PlacementEngine._plan_duplicates`` picks first
+        (``-1`` only without parents).  ``dom`` starts at ``-1``."""
+        qr = range(self.q)
+        rank = self._dom_pos
+        for u, const in edges:
+            eu = end_of[u]
+            pu = proc_of[u]
+            ec = eu + const
+            ru = rank[u]
+            dlist = dups[u]
+            if not dlist:
+                for j in qr:
+                    a = eu if j == pu else ec
+                    if a >= ready[j] and (a > ready[j] or ru < rank[dom[j]]):
+                        ready[j] = a
+                        dom[j] = u
+            else:
+                for j in qr:
+                    a = eu if j == pu else ec
+                    for dj, _ds, de, _dd in dlist:
+                        c = de if dj == j else de + const
+                        if c < a:
+                            a = c
+                    if a >= ready[j] and (a > ready[j] or ru < rank[dom[j]]):
+                        ready[j] = a
+                        dom[j] = u
+        return ready
+
+    def _link_fold_dom(
+        self,
+        ready: list[float],
+        dom: list[int],
+        edges: Sequence[tuple[int, float]],
+        end_of: Sequence[float],
+        proc_of: Sequence[int],
+        dups: Sequence[list[tuple[int, float, float, float]]],
+    ) -> list[float]:
+        """:meth:`_link_fold` that also records each processor's
+        dominant parent, like :meth:`_const_fold_dom`."""
+        lat, bw = self._lat, self._bw
+        qr = range(self.q)
+        rank = self._dom_pos
+        for u, data in edges:
+            eu = end_of[u]
+            pu = proc_of[u]
+            lr = lat[pu]
+            br = bw[pu]
+            ru = rank[u]
+            dlist = dups[u]
+            if not dlist:
+                for j in qr:
+                    a = eu if j == pu else eu + (lr[j] + data / br[j])
+                    if a >= ready[j] and (a > ready[j] or ru < rank[dom[j]]):
+                        ready[j] = a
+                        dom[j] = u
+            else:
+                for j in qr:
+                    a = eu if j == pu else eu + (lr[j] + data / br[j])
+                    for dj, _ds, de, _dd in dlist:
+                        c = de if dj == j else de + (lat[dj][j] + data / bw[dj][j])
+                        if c < a:
+                            a = c
+                    if a >= ready[j] and (a > ready[j] or ru < rank[dom[j]]):
+                        ready[j] = a
+                        dom[j] = u
+        return ready
+
     def _ready_on(self, st: "_FlatState", t: int, j: int) -> float:
         """Scalar ready time on one processor (ready_time replay)."""
         ready = 0.0
@@ -894,10 +1061,27 @@ class CompiledInstance:
         return ready
 
     def _plan_duplicates(
-        self, st: "_FlatState", t: int, j: int, insertion: bool, max_dups: int
-    ) -> list[tuple[int, int, float, float]]:
-        """PlacementEngine._plan_duplicates replay (tentatively applied)."""
-        applied: list[tuple[int, int, float, float]] = []
+        self,
+        st: "_FlatState",
+        t: int,
+        j: int,
+        insertion: bool,
+        max_dups: int,
+        dom: int,
+        dom_arr: float,
+    ) -> list[tuple[int, float, float, int]]:
+        """PlacementEngine._plan_duplicates replay (tentatively applied).
+
+        The first round starts from ``dom``/``dom_arr``, the dominant
+        parent on ``j`` and its arrival from the task's
+        :meth:`_const_fold_dom`/:meth:`_link_fold_dom`.  That fold read
+        this very state: every earlier probe undid its duplicates.
+        Later rounds rescan, since a duplicate on ``j`` moved one
+        arrival.  Each applied duplicate is ``(task, start, duration,
+        timeline position)``; before the first, ``j``'s bounds are
+        snapshotted for :meth:`_FlatState.tl_undo`.
+        """
+        applied: list[tuple[int, float, float, int]] = []
         preds = self._preds[t]
         pos = self._pos
         etc_rows = self._etc_rows
@@ -905,39 +1089,35 @@ class CompiledInstance:
         pend = st.pend
         pproc = st.pproc
         dups = st.dups
-        for _ in range(max_dups):
-            if not preds:
-                break
-            # Dominant parent: max arrival, ties to the earlier parent in
-            # predecessor-list order via the strict-> fold (== max()).
-            dom = -1
-            dom_arr = 0.0
-            dom_key: tuple[float, int] | None = None
-            for u, w in preds:
-                eu = pend[u]
-                pu = pproc[u]
-                if pu == j:
-                    arrival = eu
-                elif lat is None:
-                    arrival = eu + w
-                else:
-                    arrival = eu + (lat[pu][j] + w / bw[pu][j])
-                for dj, _ds, de, _dd in dups[u]:
-                    if dj == j:
-                        cand = de
+        for rnd in range(max_dups):
+            if rnd:
+                # Dominant parent: the largest (arrival, -pos).
+                dom_key: tuple[float, int] | None = None
+                for u, w in preds:
+                    eu = pend[u]
+                    pu = pproc[u]
+                    if pu == j:
+                        arrival = eu
                     elif lat is None:
-                        cand = de + w
+                        arrival = eu + w
                     else:
-                        cand = de + (lat[dj][j] + w / bw[dj][j])
-                    if cand < arrival:
-                        arrival = cand
-                k = (arrival, -pos[u])
-                if dom_key is None or k > dom_key:
-                    dom_key = k
-                    dom = u
-                    dom_arr = arrival
+                        arrival = eu + (lat[pu][j] + w / bw[pu][j])
+                    for dj, _ds, de, _dd in dups[u]:
+                        if dj == j:
+                            cand = de
+                        elif lat is None:
+                            cand = de + w
+                        else:
+                            cand = de + (lat[dj][j] + w / bw[dj][j])
+                        if cand < arrival:
+                            arrival = cand
+                    k = (arrival, -pos[u])
+                    if dom_key is None or k > dom_key:
+                        dom_key = k
+                        dom = u
+                        dom_arr = arrival
             if dom_arr <= _EPS:
-                break
+                break  # also the parentless case: dom_arr is 0.0
             if pproc[dom] == j or any(dj == j for dj, _s, _e, _d in dups[dom]):
                 break  # already local
             dup_ready = self._ready_on(st, dom, j)
@@ -949,20 +1129,11 @@ class CompiledInstance:
             if ds + dd >= dom_arr - _EPS:
                 break
             de = ds + dd
+            if not applied:
+                st.undo_bounds = (st.tl_max[j], st.tl_gap[j], st.tl_nz[j])
             dups[dom].append((j, ds, de, dd))
-            st.tl_add(j, dom, ds, de)
-            applied.append((dom, j, ds, dd))
+            applied.append((dom, ds, dd, st.tl_add(j, dom, ds, de)))
         return applied
-
-    @staticmethod
-    def _rollback(st: "_FlatState", plans: list[tuple[int, int, float, float]]) -> None:
-        for dt, dj, _ds, _dd in reversed(plans):
-            lst = st.dups[dt]
-            for i, (cp, cs, _ce, _cd) in enumerate(lst):
-                if cp == dj:
-                    del lst[i]
-                    st.tl_remove(dj, dt, cs)
-                    break
 
     def _lookahead_base(self, st: "_FlatState", t: int, child: int) -> list[float]:
         """Per-processor arrival fold of ``child``'s *other* placed parents.
@@ -1127,11 +1298,15 @@ class _FlatState:
 
     The state of the improved pass, the one pass that removes placements
     (duplicate rollback, refinement) and records duplicates.  Timelines
-    carry task ids so removal replays ``Timeline.remove``'s first-match
-    semantics, and each removal rebuilds ``tl_max``, ``tl_gap`` and
-    ``tl_nz`` exactly with :func:`_gap_bounds`, the sweep the list pass
-    runs over its seeds.  The list pass only inserts, so it keeps the
-    same per-processor lists as locals instead.
+    carry task ids so a removal finds the slot ``Timeline.remove`` would.
+    No removal rebuilds the bounds with :func:`_gap_bounds`: a probe's
+    duplicates are undone by position and ``tl_max``, ``tl_gap`` and
+    ``tl_nz`` restored from the snapshot taken before them
+    (:meth:`tl_undo`), and a refinement removal widens ``tl_gap`` by the
+    one gap it merges (:meth:`tl_remove`).  ``tl_max`` and ``tl_nz``
+    stay exact and ``tl_gap`` an upper bound, which is all the O(1)
+    answer of :meth:`find_slot` needs.  The list pass only inserts, so
+    it keeps the same per-processor lists as locals instead.
     """
 
     __slots__ = (
@@ -1141,6 +1316,7 @@ class _FlatState:
         "tl_max",
         "tl_gap",
         "tl_nz",
+        "undo_bounds",
         "pstart",
         "pend",
         "pdarg",
@@ -1155,11 +1331,14 @@ class _FlatState:
         self.tl_tasks: list[list[int]] = [[] for _ in range(q)]
         self.tl_max = [0.0] * q
         #: upper bound on the widest idle gap per processor (see the
-        #: list pass's gap-bound fast path); exact again after a removal.
+        #: list pass's gap-bound fast path).
         self.tl_gap = [0.0] * q
         #: end of the last nonzero-width slot per processor — the exact
         #: ``scan_slots`` fallback value.
         self.tl_nz = [0.0] * q
+        #: ``(tl_max, tl_gap, tl_nz)`` of the processor a probe's
+        #: tentative duplicates sit on, from before the first of them.
+        self.undo_bounds = (0.0, 0.0, 0.0)
         self.pstart = [0.0] * n
         self.pend = [0.0] * n
         self.pdarg = [0.0] * n
@@ -1168,7 +1347,8 @@ class _FlatState:
         #: per-task committed/tentative duplicates: (proc, start, end, duration)
         self.dups: list[list[tuple[int, float, float, float]]] = [[] for _ in range(n)]
 
-    def tl_add(self, j: int, t: int, start: float, end: float) -> None:
+    def tl_add(self, j: int, t: int, start: float, end: float) -> int:
+        """Insert a slot ahead of equal starts; returns its position."""
         starts = self.tl_starts[j]
         i = bisect_left(starts, start)
         starts.insert(i, start)
@@ -1182,19 +1362,68 @@ class _FlatState:
                 self.tl_gap[j] = start - nz
             if end > nz:
                 self.tl_nz[j] = end
+        return i
+
+    def tl_undo(self, j: int, plans: Sequence[tuple[int, float, float, int]]) -> None:
+        """Undo one probe's tentative duplicates, all on ``j``.
+
+        Newest first, each slot leaves from the position its
+        :meth:`tl_add` returned and its duplicate record from the end of
+        its task's list (one duplicate per task and processor), and the
+        bounds go back to :attr:`undo_bounds` — the timeline is again
+        the one they were taken from.
+        """
+        starts = self.tl_starts[j]
+        ends = self.tl_ends[j]
+        tasks = self.tl_tasks[j]
+        dups = self.dups
+        for dt, _ds, _dd, i in reversed(plans):
+            dups[dt].pop()
+            del starts[i]
+            del ends[i]
+            del tasks[i]
+        self.tl_max[j], self.tl_gap[j], self.tl_nz[j] = self.undo_bounds
 
     def tl_remove(self, j: int, t: int, start: float) -> None:
+        """Remove task ``t``'s one slot on ``j``, which starts at ``start``.
+
+        The slot is found by bisection (equal starts may precede it).
+        A nonzero-width slot merges the gaps on either side: ``tl_gap``
+        widens to the merged gap when that is wider, and ``tl_nz`` falls
+        back to the previous nonzero end when the last nonzero slot
+        leaves.  ``tl_max`` is recomputed only when the slot held it.
+        Nonzero-width slots never overlap, so their ends rise with their
+        starts and the nearest nonzero neighbours are the ones
+        :func:`_gap_bounds` would use.
+        """
         starts = self.tl_starts[j]
-        tasks = self.tl_tasks[j]
         ends = self.tl_ends[j]
-        for i in range(len(starts)):
-            if tasks[i] == t and abs(starts[i] - start) <= 1e-9:
-                del starts[i]
-                del ends[i]
-                del tasks[i]
-                break
-        # Removal merges gaps: rebuild the bounds exactly.
-        self.tl_max[j], self.tl_gap[j], self.tl_nz[j] = _gap_bounds(starts, ends)
+        tasks = self.tl_tasks[j]
+        i = bisect_left(starts, start)
+        while tasks[i] != t:
+            i += 1
+        s = starts[i]
+        e = ends[i]
+        del starts[i]
+        del ends[i]
+        del tasks[i]
+        if e - s > _TL_EPS:
+            k = i - 1
+            while k >= 0 and ends[k] - starts[k] <= _TL_EPS:
+                k -= 1
+            prev = ends[k] if k >= 0 else 0.0
+            k = i
+            last = len(starts)
+            while k < last and ends[k] - starts[k] <= _TL_EPS:
+                k += 1
+            if k < last:
+                g = starts[k] - prev
+                if g > self.tl_gap[j]:
+                    self.tl_gap[j] = g
+            else:
+                self.tl_nz[j] = prev
+        if e >= self.tl_max[j]:
+            self.tl_max[j] = max(ends) if ends else 0.0
 
     def find_slot(self, j: int, ready: float, duration: float, insertion: bool) -> float:
         if not insertion:

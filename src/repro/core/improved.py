@@ -88,7 +88,8 @@ class ImprovedScheduler(Scheduler):
                         best_name = name
             assert best is not None
             # Only the winning pass becomes a real Schedule.
-            best = ci.materialize(best, instance.machine, best_name)
+            with tracer.span("sched.materialize", alg=self.name):
+                best = ci.materialize(best, instance.machine, best_name)
             if tracer.enabled:
                 run.set(makespan=best.makespan)
         return best

@@ -35,6 +35,7 @@ import numpy as np
 
 from repro.exceptions import (
     GraphError,
+    MachineError,
     SchedulingError,
     UnknownProcessorError,
     UnknownTaskError,
@@ -311,6 +312,11 @@ class InstanceKernel:
         return self._links
 
     def _link_tables(self) -> tuple[list[list[float]], list[list[float]]] | None:
+        """Build :meth:`link_tables`, holding every link to the
+        :meth:`~repro.machine.comm.CommunicationModel.link` contract
+        (the rules :class:`~repro.machine.comm.LinkCommunication`
+        applies): a NaN or negative latency, or a NaN or non-positive
+        bandwidth, raises :class:`MachineError` naming the link."""
         if self.out_const is not None:
             return None
         comm = self._comm
@@ -320,7 +326,17 @@ class InstanceKernel:
         for i, src in enumerate(self.procs):
             for j, dst in enumerate(self.procs):
                 if i != j:
-                    lat[i][j], bw[i][j] = comm.link(src, dst)
+                    la, b = comm.link(src, dst)
+                    if not la >= 0:  # NaN fails too
+                        raise MachineError(
+                            f"link {src!r}->{dst!r}: latency must be >= 0, got {la!r}"
+                        )
+                    if not b > 0:
+                        raise MachineError(
+                            f"link {src!r}->{dst!r}: bandwidth must be > 0, got {b!r}"
+                        )
+                    lat[i][j] = la
+                    bw[i][j] = b
         return lat, bw
 
     def compiled(self):

@@ -33,7 +33,14 @@ class CommunicationModel(ABC):
     @abstractmethod
     def link(self, src: ProcId, dst: ProcId) -> tuple[float, float]:
         """``(latency, bandwidth)`` of the ``src -> dst`` link (distinct
-        processors; the diagonal is never asked for)."""
+        processors; the diagonal is never asked for).
+
+        The contract: latency ``>= 0`` and bandwidth ``> 0``, neither
+        NaN, so every transfer costs ``>= 0`` (the compiled engine's
+        exact pruning bounds rely on it).  Lowering an instance checks
+        every link and raises :class:`~repro.exceptions.MachineError`
+        naming the first one that breaks it.
+        """
 
     def time(self, data: float, src: ProcId, dst: ProcId) -> float:
         """Transfer time of ``data`` units from ``src`` to ``dst``:

@@ -161,6 +161,32 @@ def test_routing_enabled_under_tracer(population):
                 assert {"sched.run", "sched.rank", "sched.place"} <= names, (label, alg)
 
 
+def test_improved_spans_split_place_refine_and_materialize(population):
+    """A traced IMP run on a heterogeneous instance: two rank variants
+    times the primary and plain engines make four ``sched.place`` spans,
+    each with one ``sched.refine`` child, and the winner is raised under
+    one ``sched.materialize`` in ``sched.run``.  The payload is the
+    untraced one."""
+    from repro.obs import Tracer, use_tracer
+
+    label, inst = population[0]
+    assert label.startswith("het") and not inst.is_homogeneous()
+    plain = get_scheduler("IMP").schedule(inst)
+    tracer = Tracer(name="t")
+    with use_tracer(tracer):
+        traced = get_scheduler("IMP").schedule(inst)
+    spans = tracer.spans()
+    by_id = {s["id"]: s for s in spans}
+    named = {name: [s for s in spans if s["name"] == name]
+             for name in ("sched.place", "sched.refine", "sched.materialize")}
+    assert len(named["sched.place"]) == len(named["sched.refine"]) == 4
+    assert sorted(s["parent"] for s in named["sched.refine"]) == sorted(
+        s["id"] for s in named["sched.place"])
+    [materialize] = named["sched.materialize"]
+    assert by_id[materialize["parent"]]["name"] == "sched.run"
+    assert _payload(traced, inst, "IMP") == _payload(plain, inst, "IMP")
+
+
 def test_insertion_off_matches_object_path(population):
     """The non-insertion policy (ablation path) replays end-append
     placement identically, for the list, improved and single-pass

@@ -1,8 +1,11 @@
 """Property tests: the compiled executor is indistinguishable from the
 object path on arbitrary instances — free (zero-cost) links, uniform
 links, a custom model that defines only ``link()`` and random
-asymmetric per-link tables — and schedules are stable across
-interpreter restarts (hash randomization must not leak into results).
+asymmetric per-link tables, with ETC draws that may zero a share of
+their cells (zero-width slots) or round them to integers (ties) — and
+schedules are stable across interpreter restarts (hash randomization
+must not leak into results).  The improved pass's flat timelines keep
+their slot-search bounds through every add, undo and removal.
 """
 
 from __future__ import annotations
@@ -17,11 +20,12 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.compiled import compile_instance
+from repro.compiled import _FlatState, _gap_bounds, compile_instance
 from repro.core import ImprovedConfig, ImprovedScheduler
 from repro.dag.generators import random_dag
 from repro.instance import Instance, make_instance
-from repro.machine.etc import generate_etc
+from repro.machine.etc import ETCMatrix, generate_etc
+from repro.schedule.timeline import scan_slots
 from repro.schedule.validation import violations
 from repro.schedulers.meta.decoder import decode_assignment, rank_order
 from repro.schedulers.registry import get_scheduler
@@ -58,24 +62,49 @@ def build_custom(params):
     return Instance(dag=dag, machine=machine, etc=etc)
 
 
+def build_on(comm, params):
+    """The :func:`build` draw on one communication kind: ``zero`` (the
+    Machine default: every edge lowers to a 0.0 constant and ranks carry
+    no communication term), ``uniform``, ``custom`` (lowered through its
+    ``link()`` tables) or ``per-link`` (random asymmetric tables)."""
+    if comm == "uniform":
+        return build(params)
+    if comm == "zero":
+        return random_instance_on("zero", *params)
+    if comm == "per-link":
+        return random_instance_on("link", *params)
+    return build_custom(params)
+
+
+#: ``(share of ETC cells set to 0.0, round the rest to integers)``.
+etc_edits = st.tuples(st.sampled_from([0.0, 0.0, 0.25, 0.6, 1.0]), st.booleans())
+
+
+def edit_etc(instance, edits, seed):
+    """``instance`` with a seeded share of its ETC cells zeroed
+    (zero-width slots) and/or every cell rounded to an integer (ties in
+    arrivals, dominant parents and DLS keys)."""
+    share, rounded = edits
+    if not share and not rounded:
+        return instance
+    w = instance.etc.as_array().copy()
+    if rounded:
+        w = np.rint(w)
+    w[np.random.default_rng(seed).random(w.shape) < share] = 0.0
+    etc = ETCMatrix(instance.etc.task_ids, instance.etc.proc_ids, w)
+    return Instance(dag=instance.dag, machine=instance.machine, etc=etc)
+
+
 def _payload(schedule, instance, alg) -> str:
     return json.dumps(schedule_payload(schedule, instance, alg), sort_keys=True)
 
 
 @given(instance_params, st.sampled_from(["HEFT", "CPOP", "HCPT", "PETS",
                                          "DLS", "HLFET", "MCP", "IMP"]),
-       st.sampled_from(["uniform", "zero", "custom"]))
+       st.sampled_from(["uniform", "zero", "custom"]), etc_edits)
 @settings(max_examples=100, deadline=None)
-def test_compiled_equals_object_path(params, name, comm):
-    # ``zero`` is the Machine default: every edge lowers to a 0.0
-    # constant and ranks carry no communication term.  ``custom`` lowers
-    # through its ``link()`` tables.
-    if comm == "uniform":
-        instance = build(params)
-    elif comm == "zero":
-        instance = random_instance_on("zero", *params)
-    else:
-        instance = build_custom(params)
+def test_compiled_equals_object_path(params, name, comm, edits):
+    instance = edit_etc(build_on(comm, params), edits, params[-1])
     assert compile_instance(instance) is not None
     scheduler = get_scheduler(name)
     fast = scheduler.schedule(instance)
@@ -91,13 +120,16 @@ def test_compiled_equals_object_path(params, name, comm):
     st.booleans(),  # duplication
     st.booleans(),  # insertion
     st.booleans(),  # refinement
+    st.sampled_from(["zero", "uniform", "custom", "per-link"]),
+    etc_edits,
 )
 @settings(max_examples=40, deadline=None)
-def test_improved_config_space_compiled_equals_object(params, la, dup, ins, ref_):
-    """Every corner of the IMP feature space stays bit-identical,
-    including the duplication passes the compiled executor replays
-    through tentative plan/undo."""
-    instance = build(params)
+def test_improved_config_space_compiled_equals_object(params, la, dup, ins, ref_,
+                                                      comm, edits):
+    """Every corner of the IMP feature space stays bit-identical on every
+    communication kind, including the duplication passes the compiled
+    executor replays through tentative plan/undo."""
+    instance = edit_etc(build_on(comm, params), edits, params[-1])
     cfg = ImprovedConfig(lookahead=la, duplication=dup,
                          insertion=ins, refinement=ref_)
     fast = ImprovedScheduler(cfg).schedule(instance)
@@ -129,10 +161,10 @@ def build_link(params):
 
 
 @given(link_params, st.sampled_from(["HEFT", "CPOP", "DLS", "IMP",
-                                     "LA-HEFT", "DUP-HEFT"]))
+                                     "LA-HEFT", "DUP-HEFT"]), etc_edits)
 @settings(max_examples=60, deadline=None)
-def test_compiled_equals_object_path_on_asymmetric_links(params, name):
-    instance = build_link(params)
+def test_compiled_equals_object_path_on_asymmetric_links(params, name, edits):
+    instance = edit_etc(build_link(params), edits, params[-1])
     assert compile_instance(instance) is not None
     scheduler = get_scheduler(name)
     fast = scheduler.schedule(instance)
@@ -150,6 +182,112 @@ def test_decode_span_equals_object_decode_on_asymmetric_links(params, genome_see
     genome = np.random.default_rng(genome_seed).integers(0, compiled.q, size=compiled.n)
     schedule = decode_assignment(instance, compiled.assignment_of(genome), rank_order(instance))
     assert compiled.decode_span(genome.tolist()) == schedule.makespan
+
+
+def _check_bounds(fs, j, probes):
+    """``fs``'s bounds on ``j`` against :func:`_gap_bounds` of the live
+    timeline, and its slot search against ``scan_slots``."""
+    starts, ends = fs.tl_starts[j], fs.tl_ends[j]
+    end_time, gap, last_nz = _gap_bounds(starts, ends)
+    assert fs.tl_max[j] == end_time
+    assert fs.tl_nz[j] == last_nz
+    assert fs.tl_gap[j] >= gap
+    for ready, duration in probes:
+        assert fs.find_slot(j, ready, duration, True) == scan_slots(
+            starts, ends, ready, duration)
+
+
+@given(st.integers(min_value=0, max_value=2**32 - 1),
+       st.integers(min_value=1, max_value=80))
+@settings(max_examples=150, deadline=None)
+def test_flat_state_bounds_survive_adds_undos_and_removals(seed, steps):
+    """Random ``tl_add``/``tl_undo``/``tl_remove`` sequences on the
+    improved pass's flat timelines, zero-width slots included, placed
+    through ``find_slot`` as the pass places them.  After every step the
+    slot search equals ``scan_slots``, ``tl_max`` and ``tl_nz`` equal
+    the ``_gap_bounds`` values and ``tl_gap`` is at least its gap.
+    Times are multiples of 0.5, so every sum is exact."""
+    rng = np.random.default_rng(seed)
+    q = 2
+    fs = _FlatState(steps * 4, q)
+    live: list[tuple[int, int, float]] = []  # (proc, task, start)
+    durations = [0.0, 0.0, 0.5, 1.0, 2.5, 4.0, 7.0]
+    next_task = 0
+
+    def draw():
+        return float(rng.integers(0, 60)) * 0.5, durations[int(rng.integers(len(durations)))]
+
+    for _ in range(steps):
+        j = int(rng.integers(q))
+        op = rng.random()
+        if op < 0.55 or not live:
+            ready, duration = draw()
+            start = fs.find_slot(j, ready, duration, True)
+            fs.tl_add(j, next_task, start, start + duration)
+            live.append((j, next_task, start))
+            next_task += 1
+        elif op < 0.8:
+            # A probe's tentative duplicates on ``j``, then its undo.
+            before = (list(fs.tl_starts[j]), list(fs.tl_ends[j]), list(fs.tl_tasks[j]),
+                      fs.tl_max[j], fs.tl_gap[j], fs.tl_nz[j])
+            fs.undo_bounds = (fs.tl_max[j], fs.tl_gap[j], fs.tl_nz[j])
+            plans = []
+            for _k in range(int(rng.integers(1, 4))):
+                ready, duration = draw()
+                start = fs.find_slot(j, ready, duration, True)
+                fs.dups[next_task].append((j, start, start + duration, duration))
+                plans.append((next_task, start, duration,
+                               fs.tl_add(j, next_task, start, start + duration)))
+                next_task += 1
+                _check_bounds(fs, j, [draw() for _p in range(3)])
+            fs.tl_undo(j, plans)
+            assert all(not fs.dups[dt] for dt, _s, _d, _i in plans)
+            after = (fs.tl_starts[j], fs.tl_ends[j], fs.tl_tasks[j],
+                     fs.tl_max[j], fs.tl_gap[j], fs.tl_nz[j])
+            assert after == before
+        else:
+            pj, t, start = live.pop(int(rng.integers(len(live))))
+            fs.tl_remove(pj, t, start)
+            assert t not in fs.tl_tasks[pj]
+        for k in range(q):
+            _check_bounds(fs, k, [draw() for _p in range(4)])
+
+
+@given(instance_params, st.sampled_from(["zero", "uniform", "custom", "per-link"]),
+       etc_edits)
+@settings(max_examples=40, deadline=None)
+def test_dominant_parent_fold_is_the_planner_rule(params, comm, edits):
+    """On a DUP-HEFT schedule (primaries plus duplicates), the fold twin
+    leaves, per task and processor, the ready time of the plain fold and
+    the parent with the largest ``(arrival, -pos)`` — arrivals priced
+    copy by copy through ``Instance.comm_time``, ties (integer ETC
+    draws, free links) to the earlier topological position, however the
+    predecessor lists are ordered."""
+    instance = edit_etc(build_on(comm, params), edits, params[-1])
+    ci = compile_instance(instance)
+    result = ci.schedule_improved(
+        ci.order.tolist(), [0.0] * ci.n, lookahead=False, duplication=True,
+        insertion=True, refinement=False, refinement_rounds=0)
+    schedule = ci.materialize(result, instance.machine, "dup")
+    pend = [s + d for s, d in zip(result.start, result.darg)]
+    dups = [[] for _ in range(ci.n)]
+    for t, j, s, d in result.dups:
+        dups[t].append((j, s, s + d, d))
+    pos = instance.kernel.pos
+    for t, task in enumerate(ci.tasks):
+        edges = ci._preds[t]
+        dom = [-1] * ci.q
+        ready = ci._fold_dom([0.0] * ci.q, dom, edges, pend, result.proc, dups)
+        assert ready == ci._fold([0.0] * ci.q, edges, pend, result.proc, dups)
+        for j, proc in enumerate(ci.procs):
+            arrival = {
+                parent: min(c.end + (0.0 if c.proc == proc else
+                                     instance.comm_time(parent, task, c.proc, proc))
+                            for c in schedule.copies(parent))
+                for parent in instance.dag.predecessors(task)
+            }
+            want = max(arrival, key=lambda p: (arrival[p], -pos[p]), default=None)
+            assert dom[j] == (-1 if want is None else ci._ti[want]), (task, proc)
 
 
 @given(instance_params)

@@ -111,6 +111,35 @@ class TestCoincidingEntries:
     """Placements sharing a ``(processor, start, str(task))`` key are all
     checked; the per-processor grouping used to keep only the last."""
 
+    @pytest.mark.parametrize("name", ["b", "0"])
+    def test_zero_width_copy_overlaps_nothing(self, name):
+        """A zero-duration task placed where a busy slot starts (where
+        ``scan_slots`` puts it) is feasible, as ``Timeline.add`` holds,
+        whether its id sorts after the busy task's or before it; a wide
+        slot behind it is still checked against the wide one before."""
+        from repro.dag.graph import TaskDAG
+        from repro.machine.cluster import Machine
+        from repro.machine.etc import ETCMatrix
+        from repro.machine.processor import Processor
+        from repro.instance import Instance
+        from tests.validation_reference import reference_violations
+
+        dag = TaskDAG()
+        for t in ("a", name, "z"):
+            dag.add_task(t, cost=1.0)
+        machine = Machine([Processor(id=0, speed=1.0)], name="one")
+        inst = Instance(dag=dag, machine=machine,
+                        etc=ETCMatrix(["a", name, "z"], [0], [[5.0], [0.0], [2.0]]))
+        s = Schedule(machine)
+        s.add("a", 0, 0.0, 5.0)
+        s.add(name, 0, 0.0, 0.0)
+        s.add("z", 0, 5.0, 2.0)
+        assert violations(s, inst) == reference_violations(s, inst) == []
+        s.add(name, 0, 6.0, 0.0, duplicate=True, check=False)
+        s.add("z", 0, 4.0, 2.0, duplicate=True, check=False)
+        want = ["overlap on 0: 'a' [0,5) vs 'z' [4,6)", "overlap on 0: 'z' [4,6) vs 'z' [5,7)"]
+        assert violations(s, inst) == reference_violations(s, inst) == want
+
     def test_primary_and_duplicate_on_one_slot_overlap(self):
         from repro.dag.graph import TaskDAG
 

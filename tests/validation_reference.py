@@ -3,7 +3,9 @@
 :func:`reference_violations` is the per-processor, per-edge validator
 that :func:`repro.schedule.validation.violations` replaced with one
 grouped pass over the placements, kept verbatim with its tolerances
-(the same four rules and messages, every cost asked of ``Instance``).
+(the same four rules and messages, every cost asked of ``Instance``),
+except that rule 3 skips zero-width copies as ``Timeline.add`` does
+(it used to flag one that sorts after a busy slot starting with it).
 The differential suite ``tests/schedule/test_validation_equivalence.py``
 holds the library's validator to it message for message, as
 ``tests/object_path.py`` keeps the object scheduling path as the
@@ -14,6 +16,7 @@ from __future__ import annotations
 
 from repro.instance import Instance
 from repro.schedule.schedule import Schedule, ScheduledTask
+from repro.schedule.timeline import EPS
 
 #: Relative tolerance for floating-point comparisons in validation.
 _RTOL = 1e-6
@@ -48,6 +51,8 @@ def reference_violations(schedule: Schedule, instance: Instance) -> list[str]:
                     f"copy of {placed.task!r} on {proc!r} runs {placed.duration:g}, "
                     f"ETC says {expected:g}"
                 )
+            if placed.duration <= EPS:
+                continue  # a zero-width copy occupies no time (Timeline's rule)
             if prev is not None and placed.start < prev.end - _ATOL:
                 out.append(
                     f"overlap on {proc!r}: {prev.task!r} [{prev.start:g},{prev.end:g}) vs "
