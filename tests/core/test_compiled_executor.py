@@ -161,21 +161,32 @@ def test_routing_enabled_under_tracer(population):
                 assert {"sched.run", "sched.rank", "sched.place"} <= names, (label, alg)
 
 
+def _refine_spans(inst):
+    """``(engine, attrs)`` of every ``sched.refine`` span of a traced
+    IMP run, plus the run's spans and schedule."""
+    from repro.obs import Tracer, use_tracer
+
+    tracer = Tracer(name="t")
+    with use_tracer(tracer):
+        schedule = get_scheduler("IMP").schedule(inst)
+    spans = tracer.spans()
+    by_id = {s["id"]: s for s in spans}
+    refines = [(by_id[by_id[s["parent"]]["parent"]]["attrs"]["engine"], s["attrs"])
+               for s in spans if s["name"] == "sched.refine"]
+    return refines, spans, schedule
+
+
 def test_improved_spans_split_place_refine_and_materialize(population):
     """A traced IMP run on a heterogeneous instance: two rank variants
     times the primary and plain engines make four ``sched.place`` spans,
     each with one ``sched.refine`` child, and the winner is raised under
-    one ``sched.materialize`` in ``sched.run``.  The payload is the
-    untraced one."""
-    from repro.obs import Tracer, use_tracer
-
+    one ``sched.materialize`` in ``sched.run``.  Each refinement span
+    counts the tasks it visited and probed; the plain passes probe none.
+    The payload is the untraced one."""
     label, inst = population[0]
     assert label.startswith("het") and not inst.is_homogeneous()
     plain = get_scheduler("IMP").schedule(inst)
-    tracer = Tracer(name="t")
-    with use_tracer(tracer):
-        traced = get_scheduler("IMP").schedule(inst)
-    spans = tracer.spans()
+    refines, spans, traced = _refine_spans(inst)
     by_id = {s["id"]: s for s in spans}
     named = {name: [s for s in spans if s["name"] == name]
              for name in ("sched.place", "sched.refine", "sched.materialize")}
@@ -184,19 +195,52 @@ def test_improved_spans_split_place_refine_and_materialize(population):
         s["id"] for s in named["sched.place"])
     [materialize] = named["sched.materialize"]
     assert by_id[materialize["parent"]]["name"] == "sched.run"
+    assert sorted(engine for engine, _attrs in refines) == ["plain", "plain",
+                                                           "primary", "primary"]
+    for engine, attrs in refines:
+        assert 0 <= attrs["probes"] <= attrs["visits"], (engine, attrs)
+        if engine == "plain":
+            assert attrs["probes"] == 0, attrs
     assert _payload(traced, inst, "IMP") == _payload(plain, inst, "IMP")
+
+
+def test_plain_passes_run_no_refinement_probe(population):
+    """IMP's plain EFT passes (insertion on) leave every task at the
+    least end any processor offers, and nothing after its placement can
+    lower that bound: refinement visits every task and probes none."""
+    for label, inst in population:
+        refines, _spans, _schedule = _refine_spans(inst)
+        plain = [attrs for engine, attrs in refines if engine == "plain"]
+        assert plain, label
+        for attrs in plain:
+            assert attrs["visits"] > 0 and attrs["probes"] == 0, (label, attrs)
 
 
 def test_insertion_off_matches_object_path(population):
     """The non-insertion policy (ablation path) replays end-append
     placement identically, for the list, improved and single-pass
-    engine schedulers."""
+    engine schedulers.  Refinement, whose probes search with insertion,
+    moves appended tasks into gaps on this slice, so the improved
+    pass's refinement bounds are exercised by moves too."""
+    from repro.schedulers.ranking import upward_ranks
+
+    moved = 0
     for label, inst in population[::9]:
         for alg, scheduler in routed_insertion_off():
             fast = scheduler.schedule(inst)
             with object_path():
                 ref = scheduler.schedule(inst)
             assert _payload(fast, inst, alg) == _payload(ref, inst, alg), (label, alg)
+        ci = compile_instance(inst)
+        ranks = upward_ranks(inst, "mean")
+        order = ci.order_indices(sorted(inst.dag.tasks(),
+                                        key=lambda t: (-ranks[t], inst.kernel.pos[t])))
+        runs = [ci.schedule_improved(order, [ranks[t] for t in ci.tasks], lookahead=True,
+                                     duplication=True, insertion=False, refinement=ref_,
+                                     refinement_rounds=2)
+                for ref_ in (False, True)]
+        moved += runs[0].start != runs[1].start
+    assert moved > 0
 
 
 # ----------------------------------------------------------------------

@@ -5,12 +5,14 @@ asymmetric per-link tables, with ETC draws that may zero a share of
 their cells (zero-width slots) or round them to integers (ties) — and
 schedules are stable across interpreter restarts (hash randomization
 must not leak into results).  The improved pass's flat timelines keep
-their slot-search bounds through every add, undo and removal.
+their slot-search bounds through every add, undo and removal, and its
+per-task refinement bounds stay below every end a full probe finds.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -25,9 +27,11 @@ from repro.core import ImprovedConfig, ImprovedScheduler
 from repro.dag.generators import random_dag
 from repro.instance import Instance, make_instance
 from repro.machine.etc import ETCMatrix, generate_etc
+from repro.schedule.timeline import EPS as _TL_EPS
 from repro.schedule.timeline import scan_slots
 from repro.schedule.validation import violations
 from repro.schedulers.meta.decoder import decode_assignment, rank_order
+from repro.schedulers.ranking import upward_ranks
 from repro.schedulers.registry import get_scheduler
 from repro.service.protocol import schedule_payload
 from tests.object_path import object_path
@@ -120,18 +124,22 @@ def test_compiled_equals_object_path(params, name, comm, edits):
     st.booleans(),  # duplication
     st.booleans(),  # insertion
     st.booleans(),  # refinement
+    st.integers(min_value=0, max_value=4),  # refinement rounds
+    st.lists(st.sampled_from(["mean", "median", "best", "worst"]),
+             min_size=1, max_size=3, unique=True),  # rank variants
     st.sampled_from(["zero", "uniform", "custom", "per-link"]),
     etc_edits,
 )
 @settings(max_examples=40, deadline=None)
 def test_improved_config_space_compiled_equals_object(params, la, dup, ins, ref_,
-                                                      comm, edits):
+                                                      rounds, variants, comm, edits):
     """Every corner of the IMP feature space stays bit-identical on every
     communication kind, including the duplication passes the compiled
-    executor replays through tentative plan/undo."""
+    executor replays through tentative plan/undo, and refinement bounds
+    carried across rounds and passes."""
     instance = edit_etc(build_on(comm, params), edits, params[-1])
-    cfg = ImprovedConfig(lookahead=la, duplication=dup,
-                         insertion=ins, refinement=ref_)
+    cfg = ImprovedConfig(rank_variants=tuple(variants), lookahead=la, duplication=dup,
+                         insertion=ins, refinement=ref_, refinement_rounds=rounds)
     fast = ImprovedScheduler(cfg).schedule(instance)
     with object_path():
         ref = ImprovedScheduler(cfg).schedule(instance)
@@ -203,9 +211,13 @@ def _check_bounds(fs, j, probes):
 def test_flat_state_bounds_survive_adds_undos_and_removals(seed, steps):
     """Random ``tl_add``/``tl_undo``/``tl_remove`` sequences on the
     improved pass's flat timelines, zero-width slots included, placed
-    through ``find_slot`` as the pass places them.  After every step the
-    slot search equals ``scan_slots``, ``tl_max`` and ``tl_nz`` equal
-    the ``_gap_bounds`` values and ``tl_gap`` is at least its gap.
+    through ``find_slot`` as the pass places them, plus the remove,
+    re-add and snapshot restore of a refinement probe that keeps its
+    task: that leaves the slots and bounds as they were, and the removal
+    returns the end of the previous nonzero-width slot (0.0 when none;
+    ``inf`` for a zero-width slot, which merges no gap).  After every
+    step the slot search equals ``scan_slots``, ``tl_max`` and ``tl_nz``
+    equal the ``_gap_bounds`` values and ``tl_gap`` is at least its gap.
     Times are multiples of 0.5, so every sum is exact."""
     rng = np.random.default_rng(seed)
     q = 2
@@ -245,12 +257,111 @@ def test_flat_state_bounds_survive_adds_undos_and_removals(seed, steps):
             after = (fs.tl_starts[j], fs.tl_ends[j], fs.tl_tasks[j],
                      fs.tl_max[j], fs.tl_gap[j], fs.tl_nz[j])
             assert after == before
+        elif op < 0.9:
+            # A refinement probe that keeps its task in place: remove the
+            # slot, re-add it and put back the bounds from before.
+            pj, t, start = live[int(rng.integers(len(live)))]
+            i = fs.tl_tasks[pj].index(t)
+            end = fs.tl_ends[pj][i]
+            before = (sorted(zip(fs.tl_starts[pj], fs.tl_ends[pj], fs.tl_tasks[pj])),
+                      fs.tl_max[pj], fs.tl_gap[pj], fs.tl_nz[pj])
+            prev = 0.0
+            for s, e in zip(fs.tl_starts[pj][:i], fs.tl_ends[pj][:i]):
+                if e - s > _TL_EPS:
+                    prev = e
+            gap_lo = fs.tl_remove(pj, t, start)
+            assert gap_lo == (prev if end - start > _TL_EPS else math.inf)
+            fs.tl_add(pj, t, start, end)
+            fs.tl_max[pj], fs.tl_gap[pj], fs.tl_nz[pj] = before[1:]
+            # Equal only up to the order of slots sharing a start: the
+            # re-add goes ahead of them.
+            after = (sorted(zip(fs.tl_starts[pj], fs.tl_ends[pj], fs.tl_tasks[pj])),
+                     fs.tl_max[pj], fs.tl_gap[pj], fs.tl_nz[pj])
+            assert after == before
         else:
             pj, t, start = live.pop(int(rng.integers(len(live))))
             fs.tl_remove(pj, t, start)
             assert t not in fs.tl_tasks[pj]
         for k in range(q):
             _check_bounds(fs, k, [draw() for _p in range(4)])
+
+
+def _check_refinement_bounds(ci, fs):
+    """Give every task with a finite ``lb`` and no duplicates a full
+    refinement probe on ``fs`` without its slot — fold its parents, run
+    the insertion search on every processor — and require every end to
+    be at least its bound.  Returns the number of tasks checked."""
+    checked = 0
+    for t in range(ci.n):
+        if fs.dups[t] or not math.isfinite(fs.lb[t]):
+            continue
+        checked += 1
+        ready = ci._fold([0.0] * ci.q, ci._preds[t], fs.pend, fs.pproc, fs.dups)
+        for j, duration in enumerate(ci._etc_rows[t]):
+            slots = [(s, e) for s, e, k in zip(fs.tl_starts[j], fs.tl_ends[j],
+                                               fs.tl_tasks[j]) if k != t]
+            starts = [s for s, _e in slots]
+            ends = [e for _s, e in slots]
+            end = scan_slots(starts, ends, ready[j], duration) + duration
+            assert end >= fs.lb[t], (t, j, end, fs.lb[t])
+    return checked
+
+
+@given(instance_params, st.sampled_from(["zero", "uniform", "custom", "per-link"]),
+       etc_edits, st.booleans(), st.booleans(), st.booleans())
+@settings(max_examples=150, deadline=None)
+def test_refinement_bounds_are_sound(params, comm, edits, la, dup, ins):
+    """After the improved placement pass and after each of four single
+    refinement rounds, every task's bound is at most every end a full
+    probe of it finds.  Payload identity alone misses a wrong
+    invalidation: a stale bound only skips a probe that would have moved
+    its task on some other instance."""
+    instance = edit_etc(build_on(comm, params), edits, params[-1])
+    ci = compile_instance(instance)
+    ranks = upward_ranks(instance, "mean")
+    pos = instance.kernel.pos
+    order = ci.order_indices(sorted(instance.dag.tasks(), key=lambda t: (-ranks[t], pos[t])))
+    fs = _FlatState(ci.n, ci.q)
+    ci._improved_place_pass(fs, order, [ranks[t] for t in ci.tasks], lookahead=la,
+                            duplication=dup, insertion=ins, max_dups=3)
+    _check_refinement_bounds(ci, fs)
+    for _ in range(4):
+        ci._refine(fs, 1)
+        _check_refinement_bounds(ci, fs)
+
+
+def test_restore_that_changes_an_end_drops_every_bound():
+    """A restore whose ``start + (end - start)`` replay changes the
+    recorded end moves the task's data to its children, so no bound
+    survives it.  No schedule records such an end, so the state is built
+    by hand: the chain a -> b -> c on one processor with b on [s, x),
+    where s = 1 + 2**-47 and x = 100 + 2**-46 replay to 100.0."""
+    from repro.dag.graph import TaskDAG
+    from repro.machine.cluster import Machine
+    from repro.machine.processor import Processor
+
+    s, x = 1.0 + 2.0**-47, 100.0 + 2.0**-46
+    assert s + (x - s) == 100.0 < x
+    dag = TaskDAG()
+    for task in "abc":
+        dag.add_task(task, 1.0)
+    dag.add_edge("a", "b")
+    dag.add_edge("b", "c")
+    machine = Machine([Processor(id=0, speed=1.0)])
+    etc = ETCMatrix(["a", "b", "c"], [0], np.array([[s], [x - s], [1.0]]))
+    ci = compile_instance(Instance(dag=dag, machine=machine, etc=etc))
+    fs = _FlatState(ci.n, ci.q)
+    for task, start, end in (("a", 0.0, s), ("b", s, x), ("c", x, x + 1.0)):
+        t = ci._ti[task]
+        fs.pstart[t], fs.pend[t], fs.pdarg[t], fs.pproc[t] = start, end, end - start, 0
+        fs.placed[t] = True
+        fs.tl_add(0, t, start, end)
+    c = ci._ti["c"]
+    fs.lb[c] = fs.pend[c]
+    assert _check_refinement_bounds(ci, fs) == 1
+    ci._refine(fs, 1)
+    assert fs.pend[ci._ti["b"]] == 100.0
+    _check_refinement_bounds(ci, fs)
 
 
 @given(instance_params, st.sampled_from(["zero", "uniform", "custom", "per-link"]),
