@@ -12,9 +12,12 @@ instrumented paths and writes ``BENCH_obs.json`` at the repo root:
   branch (``priority_order`` → ``schedule_list`` → ``materialize``), the
   path every HEFT call runs, traced or not.
 
-Both comparisons take best-of-``ROUNDS`` timings (noise suppression)
-and hard-assert bit-identical outputs.  The enabled-tracer cost is also
-recorded, informationally — tracing *on* is allowed to cost something.
+Both comparisons take best-of-``ROUNDS`` timings (noise suppression),
+with the two legs alternating round by round and the leg that goes
+first swapping each round, so a slow stretch of the machine lands on
+both legs rather than on whichever ran second; both hard-assert
+bit-identical outputs.  The enabled-tracer cost is also recorded,
+informationally — tracing *on* is allowed to cost something.
 
 Run directly to regenerate the JSON:
 
@@ -58,6 +61,21 @@ def _best_of(fn, rounds: int = ROUNDS) -> float:
     return best
 
 
+def _best_of_pair(first, second, rounds: int = ROUNDS) -> tuple[float, float]:
+    """Minimum wall times of two legs (seconds), timed round by round:
+    each round runs both, the leg that goes first alternating."""
+    legs = (first, second)
+    best = [float("inf"), float("inf")]
+    for r in range(rounds):
+        for k in (r % 2, 1 - r % 2):
+            t0 = time.perf_counter()
+            legs[k]()
+            dt = time.perf_counter() - t0
+            if dt < best[k]:
+                best[k] = dt
+    return best[0], best[1]
+
+
 def _instance(seed: int = 17):
     return W.random_instance(
         np.random.default_rng(seed), num_tasks=NUM_TASKS, num_procs=NUM_PROCS
@@ -83,8 +101,7 @@ def _bench_decode_overhead() -> dict:
     assert get_tracer() is NULL_TRACER
     baseline = raw()
     assert np.array_equal(noop(), baseline)  # hard gate: bit-identical
-    raw_s = _best_of(raw)
-    noop_s = _best_of(noop)
+    raw_s, noop_s = _best_of_pair(raw, noop)
 
     tracer = Tracer()
     with use_tracer(tracer):
@@ -126,8 +143,8 @@ def _bench_heft_overhead() -> dict:
     baseline = _heft_raw(scheduler, inst)
     noop_schedule = scheduler.schedule(inst)
     assert noop_schedule.makespan == baseline.makespan  # hard gate
-    raw_s = _best_of(lambda: _heft_raw(scheduler, inst))
-    noop_s = _best_of(lambda: scheduler.schedule(inst))
+    raw_s, noop_s = _best_of_pair(lambda: _heft_raw(scheduler, inst),
+                                  lambda: scheduler.schedule(inst))
 
     tracer = Tracer()
     with use_tracer(tracer):

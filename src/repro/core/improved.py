@@ -71,7 +71,7 @@ class ImprovedScheduler(Scheduler):
                 name = f"{self.name}({agg}):{instance.name}"
                 for kind, engine in engines:
                     with tracer.span("imp.pass", agg=agg, engine=kind):
-                        with tracer.span("sched.place", alg=self.name, agg=agg):
+                        with tracer.span("sched.place", alg=self.name, agg=agg) as place:
                             candidate = ci.schedule_improved(
                                 ci.order_indices(order),
                                 [ranks[t] for t in ci.tasks],
@@ -81,6 +81,8 @@ class ImprovedScheduler(Scheduler):
                                 refinement=cfg.refinement,
                                 refinement_rounds=cfg.refinement_rounds,
                             )
+                            if tracer.enabled:
+                                place.set(pruned=candidate.pruned, planned=candidate.planned)
                     if tracer.enabled:
                         tracer.count("imp.passes")
                     if best is None or candidate.makespan < best.makespan - 1e-12:

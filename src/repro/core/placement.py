@@ -245,20 +245,33 @@ class PlacementEngine:
         and DUP-HEFT.
 
         Runs as one compiled improved pass without refinement, which
-        replays :meth:`place` float for float.
+        replays :meth:`place` float for float, under the ``sched.run`` >
+        ``sched.rank`` / ``sched.place`` spans of every list scheduler;
+        ``sched.place`` carries the pass's ``pruned`` and ``planned``
+        probe counts.
         """
-        ranks = upward_ranks(instance, agg)
-        ci = instance.kernel.compiled()
-        pos = instance.kernel.pos
-        order = sorted(instance.dag.tasks(), key=lambda t: (-ranks[t], pos[t]))
-        result = ci.schedule_improved(
-            ci.order_indices(order),
-            [ranks[t] for t in ci.tasks],
-            lookahead=self.lookahead,
-            duplication=self.duplication,
-            insertion=self.insertion,
-            refinement=False,
-            refinement_rounds=0,
-            max_duplications_per_task=self.max_duplications_per_task,
-        )
-        return ci.materialize(result, instance.machine, f"{label}:{instance.name}")
+        tracer = get_tracer()
+        with tracer.span("sched.run", alg=label, tasks=instance.num_tasks) as run:
+            with tracer.span("sched.rank", alg=label):
+                ranks = upward_ranks(instance, agg)
+                pos = instance.kernel.pos
+                order = sorted(instance.dag.tasks(), key=lambda t: (-ranks[t], pos[t]))
+            ci = instance.kernel.compiled()
+            with tracer.span("sched.place", alg=label) as place:
+                result = ci.schedule_improved(
+                    ci.order_indices(order),
+                    [ranks[t] for t in ci.tasks],
+                    lookahead=self.lookahead,
+                    duplication=self.duplication,
+                    insertion=self.insertion,
+                    refinement=False,
+                    refinement_rounds=0,
+                    max_duplications_per_task=self.max_duplications_per_task,
+                )
+                if tracer.enabled:
+                    place.set(pruned=result.pruned, planned=result.planned)
+                schedule = ci.materialize(result, instance.machine, f"{label}:{instance.name}")
+            if tracer.enabled:
+                tracer.count("sched.tasks_placed", instance.num_tasks)
+                run.set(makespan=schedule.makespan)
+        return schedule

@@ -157,8 +157,42 @@ def test_routing_enabled_under_tracer(population):
             assert _payload(traced, inst, alg) == _payload(plain, inst, alg), (label, alg)
             names = {s["name"] for s in tracer.spans()}
             assert "sched.insert" not in names, (label, alg)
-            if alg not in ("LA-HEFT", "DUP-HEFT"):
-                assert {"sched.run", "sched.rank", "sched.place"} <= names, (label, alg)
+            assert {"sched.run", "sched.rank", "sched.place"} <= names, (label, alg)
+
+
+def _place_counts(alg, inst):
+    """``(payload, names, [(pruned, planned) per sched.place])`` of one
+    traced run of ``alg`` on ``inst``."""
+    from repro.obs import Tracer, use_tracer
+
+    tracer = Tracer(name="t")
+    with use_tracer(tracer):
+        schedule = get_scheduler(alg).schedule(inst)
+    spans = tracer.spans()
+    counts = [(s["attrs"]["pruned"], s["attrs"]["planned"])
+              for s in spans if s["name"] == "sched.place"]
+    return _payload(schedule, inst, alg), {s["name"] for s in spans}, counts
+
+
+def test_improved_passes_count_their_probes(population):
+    """LA-HEFT and DUP-HEFT carry ``sched.run`` > ``sched.rank`` /
+    ``sched.place`` like every list scheduler, and each improved pass's
+    ``sched.place`` counts the probes pruned before their slot search
+    and those that applied a duplicate plan: the same counts on every
+    run, none planned without duplication, and the untraced payload."""
+    for label, inst in (population[0], population[-1]):  # uniform, per-link
+        for alg, passes, dup_passes in (("LA-HEFT", 1, 0), ("DUP-HEFT", 1, 1), ("IMP", 4, 2)):
+            plain = _payload(get_scheduler(alg).schedule(inst), inst, alg)
+            payload, names, counts = _place_counts(alg, inst)
+            assert payload == plain, (label, alg)
+            assert {"sched.run", "sched.rank", "sched.place"} <= names, (label, alg)
+            assert len(counts) == passes, (label, alg, counts)
+            assert _place_counts(alg, inst)[2] == counts, (label, alg)
+            n_probes = inst.num_tasks * inst.num_procs
+            assert all(0 <= p <= n_probes and 0 <= d <= n_probes - p
+                       for p, d in counts), (label, alg, counts)
+            assert sum(d > 0 for _p, d in counts) <= dup_passes, (label, alg, counts)
+            assert sum(p for p, _d in counts) > 0, (label, alg, counts)
 
 
 def _refine_spans(inst):
