@@ -12,11 +12,17 @@ instrumented paths and writes ``BENCH_obs.json`` at the repo root:
   branch (``priority_order`` → ``schedule_list`` → ``materialize``), the
   path every HEFT call runs, traced or not.
 
-Both comparisons take best-of-``ROUNDS`` timings (noise suppression),
-with the two legs alternating round by round and the leg that goes
-first swapping each round, so a slow stretch of the machine lands on
-both legs rather than on whichever ran second; both hard-assert
-bit-identical outputs.  The enabled-tracer cost is also recorded,
+Both comparisons time the two legs round by round over ``ROUNDS``
+rounds, the leg that goes first swapping each round, and read the
+no-op overhead from the median of the per-round no-op/raw ratios: two
+calls made back to back share whatever the machine is doing, and the
+median drops the rounds where a burst hit only one of them (a
+best-of-each comparison read ±15 % on unchanged code when such bursts
+came and went).  The best time of each leg is recorded beside it.
+Both comparisons hard-assert bit-identical outputs.  One HEFT schedule
+takes about 0.5 ms, less than the jitter a single timed call carries,
+so each HEFT round runs ``HEFT_PER_ROUND`` schedules and reports the
+time per schedule.  The enabled-tracer cost is also recorded,
 informationally — tracing *on* is allowed to cost something.
 
 Run directly to regenerate the JSON:
@@ -49,6 +55,8 @@ NUM_TASKS = 60
 NUM_PROCS = 8
 POP = 32
 ROUNDS = 30
+#: HEFT schedules per timed round (a round then lasts about 10 ms).
+HEFT_PER_ROUND = 20
 
 
 def _best_of(fn, rounds: int = ROUNDS) -> float:
@@ -61,19 +69,36 @@ def _best_of(fn, rounds: int = ROUNDS) -> float:
     return best
 
 
-def _best_of_pair(first, second, rounds: int = ROUNDS) -> tuple[float, float]:
-    """Minimum wall times of two legs (seconds), timed round by round:
-    each round runs both, the leg that goes first alternating."""
+def _timed_pair(first, second, rounds: int = ROUNDS) -> tuple[float, float, float]:
+    """Time two legs round by round, the leg that goes first alternating:
+    ``(best first, best second, median over rounds of second / first)``
+    in seconds.  Each round's ratio compares two calls made back to
+    back, so a slow stretch of the machine that spans the round cancels
+    out, and the median ignores rounds where it hit only one leg."""
     legs = (first, second)
     best = [float("inf"), float("inf")]
+    ratios = []
     for r in range(rounds):
+        dts = [0.0, 0.0]
         for k in (r % 2, 1 - r % 2):
             t0 = time.perf_counter()
             legs[k]()
-            dt = time.perf_counter() - t0
-            if dt < best[k]:
-                best[k] = dt
-    return best[0], best[1]
+            dts[k] = time.perf_counter() - t0
+            if dts[k] < best[k]:
+                best[k] = dts[k]
+        ratios.append(dts[1] / dts[0])
+    ratios.sort()
+    return best[0], best[1], ratios[len(ratios) // 2]
+
+
+def _repeated(fn, times: int):
+    """``fn`` run ``times`` times in a row, as one timed call."""
+
+    def run():
+        for _ in range(times):
+            fn()
+
+    return run
 
 
 def _instance(seed: int = 17):
@@ -101,7 +126,7 @@ def _bench_decode_overhead() -> dict:
     assert get_tracer() is NULL_TRACER
     baseline = raw()
     assert np.array_equal(noop(), baseline)  # hard gate: bit-identical
-    raw_s, noop_s = _best_of_pair(raw, noop)
+    raw_s, noop_s, ratio = _timed_pair(raw, noop)
 
     tracer = Tracer()
     with use_tracer(tracer):
@@ -114,7 +139,7 @@ def _bench_decode_overhead() -> dict:
         "population": POP,
         "raw_us_per_batch": raw_s * 1e6,
         "noop_us_per_batch": noop_s * 1e6,
-        "noop_overhead_pct": (noop_s / raw_s - 1.0) * 100.0,
+        "noop_overhead_pct": (ratio - 1.0) * 100.0,
         "enabled_overhead_pct": (enabled_s / raw_s - 1.0) * 100.0,
         "bit_identical": True,
     }
@@ -143,13 +168,19 @@ def _bench_heft_overhead() -> dict:
     baseline = _heft_raw(scheduler, inst)
     noop_schedule = scheduler.schedule(inst)
     assert noop_schedule.makespan == baseline.makespan  # hard gate
-    raw_s, noop_s = _best_of_pair(lambda: _heft_raw(scheduler, inst),
-                                  lambda: scheduler.schedule(inst))
+    raw_s, noop_s, ratio = _timed_pair(
+        _repeated(lambda: _heft_raw(scheduler, inst), HEFT_PER_ROUND),
+        _repeated(lambda: scheduler.schedule(inst), HEFT_PER_ROUND),
+    )
+    raw_s /= HEFT_PER_ROUND
+    noop_s /= HEFT_PER_ROUND
 
     tracer = Tracer()
     with use_tracer(tracer):
         assert scheduler.schedule(inst).makespan == baseline.makespan
-        enabled_s = _best_of(lambda: scheduler.schedule(inst), rounds=10)
+        enabled_s = _best_of(
+            _repeated(lambda: scheduler.schedule(inst), HEFT_PER_ROUND), rounds=10
+        ) / HEFT_PER_ROUND
 
     return {
         "path": "HEFT.schedule",
@@ -157,7 +188,7 @@ def _bench_heft_overhead() -> dict:
         "num_procs": NUM_PROCS,
         "raw_ms_per_schedule": raw_s * 1e3,
         "noop_ms_per_schedule": noop_s * 1e3,
-        "noop_overhead_pct": (noop_s / raw_s - 1.0) * 100.0,
+        "noop_overhead_pct": (ratio - 1.0) * 100.0,
         "enabled_overhead_pct": (enabled_s / raw_s - 1.0) * 100.0,
         "identical_makespan": True,
     }

@@ -22,13 +22,15 @@ scheduler, LA-HEFT, DUP-HEFT) and the GA/SA decode.  Only the winner
 becomes a :class:`~repro.schedule.schedule.Schedule`, as columns
 (:meth:`CompiledInstance.materialize`).
 
-The slot search is the *same* helper the object path's
-:meth:`~repro.schedule.timeline.Timeline.find_slot` delegates to
-(:func:`~repro.schedule.timeline.scan_slots`), and every arithmetic
-operation replays the object-level primitives' float sequence exactly
-(``eft_placement``, ``PlacementEngine.place``, ``refine_schedule``,
-``decode_assignment``), so results are bit-identical to them
-(``tests/core/test_compiled_executor.py`` and
+The list and improved passes answer each slot search from a per-timeline
+index of idle gaps (:func:`_first_fit`), which returns the float the
+object path's :meth:`~repro.schedule.timeline.Timeline.find_slot`
+helper (:func:`~repro.schedule.timeline.scan_slots`) returns, and is
+tested equal to it; the GA/SA decode calls that helper itself.  Every
+arithmetic operation replays the object-level primitives' float
+sequence exactly (``eft_placement``, ``PlacementEngine.place``,
+``refine_schedule``, ``decode_assignment``), so results are
+bit-identical to them (``tests/core/test_compiled_executor.py`` and
 ``tests/core/test_compiled_decode.py`` assert it over the differential
 corpus, against the reference engine of ``tests/object_path.py``).
 
@@ -43,7 +45,7 @@ testing the communication kind.  Every communication model prices a
 transfer through ``link()``, so every instance lowers.
 
 The passes skip work that provably cannot change a placement — the
-gap bound, dominance prunes (duplicate-aware in the duplicating
+gap index, dominance prunes (duplicate-aware in the duplicating
 passes), the lookahead bound, positional undo of tentative duplicates,
 cached ready vectors, O(1) refinement removal, per-task refinement
 bounds and incremental DLS scoring (``docs/architecture.md``, "The
@@ -52,7 +54,7 @@ compiled executor", lists each with the condition that keeps it exact).
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from typing import TYPE_CHECKING, Mapping, Sequence
 
 import numpy as np
@@ -117,12 +119,14 @@ class CompiledSchedule:
     duration)`` tuples.  ``duration`` entries are the *exact* duration
     argument the object path would pass to ``Schedule.add`` — replaying
     them through :meth:`CompiledInstance.materialize` reproduces the
-    object path's recorded floats bit for bit.  An improved pass also
-    counts its probes: ``pruned`` skipped their slot search and
-    ``planned`` applied a tentative duplicate (0 for the other passes).
+    object path's recorded floats bit for bit.  The list and improved
+    passes also count their work: ``pruned`` probes skipped their slot
+    search, ``planned`` applied a tentative duplicate (improved passes
+    only) and ``walked`` slot searches walked the gap index (0 where a
+    pass does not count).
     """
 
-    __slots__ = ("makespan", "start", "darg", "proc", "dups", "pruned", "planned")
+    __slots__ = ("makespan", "start", "darg", "proc", "dups", "pruned", "planned", "walked")
 
     def __init__(
         self,
@@ -133,6 +137,7 @@ class CompiledSchedule:
         dups: list[tuple[int, int, float, float]],
         pruned: int = 0,
         planned: int = 0,
+        walked: int = 0,
     ) -> None:
         self.makespan = makespan
         self.start = start
@@ -141,6 +146,7 @@ class CompiledSchedule:
         self.dups = dups
         self.pruned = pruned
         self.planned = planned
+        self.walked = walked
 
 
 class CompiledInstance:
@@ -388,11 +394,11 @@ class CompiledInstance:
         """One static-priority list pass over canonical task indices.
 
         Replays the object path per task: batched data-ready times (max
-        over parents of recorded ``end`` / ``end + cost``), the shared
-        ``scan_slots`` gap scan (or ``max(ready, end_time)`` without
-        insertion), EFT (``end < best - 1e-12``) or EST (``start < best -
-        1e-12``) processor ties, and ``Schedule.add``'s double rounding
-        of the recorded end.  ``pinned[t] >= 0`` forces task ``t`` onto
+        over parents of recorded ``end`` / ``end + cost``), the
+        ``scan_slots`` answer from the gap index (or ``max(ready,
+        end_time)`` without insertion), EFT (``end < best - 1e-12``) or
+        EST (``start < best - 1e-12``) processor ties, and
+        ``Schedule.add``'s double rounding of the recorded end.  ``pinned[t] >= 0`` forces task ``t`` onto
         that processor index (CPOP's critical path) with no comparison,
         exactly like ``placement_on``.
         """
@@ -474,30 +480,24 @@ class CompiledInstance:
         end_of = [0.0] * n
         darg_of = [0.0] * n
         proc_of = [-1] * n
-        if busy is None:
-            tl_starts: list[list[float]] = [[] for _ in qr]
-            tl_ends: list[list[float]] = [[] for _ in qr]
-        else:
-            tl_starts = [list(s) for s in busy[0]]
-            tl_ends = [list(e) for e in busy[1]]
-        # Gap-bound fast path: ``tl_gap[j]`` is an upper bound on the
-        # widest idle gap of timeline ``j`` that a task can still use
-        # (between consecutive nonzero-width slots, each counted from no
-        # earlier than ``release``) and ``tl_nz[j]`` the end of its last
-        # nonzero-width slot, floored at ``release``.  When ``ready >=
-        # tl_nz[j]`` no nonzero-width slot starts after ``ready`` and
-        # ``scan_slots`` returns ``ready``.  Otherwise, every ready time
-        # being at least ``release``, when ``duration - EPS >
-        # tl_gap[j]`` no gap check inside ``scan_slots`` can succeed and
-        # its result is exactly the fallback ``tl_nz[j]``.  Both O(1)
-        # answers skip the scan without changing a single float.
+        # Each timeline keeps its gap index (:func:`_gap_index`): the
+        # positive idle gaps as parallel start/end lists and ``tl_nz``,
+        # the end of its last nonzero-width slot.  The slot search is
+        # :meth:`_FlatState.find_slot`, inline.
+        tl_starts: list[list[float]] = [[] for _ in qr]
+        tl_ends: list[list[float]] = [[] for _ in qr]
         tl_max = [0.0] * q
-        tl_gap = [0.0] * q
         tl_nz = [0.0] * q
-        for j in qr:
-            tl_max[j], tl_gap[j], tl_nz[j] = _gap_bounds(tl_starts[j], tl_ends[j], release)
+        gap_s: list[list[float]] = [[] for _ in qr]
+        gap_e: list[list[float]] = [[] for _ in qr]
+        if busy is not None:
+            for j in qr:
+                tl_starts[j] = list(busy[0][j])
+                tl_ends[j] = list(busy[1][j])
+                tl_max[j], gap_s[j], gap_e[j], tl_nz[j] = _gap_index(tl_starts[j], tl_ends[j])
         eft = policy == "eft"
         makespan = 0.0
+        pruned = walked = 0
         for t in order:
             row = etc_rows[t]
             if etc_scale is not None:
@@ -519,16 +519,23 @@ class CompiledInstance:
                     # skips the slot search.
                     if eft:
                         if ready + duration >= best_end - _EPS:
+                            pruned += 1
                             continue
                     elif ready >= best_start - _EPS:
+                        pruned += 1
                         continue
                 if not insertion:
                     m = tl_max[j]
                     start = ready if ready > m else m
                 elif ready >= tl_nz[j]:
                     start = ready
-                elif duration - _TL_EPS > tl_gap[j]:
-                    start = tl_nz[j]
+                elif duration > _TL_EPS:
+                    ge = gap_e[j]
+                    if ge and ge[-1] > ready:
+                        walked += 1
+                        start = _first_fit(gap_s[j], ge, tl_nz[j], ready, duration)
+                    else:
+                        start = tl_nz[j]
                 else:
                     start = scan_slots(tl_starts[j], tl_ends[j], ready, duration)
                 end = start + duration
@@ -547,24 +554,27 @@ class CompiledInstance:
             darg_of[t] = darg
             proc_of[t] = best_j
             starts = tl_starts[best_j]
+            ends = tl_ends[best_j]
             i = bisect_left(starts, best_start)
             starts.insert(i, best_start)
-            tl_ends[best_j].insert(i, rend)
+            ends.insert(i, rend)
             if rend - best_start > _TL_EPS:
-                # Only nonzero-width slots participate in gap scans.  A
-                # slot appended past the last nonzero end opens a new gap
-                # (a mid-gap insert only shrinks existing gaps, so the
-                # bound stays valid without an update).
+                # Only nonzero-width slots bound gaps.  One that starts
+                # at or past the last nonzero end is appended and opens
+                # at most one gap; any other splits the gap it lands in.
                 nz = tl_nz[best_j]
-                if best_start > nz and best_start - nz > tl_gap[best_j]:
-                    tl_gap[best_j] = best_start - nz
-                if rend > nz:
+                if best_start >= nz:
+                    if best_start > nz:
+                        gap_s[best_j].append(nz)
+                        gap_e[best_j].append(best_start)
                     tl_nz[best_j] = rend
+                else:
+                    tl_nz[best_j] = _gap_insert(starts, ends, i, gap_s[best_j], gap_e[best_j], nz)
             if rend > tl_max[best_j]:
                 tl_max[best_j] = rend
             if rend > makespan:
                 makespan = rend
-        return CompiledSchedule(makespan, start_of, darg_of, proc_of, [])
+        return CompiledSchedule(makespan, start_of, darg_of, proc_of, [], pruned, 0, walked)
 
     def schedule_dls(
         self, sl: Sequence[float], wstar: Sequence[float]
@@ -722,10 +732,12 @@ class CompiledInstance:
         The refinement sweep runs under a ``sched.refine`` span, whose
         ``visits`` and ``probes`` attributes count the tasks it visited
         and probed (:meth:`_refine`); the result carries the placement
-        pass's probe counts (:meth:`_improved_place_pass`).
+        pass's probe counts (:meth:`_improved_place_pass`) and the slot
+        searches of the placement pass and its refinement that walked
+        the gap index.
         """
         st = _FlatState(self.n, self.q)
-        pruned, planned = self._improved_place_pass(
+        pruned, planned, walked = self._improved_place_pass(
             st,
             order,
             ranks,
@@ -750,7 +762,7 @@ class CompiledInstance:
                     makespan = de
         _COUNTS["improved_passes"] += 1
         return CompiledSchedule(
-            makespan, st.pstart, st.pdarg, st.pproc, dups, pruned, planned
+            makespan, st.pstart, st.pdarg, st.pproc, dups, pruned, planned, walked + st.walked
         )
 
     def _improved_place_pass(
@@ -763,11 +775,13 @@ class CompiledInstance:
         duplication: bool,
         insertion: bool,
         max_dups: int,
-    ) -> tuple[int, int]:
+    ) -> tuple[int, int, int]:
         """Place every task of ``order`` (``PlacementEngine.place`` replay).
 
-        Returns ``(pruned, planned)``: the probes skipped before their
-        slot search and those that applied a tentative duplicate.
+        Returns ``(pruned, planned, walked)``: the probes skipped before
+        their slot search, those that applied a tentative duplicate and
+        the plain slot searches that walked the gap index (those of
+        :meth:`_FlatState.find_slot` count on ``st.walked``).
 
         Exact shortcuts, each skipping only work whose outcome is fixed:
 
@@ -783,8 +797,8 @@ class CompiledInstance:
           first duplicate applies enters :meth:`_plan_duplicates`;
         * a probe's tentative duplicates are undone by position
           (:meth:`_FlatState.tl_undo`);
-        * the plain slot search answers :meth:`_FlatState.find_slot`'s
-          O(1) cases inline;
+        * the plain slot search runs :meth:`_FlatState.find_slot` inline:
+          its O(1) answer, then the gap-index walk;
         * a processor skips its slot search when ``floor + duration``
           cannot beat the incumbent key (with a lookahead child, when
           ``floor + duration + min(child row)`` strictly exceeds the
@@ -829,14 +843,15 @@ class CompiledInstance:
         tl_starts = st.tl_starts
         tl_ends = st.tl_ends
         tl_max = st.tl_max
-        tl_gap = st.tl_gap
         tl_nz = st.tl_nz
+        gap_s = st.gap_s
+        gap_e = st.gap_e
         find_slot = st.find_slot
         plan_first = duplication and max_dups > 0
         dom_vec: list[int] = []
         la_base: list[float] = []
         cmin = 0.0
-        pruned = planned = 0
+        pruned = planned = walked = 0
         for t in order:
             row = etc_rows[t]
             child = -1
@@ -893,14 +908,19 @@ class CompiledInstance:
                         if bound < lo:
                             lo = bound
                         continue
-                # The plain slot search, with find_slot's O(1) answers.
+                # The plain slot search: find_slot, inline.
                 if not insertion:
                     m = tl_max[j]
                     start = ready if ready > m else m
                 elif ready >= tl_nz[j]:
                     start = ready
-                elif duration - _TL_EPS > tl_gap[j]:
-                    start = tl_nz[j]
+                elif duration > _TL_EPS:
+                    ge = gap_e[j]
+                    if ge and ge[-1] > ready:
+                        walked += 1
+                        start = _first_fit(gap_s[j], ge, tl_nz[j], ready, duration)
+                    else:
+                        start = tl_nz[j]
                 else:
                     start = scan_slots(tl_starts[j], tl_ends[j], ready, duration)
                 plain_end = start + duration
@@ -969,7 +989,7 @@ class CompiledInstance:
             pproc[t] = best_j
             placed[t] = True
             st.tl_add(best_j, t, best_start, rend)
-        return pruned, planned
+        return pruned, planned, walked
 
     def _const_fold(
         self,
@@ -1173,7 +1193,8 @@ class CompiledInstance:
         :meth:`_ready_on`: a tentative copy on ``j`` can be a parent of
         the next dominant parent.  Each applied duplicate is ``(task,
         start, duration, timeline position)``; before the first, ``j``'s
-        bounds are snapshotted for :meth:`_FlatState.tl_undo`.
+        end time and gap index are snapshotted for
+        :meth:`_FlatState.tl_undo`.
         """
         preds = self._preds[t]
         pos = self._pos
@@ -1182,7 +1203,7 @@ class CompiledInstance:
         pend = st.pend
         pproc = st.pproc
         dups = st.dups
-        st.undo_bounds = (st.tl_max[j], st.tl_gap[j], st.tl_nz[j])
+        st.tl_snapshot(j)
         applied: list[tuple[int, float, float, int]] = []
         for _ in range(max_dups):
             if applied:
@@ -1293,8 +1314,9 @@ class CompiledInstance:
         cannot pass) and the restore's ``start + (end - start)`` replay
         would leave ``pend[t]`` and ``pdarg[t]`` unchanged: a probe
         would change nothing.  A probe that keeps its task in place
-        puts back the processor's bounds from before the removal and
-        refreshes ``lb[t]``, as the placement pass records it.
+        refreshes ``lb[t]``, as the placement pass records it; its
+        removal merged two gaps and its re-add splits them again, so
+        the gap index is again the one from before the removal.
 
         ``scan_slots`` is monotone in the ready time and in the busy
         set, so only an event that lowers a ready time or frees busy
@@ -1321,9 +1343,6 @@ class CompiledInstance:
         pproc = st.pproc
         dups = st.dups
         lb = st.lb
-        tl_max = st.tl_max
-        tl_gap = st.tl_gap
-        tl_nz = st.tl_nz
         find_slot = st.find_slot
         visits = probes = 0
         for _ in range(max_rounds):
@@ -1344,7 +1363,6 @@ class CompiledInstance:
                     continue  # the probe could only restore what is there
                 probes += 1
                 old_j = pproc[t]
-                bounds = (tl_max[old_j], tl_gap[old_j], tl_nz[old_j])
                 st.placed[t] = False
                 gap_lo = st.tl_remove(old_j, t, old_start)
                 ready_vec = fold([0.0] * q, preds[t], pend, pproc, dups)
@@ -1396,7 +1414,6 @@ class CompiledInstance:
                     pdarg[t] = darg
                     st.tl_add(old_j, t, old_start, rend)
                     if same:
-                        tl_max[old_j], tl_gap[old_j], tl_nz[old_j] = bounds
                         lb[t] = lo
                     else:
                         lb[:] = [-_INF] * n
@@ -1450,19 +1467,15 @@ class _FlatState:
     The state of the improved pass, the one pass that removes placements
     (duplicate rollback, refinement) and records duplicates.  Timelines
     carry task ids so a removal finds the slot ``Timeline.remove`` would.
-    No removal rebuilds the bounds with :func:`_gap_bounds`: a probe's
-    duplicates are undone by position and ``tl_max``, ``tl_gap`` and
-    ``tl_nz`` restored from the snapshot taken before them
-    (:meth:`tl_undo`), a refinement probe that keeps its task in place
-    restores the snapshot taken before its removal (so restores no
-    longer widen ``tl_gap``), and a refinement move widens ``tl_gap``
-    by the one gap its removal merges (:meth:`tl_remove`).  ``tl_max``
-    and ``tl_nz`` stay exact and ``tl_gap`` an upper bound, which is all
-    the O(1) answers of :meth:`find_slot` need.  ``lb`` holds the
-    per-task refinement bounds (:meth:`CompiledInstance._refine`) and
-    ``rvec`` the placement pass's cached ready vectors.  The
-    list pass only inserts, so it keeps the same per-processor lists as
-    locals instead.
+    Every timeline keeps its gap index exact (:func:`_gap_index`):
+    :meth:`tl_add` splits the gap a slot lands in, :meth:`tl_remove`
+    merges the two gaps around the slot it takes out, and a probe's
+    tentative duplicates are undone by position with the index restored
+    from the snapshot taken before the first of them (:meth:`tl_undo`).
+    ``lb`` holds the per-task refinement bounds
+    (:meth:`CompiledInstance._refine`) and ``rvec`` the placement
+    pass's cached ready vectors.  The list pass only inserts, so it
+    keeps the same per-processor lists as locals instead.
     """
 
     __slots__ = (
@@ -1470,9 +1483,11 @@ class _FlatState:
         "tl_ends",
         "tl_tasks",
         "tl_max",
-        "tl_gap",
         "tl_nz",
-        "undo_bounds",
+        "gap_s",
+        "gap_e",
+        "undo",
+        "walked",
         "pstart",
         "pend",
         "pdarg",
@@ -1488,15 +1503,18 @@ class _FlatState:
         self.tl_ends: list[list[float]] = [[] for _ in range(q)]
         self.tl_tasks: list[list[int]] = [[] for _ in range(q)]
         self.tl_max = [0.0] * q
-        #: upper bound on the widest idle gap per processor (see the
-        #: list pass's gap-bound fast path).
-        self.tl_gap = [0.0] * q
-        #: end of the last nonzero-width slot per processor — the exact
-        #: ``scan_slots`` fallback value.
+        #: end of the last nonzero-width slot per processor (0.0 when
+        #: none) — the exact ``scan_slots`` fallback value.
         self.tl_nz = [0.0] * q
-        #: ``(tl_max, tl_gap, tl_nz)`` of the processor a probe's
-        #: tentative duplicates sit on, from before the first of them.
-        self.undo_bounds = (0.0, 0.0, 0.0)
+        #: per-processor gap index: starts and ends of the positive idle
+        #: gaps between consecutive nonzero-width slots.
+        self.gap_s: list[list[float]] = [[] for _ in range(q)]
+        self.gap_e: list[list[float]] = [[] for _ in range(q)]
+        #: ``(tl_max, tl_nz, gap starts, gap ends)`` of the processor a
+        #: probe's tentative duplicates sit on, from before the first.
+        self.undo: tuple[float, float, list[float], list[float]] = (0.0, 0.0, [], [])
+        #: :meth:`find_slot` searches that walked the gap index.
+        self.walked = 0
         self.pstart = [0.0] * n
         self.pend = [0.0] * n
         self.pdarg = [0.0] * n
@@ -1520,19 +1538,27 @@ class _FlatState:
     def tl_add(self, j: int, t: int, start: float, end: float) -> int:
         """Insert a slot ahead of equal starts; returns its position."""
         starts = self.tl_starts[j]
+        ends = self.tl_ends[j]
         i = bisect_left(starts, start)
         starts.insert(i, start)
-        self.tl_ends[j].insert(i, end)
+        ends.insert(i, end)
         self.tl_tasks[j].insert(i, t)
         if end > self.tl_max[j]:
             self.tl_max[j] = end
         if end - start > _TL_EPS:
             nz = self.tl_nz[j]
-            if start > nz and start - nz > self.tl_gap[j]:
-                self.tl_gap[j] = start - nz
-            if end > nz:
+            if start >= nz:
+                if start > nz:
+                    self.gap_s[j].append(nz)
+                    self.gap_e[j].append(start)
                 self.tl_nz[j] = end
+            else:
+                self.tl_nz[j] = _gap_insert(starts, ends, i, self.gap_s[j], self.gap_e[j], nz)
         return i
+
+    def tl_snapshot(self, j: int) -> None:
+        """Remember ``j``'s end time and gap index for :meth:`tl_undo`."""
+        self.undo = (self.tl_max[j], self.tl_nz[j], self.gap_s[j][:], self.gap_e[j][:])
 
     def tl_undo(self, j: int, plans: Sequence[tuple[int, float, float, int]]) -> None:
         """Undo one probe's tentative duplicates, all on ``j``.
@@ -1540,8 +1566,9 @@ class _FlatState:
         Newest first, each slot leaves from the position its
         :meth:`tl_add` returned and its duplicate record from the end of
         its task's list (one duplicate per task and processor), and the
-        bounds go back to :attr:`undo_bounds` — the timeline is again
-        the one they were taken from.
+        end time and gap index go back to :attr:`undo` — the timeline is
+        again the one :meth:`tl_snapshot` saw.  Each snapshot is
+        restored once: its lists become ``j``'s index.
         """
         starts = self.tl_starts[j]
         ends = self.tl_ends[j]
@@ -1552,19 +1579,15 @@ class _FlatState:
             del starts[i]
             del ends[i]
             del tasks[i]
-        self.tl_max[j], self.tl_gap[j], self.tl_nz[j] = self.undo_bounds
+        self.tl_max[j], self.tl_nz[j], self.gap_s[j], self.gap_e[j] = self.undo
 
     def tl_remove(self, j: int, t: int, start: float) -> float:
         """Remove task ``t``'s one slot on ``j``, which starts at ``start``.
 
         The slot is found by bisection (equal starts may precede it).
-        A nonzero-width slot merges the gaps on either side: ``tl_gap``
-        widens to the merged gap when that is wider, and ``tl_nz`` falls
-        back to the previous nonzero end when the last nonzero slot
-        leaves.  ``tl_max`` is recomputed only when the slot held it.
-        Nonzero-width slots never overlap, so their ends rise with their
-        starts and the nearest nonzero neighbours are the ones
-        :func:`_gap_bounds` would use.
+        A nonzero-width slot merges the gaps on either side of it
+        (:func:`_gap_remove`); ``tl_max`` is recomputed only when the
+        slot held it.
 
         Returns the start of the merged gap: the end of the previous
         nonzero-width slot (0.0 when none).  No slot search on ``j``
@@ -1583,20 +1606,9 @@ class _FlatState:
         del ends[i]
         del tasks[i]
         if e - s > _TL_EPS:
-            k = i - 1
-            while k >= 0 and ends[k] - starts[k] <= _TL_EPS:
-                k -= 1
-            prev = ends[k] if k >= 0 else 0.0
-            k = i
-            last = len(starts)
-            while k < last and ends[k] - starts[k] <= _TL_EPS:
-                k += 1
-            if k < last:
-                g = starts[k] - prev
-                if g > self.tl_gap[j]:
-                    self.tl_gap[j] = g
-            else:
-                self.tl_nz[j] = prev
+            prev, self.tl_nz[j] = _gap_remove(
+                starts, ends, i, s, e, self.gap_s[j], self.gap_e[j], self.tl_nz[j]
+            )
         else:
             prev = _INF
         if e >= self.tl_max[j]:
@@ -1605,43 +1617,171 @@ class _FlatState:
 
     def find_slot(self, j: int, ready: float, duration: float, insertion: bool) -> float:
         """``scan_slots`` on ``j`` (``max(ready, tl_max)`` without
-        insertion), answered in O(1) when ``ready >= tl_nz[j]`` (no
-        nonzero-width slot starts after ``ready``: the answer is
-        ``ready``) or when no gap can fit (``duration - EPS >
-        tl_gap[j]``: the fallback ``tl_nz[j]``)."""
+        insertion): ``ready`` when ``ready >= tl_nz[j]`` (no
+        nonzero-width slot starts after ``ready``) and ``tl_nz[j]`` when
+        no gap ends after ``ready``, both in O(1); else the gap-index
+        walk (:func:`_first_fit`), or ``scan_slots`` itself when
+        ``duration - EPS <= 0`` lets a zero-width gap fit."""
         if not insertion:
             m = self.tl_max[j]
             return ready if ready > m else m
         e = self.tl_nz[j]
         if ready >= e:
             return ready
-        if duration - _TL_EPS > self.tl_gap[j]:
+        if duration > _TL_EPS:
+            ge = self.gap_e[j]
+            if ge and ge[-1] > ready:
+                self.walked += 1
+                return _first_fit(self.gap_s[j], ge, e, ready, duration)
             return e
         return scan_slots(self.tl_starts[j], self.tl_ends[j], ready, duration)
 
 
-def _gap_bounds(
-    starts: Sequence[float], ends: Sequence[float], floor: float = 0.0
-) -> tuple[float, float, float]:
-    """``(end_time, gap bound, last nonzero end)`` of one start-sorted
-    timeline, exact for ready times of at least ``floor``: each idle gap
-    counts from ``max(floor, end of the previous nonzero-width slot)``
-    to the start of the next one, and the last nonzero end is floored at
-    ``floor`` too (``scan_slots`` starts no slot before its ready time,
-    so a gap that closes before ``floor`` can never be used)."""
-    gap = 0.0
-    prev = floor
+# ---------------------------------------------------------------------------
+# the gap index
+# ---------------------------------------------------------------------------
+# ``scan_slots`` tests, in timeline order, the idle gap in front of every
+# nonzero-width slot (``end - start > EPS``) that starts at or after the
+# ready time: from the end of the previous nonzero-width slot (0.0 for
+# the first) to the slot's start.  The gap index of a timeline holds
+# those gaps whose end exceeds their start, as parallel start and end
+# lists in timeline order, plus the end of the last nonzero-width slot
+# (``tl_nz``, the search's fallback).  The ends of the held gaps rise
+# strictly: a later nonzero-width slot with an equal start sits behind
+# one that ends after that start, so its gap is not positive.  For
+# ``ready < tl_nz`` and ``duration - EPS > 0`` a gap fits only where
+# ``end - max(ready, start) >= duration - EPS > 0``, so every gap the
+# index leaves out, and every gap ending at or before ``ready``, fails
+# the test; walking the held gaps that end after ``ready`` returns the
+# float ``scan_slots`` returns.  When ``duration - EPS <= 0`` a
+# zero-width gap, or one whose slots overlap by less than EPS, can
+# fit, and the searches call ``scan_slots``.
+
+
+def _gap_index(
+    starts: Sequence[float], ends: Sequence[float]
+) -> tuple[float, list[float], list[float], float]:
+    """``(end_time, gap starts, gap ends, last nonzero end)`` of one
+    start-sorted timeline, in one walk over its slots."""
+    gap_s: list[float] = []
+    gap_e: list[float] = []
+    prev = 0.0
     m = 0.0
     for s, e in zip(starts, ends):
         if e > m:
             m = e
         if e - s > _TL_EPS:
-            g = s - prev
-            if g > gap:
-                gap = g
-            if e > prev:
-                prev = e
-    return m, gap, prev
+            if s > prev:
+                gap_s.append(prev)
+                gap_e.append(s)
+            prev = e
+    return m, gap_s, gap_e, prev
+
+
+def _first_fit(
+    gap_s: list[float], gap_e: list[float], nz: float, ready: float, duration: float
+) -> float:
+    """``scan_slots``' answer from the gap index, for ``ready < nz``
+    (the last nonzero end) and ``duration - EPS > 0``: the first gap
+    ending after ``ready`` that fits, with ``scan_slots``' own float
+    tests, else ``nz``.  Every gap after the first of them starts after
+    ``ready`` (at the end of a slot that starts after it), so its own
+    start is the ``max(ready, gap start)`` the first one needs."""
+    need = duration - _TL_EPS
+    g = bisect_right(gap_e, ready)
+    last = len(gap_e)
+    if g < last:
+        s = gap_s[g]
+        start = ready if ready > s else s
+        if gap_e[g] - start >= need:
+            return start
+        for g in range(g + 1, last):
+            s = gap_s[g]
+            if gap_e[g] - s >= need:
+                return s
+    return nz
+
+
+def _nonzero_around(
+    starts: list[float], ends: list[float], before: int, after: int
+) -> tuple[float, int]:
+    """``(end of the last nonzero-width slot at or before position
+    before, or 0.0; position of the first one at or after after, or
+    len(starts))``."""
+    while before >= 0 and ends[before] - starts[before] <= _TL_EPS:
+        before -= 1
+    last = len(starts)
+    while after < last and ends[after] - starts[after] <= _TL_EPS:
+        after += 1
+    return (ends[before] if before >= 0 else 0.0), after
+
+
+def _gap_insert(
+    starts: list[float],
+    ends: list[float],
+    i: int,
+    gap_s: list[float],
+    gap_e: list[float],
+    nz: float,
+) -> float:
+    """Split the gap index for the nonzero-width slot just inserted at
+    position ``i`` (ahead of equal starts, so every slot before it
+    starts earlier); returns the new last nonzero end.  The gap from
+    the previous nonzero end to the next nonzero start gives way to the
+    parts on either side of the slot, each kept when positive."""
+    s = starts[i]
+    e = ends[i]
+    prev, k = _nonzero_around(starts, ends, i - 1, i + 1)
+    g = bisect_left(gap_e, s)
+    if k < len(starts):
+        nxt = starts[k]
+        if nxt > prev:  # the gap the slot lands in
+            del gap_s[g]
+            del gap_e[g]
+        if nxt > e:
+            gap_s.insert(g, e)
+            gap_e.insert(g, nxt)
+    else:
+        nz = e
+    if s > prev:
+        gap_s.insert(g, prev)
+        gap_e.insert(g, s)
+    return nz
+
+
+def _gap_remove(
+    starts: list[float],
+    ends: list[float],
+    i: int,
+    s: float,
+    e: float,
+    gap_s: list[float],
+    gap_e: list[float],
+    nz: float,
+) -> tuple[float, float]:
+    """Merge the gap index for the nonzero-width slot ``[s, e)`` just
+    removed from position ``i``; returns ``(end of the previous nonzero
+    slot or 0.0, new last nonzero end)``.  The gaps on either side of
+    the slot give way to the one from the previous nonzero end to the
+    next nonzero start, kept when positive; each is found by its end,
+    which no other held gap shares."""
+    prev, k = _nonzero_around(starts, ends, i - 1, i)
+    if s > prev:
+        g = bisect_left(gap_e, s)
+        del gap_s[g]
+        del gap_e[g]
+    if k < len(starts):
+        nxt = starts[k]
+        g = bisect_left(gap_e, nxt)
+        if nxt > e:
+            del gap_s[g]
+            del gap_e[g]
+        if nxt > prev:
+            gap_s.insert(g, prev)
+            gap_e.insert(g, nxt)
+    else:
+        nz = prev
+    return prev, nz
 
 
 def compile_instance(instance: "Instance") -> CompiledInstance:

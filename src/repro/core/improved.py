@@ -82,7 +82,8 @@ class ImprovedScheduler(Scheduler):
                                 refinement_rounds=cfg.refinement_rounds,
                             )
                             if tracer.enabled:
-                                place.set(pruned=candidate.pruned, planned=candidate.planned)
+                                place.set(pruned=candidate.pruned, planned=candidate.planned,
+                                          walked=candidate.walked)
                     if tracer.enabled:
                         tracer.count("imp.passes")
                     if best is None or candidate.makespan < best.makespan - 1e-12:

@@ -248,7 +248,7 @@ class PlacementEngine:
         replays :meth:`place` float for float, under the ``sched.run`` >
         ``sched.rank`` / ``sched.place`` spans of every list scheduler;
         ``sched.place`` carries the pass's ``pruned`` and ``planned``
-        probe counts.
+        probe counts and its ``walked`` gap-index searches.
         """
         tracer = get_tracer()
         with tracer.span("sched.run", alg=label, tasks=instance.num_tasks) as run:
@@ -269,7 +269,8 @@ class PlacementEngine:
                     max_duplications_per_task=self.max_duplications_per_task,
                 )
                 if tracer.enabled:
-                    place.set(pruned=result.pruned, planned=result.planned)
+                    place.set(pruned=result.pruned, planned=result.planned,
+                              walked=result.walked)
                 schedule = ci.materialize(result, instance.machine, f"{label}:{instance.name}")
             if tracer.enabled:
                 tracer.count("sched.tasks_placed", instance.num_tasks)

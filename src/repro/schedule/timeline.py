@@ -30,10 +30,12 @@ def scan_slots(starts: list[float], ends: list[float], ready: float, duration: f
     start time.  Returns the earliest start ``>= ready`` of an idle gap
     that fits ``duration``, falling back to the end of the last busy
     interval — the exact float sequence of :meth:`Timeline.find_slot`,
-    shared with the compiled flat-array decoder (:mod:`repro.compiled`)
-    so both paths are bit-identical by construction.  Zero-width
-    intervals (``end - start <= EPS``) occupy no time and are skipped,
-    as in :meth:`Timeline.find_slot`.
+    shared with the compiled GA/SA decode (:mod:`repro.compiled`).  The
+    compiled list and improved passes walk an index of idle gaps
+    instead, tested equal to this scan, and call it themselves only
+    for ``duration - EPS <= 0``.  Zero-width intervals (``end - start
+    <= EPS``) occupy no time and are skipped, as in
+    :meth:`Timeline.find_slot`.
 
     Intervals with equal starts are newest first: every insertion site
     (:meth:`Timeline.add_slot`, the compiled flat timelines) inserts

@@ -274,7 +274,7 @@ class ListScheduler(Scheduler):
             compiled = (
                 self.compiled_policy is not None and type(self).place is ListScheduler.place
             )
-            with tracer.span("sched.place", alg=self.name):
+            with tracer.span("sched.place", alg=self.name) as place:
                 if compiled:
                     ci = instance.kernel.compiled()
                     result = ci.schedule_list(
@@ -282,6 +282,8 @@ class ListScheduler(Scheduler):
                         insertion=self.insertion,
                         policy=self.compiled_policy,
                     )
+                    if tracer.enabled:
+                        place.set(pruned=result.pruned, walked=result.walked)
                     schedule = ci.materialize(result, instance.machine, name)
                 else:
                     schedule = Schedule(instance.machine, name=name)

@@ -92,7 +92,7 @@ class CPOP(Scheduler):
 
             ci = instance.kernel.compiled()
             name = f"{self.name}:{instance.name}"
-            with tracer.span("sched.place", alg=self.name):
+            with tracer.span("sched.place", alg=self.name) as place:
                 cp_j = instance.kernel.pi[cp_proc] if cp_proc is not None else -1
                 result = ci.schedule_list(
                     ci.order_indices(order),
@@ -100,6 +100,8 @@ class CPOP(Scheduler):
                     policy="eft",
                     pinned=[cp_j if t in cp_set else -1 for t in ci.tasks],
                 )
+                if tracer.enabled:
+                    place.set(pruned=result.pruned, walked=result.walked)
                 schedule = ci.materialize(result, instance.machine, name)
             if tracer.enabled:
                 tracer.count("sched.tasks_placed", len(order))

@@ -10,7 +10,6 @@ highest parent rank.  Placement is insertion-based EFT.
 
 from __future__ import annotations
 
-from repro.dag.analysis import graph_levels
 from repro.instance import Instance
 from repro.schedulers.base import ListScheduler
 from repro.types import TaskId
@@ -24,28 +23,29 @@ class PETS(ListScheduler):
     compiled_policy = "eft"
 
     def priority_order(self, instance: Instance) -> list[TaskId]:
-        dag = instance.dag
-        levels = graph_levels(dag)
-        order = dag.topological_order()
-        pos = {t: i for i, t in enumerate(order)}
-
-        acc = {t: instance.avg_exec_time(t) for t in dag.tasks()}
-        dtc = {
-            t: sum(instance.avg_comm_time(t, s) for s in dag.successors(t))
-            for t in dag.tasks()
-        }
+        # One walk in topological order gives each task its ASAP level
+        # and its rank; the costs are the floats ``avg_exec_time`` and
+        # ``avg_comm_time`` return, summed in successor order.
+        kernel = instance.kernel
+        pred = kernel.pred
+        succ = kernel.succ
+        avg = kernel.edge_avg
+        acc = kernel.weights("mean")
+        pos = kernel.pos
+        level: dict[TaskId, int] = {}
         rank: dict[TaskId, float] = {}
-        for t in order:
-            rpt = max((rank[p] for p in dag.predecessors(t)), default=0.0)
+        for t in kernel.topo:
+            row = avg[t]
+            dtc = sum([row[s] for s in succ[t]])
+            parents = pred[t]
+            if parents:
+                level[t] = 1 + max([level[p] for p in parents])
+                rpt = max([rank[p] for p in parents])
+            else:
+                level[t] = 0
+                rpt = 0.0
             # The published algorithm rounds the rank to an integer.
-            rank[t] = float(round(acc[t] + dtc[t] + rpt))
-
-        max_level = max(levels.values(), default=0)
-        out: list[TaskId] = []
-        for lvl in range(max_level + 1):
-            members = [t for t in dag.tasks() if levels[t] == lvl]
-            # Higher rank first; ties by smaller average cost, then by
-            # topological position for determinism.
-            members.sort(key=lambda t: (-rank[t], acc[t], pos[t]))
-            out.extend(members)
-        return out
+            rank[t] = float(round(acc[t] + dtc + rpt))
+        # Level by level; within a level higher rank first, ties by
+        # smaller average cost, then by topological position.
+        return sorted(kernel.topo, key=lambda t: (level[t], -rank[t], acc[t], pos[t]))

@@ -195,6 +195,68 @@ def test_improved_passes_count_their_probes(population):
             assert sum(p for p, _d in counts) > 0, (label, alg, counts)
 
 
+#: The compiled list schedulers: each ``sched.place`` counts the list
+#: pass's dominance prunes and its gap-index walks.
+LIST_ROUTED = [alg for alg in ROUTED if alg not in ("DLS", "IMP", "LA-HEFT", "DUP-HEFT")]
+
+
+def _place_attrs(alg, inst):
+    """``(payload, [attrs of each sched.place])`` of one traced run."""
+    from repro.obs import Tracer, use_tracer
+
+    tracer = Tracer(name="t")
+    with use_tracer(tracer):
+        schedule = get_scheduler(alg).schedule(inst)
+    return _payload(schedule, inst, alg), [
+        s["attrs"] for s in tracer.spans() if s["name"] == "sched.place"]
+
+
+def test_list_and_improved_passes_count_prunes_and_walks(population):
+    """Every compiled list scheduler's ``sched.place`` carries ``pruned``
+    (probes its dominance prune skipped) and ``walked`` (slot searches
+    that walked the gap index), at most one of the two per probe; every
+    improved pass's carries ``walked`` beside its probe counts.  The
+    counts are the same on every run, the payload is the untraced one,
+    and over the corpus slice both counts fire."""
+    totals = {"pruned": 0, "walked": 0}
+    for label, inst in population[::6]:
+        probes = inst.num_tasks * inst.num_procs
+        for alg in LIST_ROUTED + ["IMP", "LA-HEFT", "DUP-HEFT"]:
+            plain = _payload(get_scheduler(alg).schedule(inst), inst, alg)
+            payload, places = _place_attrs(alg, inst)
+            assert payload == plain, (label, alg)
+            assert _place_attrs(alg, inst)[1] == places, (label, alg)
+            for attrs in places:
+                assert type(attrs["walked"]) is int and attrs["walked"] >= 0, (label, alg)
+                if alg in LIST_ROUTED:
+                    assert attrs["pruned"] + attrs["walked"] <= probes, (label, alg, attrs)
+                    totals["pruned"] += attrs["pruned"]
+                    totals["walked"] += attrs["walked"]
+    assert totals["pruned"] > 0 and totals["walked"] > 0, totals
+
+
+def test_traced_runs_on_the_object_engine(population):
+    """A traced run on the test-side object engine returns the untraced
+    payload for every routed scheduler, and the work counts its
+    ``sched.place`` spans carry read 0: that engine counts nothing."""
+    from repro.obs import Tracer, use_tracer
+
+    for label, inst in (population[0], population[-1]):  # uniform, per-link
+        for alg in ROUTED:
+            tracer = Tracer(name="t")
+            with object_path():
+                plain = get_scheduler(alg).schedule(inst)
+                with use_tracer(tracer):
+                    traced = get_scheduler(alg).schedule(inst)
+            assert _payload(traced, inst, alg) == _payload(plain, inst, alg), (label, alg)
+            places = [s["attrs"] for s in tracer.spans() if s["name"] == "sched.place"]
+            assert places, (label, alg)
+            for attrs in places:
+                counts = {k: v for k, v in attrs.items() if k in ("pruned", "planned", "walked")}
+                assert all(v == 0 for v in counts.values()), (label, alg, attrs)
+                assert ("walked" in counts) == (alg != "DLS"), (label, alg, attrs)
+
+
 def _refine_spans(inst):
     """``(engine, attrs)`` of every ``sched.refine`` span of a traced
     IMP run, plus the run's spans and schedule."""

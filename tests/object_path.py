@@ -54,10 +54,26 @@ def routed_insertion_off() -> list:
     return out
 
 
+class ObjectResult:
+    """One object-engine pass: its :class:`Schedule`, plus the work
+    counts a traced scheduler reads off a compiled result (``pruned``,
+    ``planned``, ``walked``), which the object engine does not keep and
+    reports as 0."""
+
+    pruned = planned = walked = 0
+
+    def __init__(self, schedule: Schedule) -> None:
+        self.schedule = schedule
+
+    @property
+    def makespan(self) -> float:
+        return self.schedule.makespan
+
+
 class ObjectEngine:
     """:class:`~repro.compiled.CompiledInstance`'s scheduling entry points
-    over real schedules.  Each pass returns its :class:`Schedule`, which
-    :meth:`materialize` names and hands back."""
+    over real schedules.  Each pass returns an :class:`ObjectResult`,
+    whose :class:`Schedule` :meth:`materialize` names and hands back."""
 
     def __init__(self, kernel: InstanceKernel) -> None:
         self.instance = Instance(dag=kernel.dag, machine=kernel.machine, etc=kernel.etc)
@@ -72,7 +88,7 @@ class ObjectEngine:
     def order_indices(self, order: Sequence) -> list[int]:
         return [self._ti[t] for t in order]
 
-    def schedule_list(self, order, *, insertion=True, policy="eft", pinned=None) -> Schedule:
+    def schedule_list(self, order, *, insertion=True, policy="eft", pinned=None) -> ObjectResult:
         """EFT (or EST) placement in ``order``; a pinned task goes to its
         processor through ``placement_on``."""
         inst = self.instance
@@ -86,9 +102,9 @@ class ObjectEngine:
             else:
                 placed = place(schedule, inst, task, insertion=insertion)
             schedule.add(task, placed.proc, placed.start, placed.end - placed.start)
-        return schedule
+        return ObjectResult(schedule)
 
-    def schedule_dls(self, sl: Sequence[float], wstar: Sequence[float]) -> Schedule:
+    def schedule_dls(self, sl: Sequence[float], wstar: Sequence[float]) -> ObjectResult:
         """The dynamic-level pairing loop: per step the (ready task,
         processor) pair minimising ``(-dl, pos, j)``, appended at
         ``max(ready, end_time)``.  A ready task's data-ready vector is
@@ -123,12 +139,12 @@ class ObjectEngine:
                 indegree[child] -= 1
                 if indegree[child] == 0:
                     ready.add(child)
-        return schedule
+        return ObjectResult(schedule)
 
     def schedule_improved(
         self, order, ranks, *, lookahead, duplication, insertion, refinement,
         refinement_rounds, max_duplications_per_task=3,
-    ) -> Schedule:
+    ) -> ObjectResult:
         """``PlacementEngine.place`` per task, then ``refine_schedule``."""
         inst = self.instance
         engine = PlacementEngine(lookahead=lookahead, duplication=duplication,
@@ -140,11 +156,11 @@ class ObjectEngine:
             engine.place(schedule, inst, self.tasks[t], rank)
         if refinement:
             refine_schedule(schedule, inst, max_rounds=refinement_rounds)
-        return schedule
+        return ObjectResult(schedule)
 
-    def materialize(self, result: Schedule, machine, name: str) -> Schedule:
-        result.name = name
-        return result
+    def materialize(self, result: ObjectResult, machine, name: str) -> Schedule:
+        result.schedule.name = name
+        return result.schedule
 
     # -- the GA/SA decoder: decode-order genomes through decode_assignment
     def genome_of(self, assignment: Mapping) -> np.ndarray:

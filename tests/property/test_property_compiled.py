@@ -4,8 +4,9 @@ links, a custom model that defines only ``link()`` and random
 asymmetric per-link tables, with ETC draws that may zero a share of
 their cells (zero-width slots) or round them to integers (ties) — and
 schedules are stable across interpreter restarts (hash randomization
-must not leak into results).  The improved pass's flat timelines keep
-their slot-search bounds through every add, undo and removal, its
+must not leak into results).  The gap index answers every slot search
+with the float ``scan_slots`` returns, and the improved pass's flat
+timelines keep it exact through every add, undo and removal; its
 per-task refinement bounds stay below every end a full probe finds,
 and the ready vectors it keeps for duplicate planning equal a fresh
 fold.
@@ -24,7 +25,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.compiled import _FlatState, _gap_bounds, compile_instance
+from repro.compiled import _FlatState, _gap_index, compile_instance
 from repro.core import ImprovedConfig, ImprovedScheduler, PlacementEngine
 from repro.dag.generators import random_dag
 from repro.instance import Instance, make_instance
@@ -194,17 +195,32 @@ def test_decode_span_equals_object_decode_on_asymmetric_links(params, genome_see
     assert compiled.decode_span(genome.tolist()) == schedule.makespan
 
 
-def _check_bounds(fs, j, probes):
-    """``fs``'s bounds on ``j`` against :func:`_gap_bounds` of the live
-    timeline, and its slot search against ``scan_slots``."""
+def _live_index(starts, ends):
+    """The gaps ``scan_slots`` tests on a start-sorted timeline, rebuilt
+    from its slots: ``(end time, positive gaps, last nonzero end)``.
+    Each gap runs from the end of the previous nonzero-width slot (0.0
+    for the first) to the start of the next one."""
+    gaps = []
+    prev = 0.0
+    for s, e in zip(starts, ends):
+        if e - s > _TL_EPS:
+            if s > prev:
+                gaps.append((prev, s))
+            prev = e
+    return max(ends, default=0.0), gaps, prev
+
+
+def _check_index(fs, j, probes):
+    """``fs``'s end time and gap index on ``j`` equal those rebuilt
+    from the live slots, and its slot search equals ``scan_slots``."""
     starts, ends = fs.tl_starts[j], fs.tl_ends[j]
-    end_time, gap, last_nz = _gap_bounds(starts, ends)
+    end_time, gaps, last_nz = _live_index(starts, ends)
     assert fs.tl_max[j] == end_time
     assert fs.tl_nz[j] == last_nz
-    assert fs.tl_gap[j] >= gap
+    assert list(zip(fs.gap_s[j], fs.gap_e[j])) == gaps
     for ready, duration in probes:
         assert fs.find_slot(j, ready, duration, True) == scan_slots(
-            starts, ends, ready, duration)
+            starts, ends, ready, duration), (ready, duration)
 
 
 @given(st.integers(min_value=0, max_value=2**32 - 1),
@@ -213,14 +229,14 @@ def _check_bounds(fs, j, probes):
 def test_flat_state_bounds_survive_adds_undos_and_removals(seed, steps):
     """Random ``tl_add``/``tl_undo``/``tl_remove`` sequences on the
     improved pass's flat timelines, zero-width slots included, placed
-    through ``find_slot`` as the pass places them, plus the remove,
-    re-add and snapshot restore of a refinement probe that keeps its
-    task: that leaves the slots and bounds as they were, and the removal
-    returns the end of the previous nonzero-width slot (0.0 when none;
-    ``inf`` for a zero-width slot, which merges no gap).  After every
-    step the slot search equals ``scan_slots``, ``tl_max`` and ``tl_nz``
-    equal the ``_gap_bounds`` values and ``tl_gap`` is at least its gap.
-    Times are multiples of 0.5, so every sum is exact."""
+    through ``find_slot`` as the pass places them, plus the remove and
+    re-add of a refinement probe that keeps its task: that leaves the
+    slots, end time and gap index as they were, and the removal returns
+    the end of the previous nonzero-width slot (0.0 when none; ``inf``
+    for a zero-width slot, which merges no gap).  After every step the
+    slot search equals ``scan_slots`` and ``tl_max``, ``tl_nz`` and the
+    gap index equal those rebuilt from the live slots.  Times are
+    multiples of 0.5, so every sum is exact."""
     rng = np.random.default_rng(seed)
     q = 2
     fs = _FlatState(steps * 4, q)
@@ -230,6 +246,9 @@ def test_flat_state_bounds_survive_adds_undos_and_removals(seed, steps):
 
     def draw():
         return float(rng.integers(0, 60)) * 0.5, durations[int(rng.integers(len(durations)))]
+
+    def index(j):
+        return (fs.tl_max[j], fs.tl_nz[j], list(fs.gap_s[j]), list(fs.gap_e[j]))
 
     for _ in range(steps):
         j = int(rng.integers(q))
@@ -243,8 +262,8 @@ def test_flat_state_bounds_survive_adds_undos_and_removals(seed, steps):
         elif op < 0.8:
             # A probe's tentative duplicates on ``j``, then its undo.
             before = (list(fs.tl_starts[j]), list(fs.tl_ends[j]), list(fs.tl_tasks[j]),
-                      fs.tl_max[j], fs.tl_gap[j], fs.tl_nz[j])
-            fs.undo_bounds = (fs.tl_max[j], fs.tl_gap[j], fs.tl_nz[j])
+                      index(j))
+            fs.tl_snapshot(j)
             plans = []
             for _k in range(int(rng.integers(1, 4))):
                 ready, duration = draw()
@@ -253,39 +272,149 @@ def test_flat_state_bounds_survive_adds_undos_and_removals(seed, steps):
                 plans.append((next_task, start, duration,
                                fs.tl_add(j, next_task, start, start + duration)))
                 next_task += 1
-                _check_bounds(fs, j, [draw() for _p in range(3)])
+                _check_index(fs, j, [draw() for _p in range(3)])
             fs.tl_undo(j, plans)
             assert all(not fs.dups[dt] for dt, _s, _d, _i in plans)
-            after = (fs.tl_starts[j], fs.tl_ends[j], fs.tl_tasks[j],
-                     fs.tl_max[j], fs.tl_gap[j], fs.tl_nz[j])
+            after = (fs.tl_starts[j], fs.tl_ends[j], fs.tl_tasks[j], index(j))
             assert after == before
         elif op < 0.9:
             # A refinement probe that keeps its task in place: remove the
-            # slot, re-add it and put back the bounds from before.
+            # slot and re-add it.
             pj, t, start = live[int(rng.integers(len(live)))]
             i = fs.tl_tasks[pj].index(t)
             end = fs.tl_ends[pj][i]
             before = (sorted(zip(fs.tl_starts[pj], fs.tl_ends[pj], fs.tl_tasks[pj])),
-                      fs.tl_max[pj], fs.tl_gap[pj], fs.tl_nz[pj])
+                      index(pj))
             prev = 0.0
             for s, e in zip(fs.tl_starts[pj][:i], fs.tl_ends[pj][:i]):
                 if e - s > _TL_EPS:
                     prev = e
             gap_lo = fs.tl_remove(pj, t, start)
             assert gap_lo == (prev if end - start > _TL_EPS else math.inf)
+            _check_index(fs, pj, [draw() for _p in range(3)])
             fs.tl_add(pj, t, start, end)
-            fs.tl_max[pj], fs.tl_gap[pj], fs.tl_nz[pj] = before[1:]
             # Equal only up to the order of slots sharing a start: the
             # re-add goes ahead of them.
             after = (sorted(zip(fs.tl_starts[pj], fs.tl_ends[pj], fs.tl_tasks[pj])),
-                     fs.tl_max[pj], fs.tl_gap[pj], fs.tl_nz[pj])
+                     index(pj))
             assert after == before
         else:
             pj, t, start = live.pop(int(rng.integers(len(live))))
             fs.tl_remove(pj, t, start)
             assert t not in fs.tl_tasks[pj]
         for k in range(q):
-            _check_bounds(fs, k, [draw() for _p in range(4)])
+            _check_index(fs, k, [draw() for _p in range(4)])
+
+
+def _random_timeline(rng):
+    """A start-sorted timeline of the kind the passes meet: nonzero-width
+    slots that abut, leave a gap (zero, below EPS, EPS or wider) or
+    overlap their predecessor by less than EPS, and zero-width slots
+    (width 0 or at most EPS) anywhere, some sharing a start with
+    another slot and sitting before or after it."""
+    tiny = [0.0, _TL_EPS / 2, _TL_EPS, 2 * _TL_EPS]
+    slots = []
+    frontier = 0.0 if rng.random() < 0.5 else float(rng.integers(0, 3))
+    for _ in range(int(rng.integers(0, 12))):
+        r = rng.random()
+        if r < 0.2:
+            start = frontier  # abut
+        elif r < 0.35:
+            start = frontier - _TL_EPS * float(rng.choice([0.5, 0.1]))  # overlap < EPS
+        elif r < 0.55:
+            start = frontier + float(rng.choice(tiny[1:]))
+        else:
+            start = frontier + float(rng.integers(1, 9)) * float(rng.choice([0.25, 1.0]))
+        if start < 0.0:
+            start = 0.0
+        width = float(rng.choice([2.5 * _TL_EPS, 0.5, 1.0, 3.0, float(rng.integers(1, 7))]))
+        slots.append((start, start + width))
+        frontier = start + width
+    points = [0.0] + [s for s, _e in slots] + [e for _s, e in slots]
+    for _ in range(int(rng.integers(0, 5))):
+        at = float(rng.choice(points)) if rng.random() < 0.6 else float(rng.random()) * (frontier + 1)
+        slots.append((at, at + float(rng.choice(tiny[:2]))))
+    order = rng.permutation(len(slots))
+    slots = sorted((slots[k] for k in order), key=lambda se: se[0])
+    return [s for s, _e in slots], [e for _s, e in slots]
+
+
+def _probes(rng, starts, ends):
+    """Ready times at, just before and just after every slot boundary,
+    plus random ones; durations 0, EPS and its neighbours, every gap
+    width and its EPS neighbours, plus random ones."""
+    points = [0.0] + list(starts) + list(ends)
+    readies = [p + d for p in points for d in (0.0, -_TL_EPS / 2, _TL_EPS / 2)
+               if p + d >= 0.0]
+    readies += [float(rng.random()) * (max(ends, default=0.0) + 2) for _ in range(4)]
+    _m, gaps, _nz = _live_index(starts, ends)
+    durations = [0.0, _TL_EPS / 2, _TL_EPS, 2 * _TL_EPS, 0.5, 1.0]
+    for gs, ge in gaps:
+        w = ge - gs
+        durations += [w, w + _TL_EPS / 2, w + 2 * _TL_EPS, max(w - _TL_EPS, 0.0)]
+    durations += [float(rng.random()) * 4 for _ in range(3)]
+    return [(r, d) for r in readies for d in durations]
+
+
+@given(st.integers(min_value=0, max_value=2**32 - 1))
+@settings(max_examples=200, deadline=None)
+def test_gap_index_search_equals_scan_slots(seed):
+    """On random start-sorted timelines (zero-width slots, equal starts,
+    neighbours overlapping by less than EPS) the gap index built in one
+    walk equals the one rebuilt from the slots, and the slot search over
+    it equals ``scan_slots`` for ready times at every boundary and
+    durations including 0 and EPS.  Building the same slots one
+    ``tl_add`` at a time, in random order, and taking them out again
+    one ``tl_remove`` at a time keeps the index exact after every
+    step."""
+    rng = np.random.default_rng(seed)
+    starts, ends = _random_timeline(rng)
+    fs = _FlatState(len(starts), 1)
+    fs.tl_starts[0], fs.tl_ends[0] = list(starts), list(ends)
+    fs.tl_tasks[0] = list(range(len(starts)))
+    fs.tl_max[0], fs.gap_s[0], fs.gap_e[0], fs.tl_nz[0] = _gap_index(starts, ends)
+    _check_index(fs, 0, _probes(rng, starts, ends))
+
+    fs = _FlatState(len(starts), 1)
+    order = rng.permutation(len(starts)).tolist()
+    for t in order:
+        fs.tl_add(0, t, starts[t], ends[t])
+        _check_index(fs, 0, [(r, d) for r, d in _probes(rng, starts, ends)[::7]])
+    rng.shuffle(order)
+    for t in order:
+        fs.tl_remove(0, t, starts[t])
+        _check_index(fs, 0, [(r, d) for r, d in _probes(rng, starts, ends)[::7]])
+
+
+@given(st.integers(min_value=0, max_value=2**32 - 1), etc_edits)
+@settings(max_examples=60, deadline=None)
+def test_list_pass_on_seeded_timelines_equals_scan_slots(seed, edits):
+    """``schedule_onto`` seeds each processor's gap index from random
+    busy timelines (zero-width slots, equal starts, EPS overlaps) and
+    floors every ready time at a random ``release``; its placements
+    equal the reference list pass, which calls ``scan_slots``."""
+    from tests.sim.online_reference import place_reference
+
+    rng = np.random.default_rng(seed)
+    q = int(rng.integers(1, 4))
+    instance = edit_etc(build((int(rng.integers(1, 12)), q, 1.0, 0.5, seed % 10_000)),
+                        edits, seed % 10_000)
+    ci = compile_instance(instance)
+    busy = [_random_timeline(rng) for _ in range(q)]
+    busy_starts = [s for s, _e in busy]
+    busy_ends = [e for _s, e in busy]
+    points = [0.0] + [p for s, e in busy for p in s + e]
+    release = float(rng.choice(points)) + float(rng.choice([0.0, -_TL_EPS / 2, _TL_EPS / 2]))
+    release = max(release, 0.0)
+    order = ci.order.tolist()
+    for policy in ("eft", "est"):
+        got = ci.schedule_onto(order, busy_starts, busy_ends, release=release, policy=policy)
+        want, _first, last = place_reference(
+            instance, [ci.tasks[t] for t in order], ci._ti, busy_starts, busy_ends,
+            release, None, insertion=True, eft=policy == "eft")
+        assert [(got.proc[t], got.start[t], got.start[t] + got.darg[t]) for t in order] \
+            == want
+        assert got.makespan == last
 
 
 def _check_refinement_bounds(ci, fs):

@@ -93,9 +93,9 @@ class TestEquivalence:
     def test_gap_closed_before_release_skips_the_slot_scan(self, monkeypatch):
         """Each processor is seeded with a wide idle gap, [1, 100), that
         closes before the job's release at 200, so no task can use it:
-        the gap bound counts from ``release`` and every placement takes
-        the O(1) answer without calling ``scan_slots``, float for float
-        what the reference placer computes with the scan."""
+        no gap of the index ends after a ready time, and every placement
+        takes an O(1) answer without calling ``scan_slots``, float for
+        float what the reference placer computes with the scan."""
         dag = TaskDAG("independent")
         for i in range(8):
             dag.add_task(i, cost=5.0 + i)
