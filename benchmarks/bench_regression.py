@@ -68,20 +68,26 @@ def _bench_ranks(trials: int = 20, repeats: int = 5) -> dict[str, float]:
     """The kernel's rank recurrence against its scalar reference.
 
     *Cached*: repeat calls on one instance whose kernel already holds
-    the ranks.  *Cold*: one first call per fresh instance, each leg on
-    its own freshly built batch, built outside the timed region (the
-    kernel leg pays the kernel's adjacency memo; the scalar leg pays the
-    uncached per-edge lookups).  The legs alternate which runs first,
+    the ranks.  *Cold*: the first rank recurrence on each fresh
+    instance, each leg on its own freshly built batch.  Both legs read
+    the instance kernel (the kernel leg its adjacency memo, the scalar
+    leg its per-edge averages through ``Instance.avg_comm_time``), so
+    the batch builds every kernel outside the timed region; timed
+    inside, both legs were dominated by the same kernel build and the
+    ratio sat near 1.0.  The legs alternate which runs first,
     ``gc.collect()`` runs before every timed batch and each figure is the
     median over ``repeats`` batches: timed one after the other, whichever
     leg ran second read about 1.7-1.9x slower.
     """
 
     def fresh() -> list:
-        return [
+        batch = [
             W.random_instance(np.random.default_rng(5), num_tasks=120, num_procs=8)
             for _ in range(trials)
         ]
+        for inst in batch:
+            inst.kernel  # built here, outside the timed region
+        return batch
 
     def timed(fn, batch: list) -> float:
         gc.collect()

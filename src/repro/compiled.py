@@ -20,19 +20,21 @@ for HEFT, CPOP, HCPT, PETS, HLFET and MCP, and
 pre-occupied timelines), the DLS loop, the improved pass (the paper's
 scheduler, LA-HEFT, DUP-HEFT) and the GA/SA decode.  Only the winner
 becomes a :class:`~repro.schedule.schedule.Schedule`, as columns
-(:meth:`CompiledInstance.materialize`).
+(:meth:`CompiledInstance.materialize`); ``PlacementEngine.place`` and
+``refine_schedule`` run on a given one (:meth:`CompiledInstance.place_task`,
+:meth:`CompiledInstance.refine`).
 
 The list and improved passes answer each slot search from a per-timeline
 index of idle gaps (:func:`_first_fit`), which returns the float the
 object path's :meth:`~repro.schedule.timeline.Timeline.find_slot`
 helper (:func:`~repro.schedule.timeline.scan_slots`) returns, and is
 tested equal to it; the GA/SA decode calls that helper itself.  Every
-arithmetic operation replays the object-level primitives' float
-sequence exactly (``eft_placement``, ``PlacementEngine.place``,
-``refine_schedule``, ``decode_assignment``), so results are
-bit-identical to them (``tests/core/test_compiled_executor.py`` and
-``tests/core/test_compiled_decode.py`` assert it over the differential
-corpus, against the reference engine of ``tests/object_path.py``).
+arithmetic operation replays the float sequence of the object
+implementations exactly (``eft_placement``, ``decode_assignment`` and
+the test-side ``tests/placement_reference.py``), so results are
+bit-identical to them (``tests/core/test_compiled_executor.py``,
+``tests/property/test_property_placement.py`` and others assert it,
+against the reference engine of ``tests/object_path.py``).
 
 Every fold that adds an edge cost adds either the uniform constant or
 ``lat[src][dst] + data / bw[src][dst]`` — the exact float
@@ -59,7 +61,7 @@ from typing import TYPE_CHECKING, Mapping, Sequence
 
 import numpy as np
 
-from repro.exceptions import SchedulingError
+from repro.exceptions import ScheduleError, SchedulingError, UnknownTaskError
 from repro.obs import get_tracer
 from repro.schedule.timeline import EPS as _TL_EPS
 from repro.schedule.timeline import scan_slots
@@ -67,7 +69,7 @@ from repro.schedule.timeline import scan_slots
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.instance import Instance
     from repro.kernels import InstanceKernel
-    from repro.schedule.schedule import Schedule
+    from repro.schedule.schedule import Schedule, ScheduledTask
     from repro.types import ProcId, TaskId
 
 __all__ = [
@@ -79,7 +81,7 @@ __all__ = [
 ]
 
 _INF = float("inf")
-_EPS = 1e-12  # placement tie tolerance (PlacementEngine/eft_placement)
+_EPS = 1e-12  # placement tie tolerance (improved pass/eft_placement)
 _TOL = 1e-9  # refinement acceptance / child-deadline tolerance
 
 # ---------------------------------------------------------------------------
@@ -724,17 +726,15 @@ class CompiledInstance:
     ) -> CompiledSchedule:
         """One full improved-scheduler pass (engine + refinement).
 
-        Replays ``PlacementEngine.place`` per task — critical-child
+        Places each task (:meth:`_improved_place_pass`: critical-child
         lookahead, tentative duplicate planning with rollback, the
-        strict ``(score, end, j)`` tuple key — and the refinement sweep
-        (latest start first, child-deadline checks, ``1e-9`` acceptance)
-        over flat state, reproducing the object pass float for float.
-        The refinement sweep runs under a ``sched.refine`` span, whose
-        ``visits`` and ``probes`` attributes count the tasks it visited
-        and probed (:meth:`_refine`); the result carries the placement
-        pass's probe counts (:meth:`_improved_place_pass`) and the slot
-        searches of the placement pass and its refinement that walked
-        the gap index.
+        strict ``(score, end, j)`` tuple key), then runs the refinement
+        sweep (:meth:`_refine`: latest start first, child-deadline
+        checks, ``1e-9`` acceptance) under a ``sched.refine`` span,
+        whose ``visits``, ``probes`` and ``moves`` count the tasks it
+        visited and probed and the moves it accepted.  The result
+        carries the placement pass's probe counts and the slot searches
+        of both passes that walked the gap index.
         """
         st = _FlatState(self.n, self.q)
         pruned, planned, walked = self._improved_place_pass(
@@ -748,8 +748,8 @@ class CompiledInstance:
         )
         if refinement:
             with get_tracer().span("sched.refine") as span:
-                visits, probes = self._refine(st, refinement_rounds)
-                span.set(visits=visits, probes=probes)
+                visits, probes, moves = self._refine(st, refinement_rounds)
+                span.set(visits=visits, probes=probes, moves=moves)
         makespan = 0.0
         dups: list[tuple[int, int, float, float]] = []
         for t in range(self.n):
@@ -765,6 +765,88 @@ class CompiledInstance:
             makespan, st.pstart, st.pdarg, st.pproc, dups, pruned, planned, walked + st.walked
         )
 
+    # ------------------------------------------------------------------
+    # PlacementEngine.place and refine_schedule on a Schedule
+    # ------------------------------------------------------------------
+    def place_task(
+        self, schedule: "Schedule", task: "TaskId", ranks: Mapping["TaskId", float], *,
+        lookahead: bool, duplication: bool, insertion: bool, max_duplications_per_task: int = 3,
+    ) -> "ScheduledTask":
+        """Run :meth:`_improved_place_pass` for ``task`` alone on the
+        placements of ``schedule`` (``ranks`` missing a task read 0.0),
+        then add its winning duplicates in plan order and its primary to
+        ``schedule``; returns the primary.  An unplaced parent or a
+        placed ``task`` raises before anything changes."""
+        t = self._ti.get(task)
+        if t is None:
+            raise UnknownTaskError(task)
+        st = self._state_of(schedule)
+        preds = self._preds[t]
+        for u, _w in preds:
+            if not st.placed[u]:
+                raise SchedulingError(f"parent {self.tasks[u]!r} of {task!r} is unscheduled")
+        if st.placed[t]:
+            raise ScheduleError(f"task {task!r} already has a primary placement")
+        # The planner copies parents by decreasing (arrival, -pos) and a
+        # copy moves only its own parent's arrival, so the arrivals from
+        # before the pass sort the new copies into plan order.
+        dups = st.dups
+        before = [(u, len(dups[u]), self._fold([0.0] * self.q, [(u, w)], st.pend, st.pproc, dups))
+                  for u, w in preds] if duplication else []
+        self._improved_place_pass(st, [t], [ranks.get(u, 0.0) for u in self.tasks],
+                                  lookahead=lookahead, duplication=duplication,
+                                  insertion=insertion, max_dups=max_duplications_per_task)
+        j = st.pproc[t]
+        plan = sorted(((a[j], -self._pos[u], u) for u, k, a in before if len(dups[u]) > k),
+                      reverse=True)
+        for _a, _p, u in plan:
+            _j, ds, _de, dd = dups[u][-1]
+            schedule.add(self.tasks[u], self.procs[j], ds, dd, duplicate=True)
+        if plan:
+            get_tracer().count("imp.duplicates", len(plan))
+        return schedule.add(task, self.procs[j], st.pstart[t], st.pdarg[t])
+
+    def refine(self, schedule: "Schedule", max_rounds: int) -> int:
+        """Run :meth:`_refine` on the placements of ``schedule``; returns
+        its move count.  Every primary that moved, or whose end a restore
+        re-rounded, leaves before any is re-added (one at a time, a
+        re-added task could overlap a slot not yet vacated)."""
+        st = self._state_of(schedule)
+        if max_rounds > 0 and not all(st.placed):
+            raise ScheduleError(f"task {self.tasks[st.placed.index(False)]!r} is not scheduled")
+        old = list(zip(st.pproc, st.pstart, st.pend))
+        moves = self._refine(st, max_rounds)[2]
+        moved = [t for t, now in enumerate(zip(st.pproc, st.pstart, st.pend)) if now != old[t]]
+        for t in moved:
+            schedule.remove(self.tasks[t])
+        for t in moved:
+            schedule.add(self.tasks[t], self.procs[st.pproc[t]], st.pstart[t], st.pdarg[t])
+        return moves
+
+    def _state_of(self, schedule: "Schedule") -> "_FlatState":
+        """A :class:`_FlatState` of ``schedule``: every timeline's slots in
+        timeline order (``-1`` for a task of another instance) with its
+        gap index, and every primary and duplicate of this instance."""
+        st = _FlatState(self.n, self.q)
+        ti = self._ti
+        for j, proc in enumerate(self.procs):
+            slots = list(schedule.timeline(proc))
+            starts = st.tl_starts[j] = [slot.start for slot in slots]
+            ends = st.tl_ends[j] = [slot.end for slot in slots]
+            st.tl_tasks[j] = [ti.get(slot.task, -1) for slot in slots]
+            st.tl_max[j], st.gap_s[j], st.gap_e[j], st.tl_nz[j] = _gap_index(starts, ends)
+        for p in schedule.all_placements():
+            t = ti.get(p.task)
+            if t is None:
+                continue
+            j = self._pi[p.proc]
+            if p.duplicate:
+                st.dups[t].append((j, p.start, p.end, p.end - p.start))
+            else:
+                st.pstart[t], st.pend[t], st.pdarg[t], st.pproc[t] = p.start, p.end, p.end - p.start, j
+                st.placed[t] = True
+        return st
+
     def _improved_place_pass(
         self,
         st: "_FlatState",
@@ -776,7 +858,7 @@ class CompiledInstance:
         insertion: bool,
         max_dups: int,
     ) -> tuple[int, int, int]:
-        """Place every task of ``order`` (``PlacementEngine.place`` replay).
+        """Place every task of ``order`` (the reference's ``place`` per task).
 
         Returns ``(pruned, planned, walked)``: the probes skipped before
         their slot search, those that applied a tentative duplicate and
@@ -1076,7 +1158,7 @@ class CompiledInstance:
     ) -> list[float]:
         """:meth:`_const_fold` that also leaves in ``dom[j]`` the parent
         with the largest ``(arrival, -pos)`` on processor ``j`` — the
-        dominant parent ``PlacementEngine._plan_duplicates`` picks first
+        dominant parent :meth:`_plan_duplicates` picks first
         (``-1`` only without parents).  ``dom`` starts at ``-1``."""
         qr = range(self.q)
         rank = self._dom_pos
@@ -1183,7 +1265,7 @@ class CompiledInstance:
         ds: float,
         dd: float,
     ) -> list[tuple[int, float, float, int]]:
-        """PlacementEngine._plan_duplicates replay (tentatively applied).
+        """Plan and tentatively apply duplicates of ``t``'s parents on ``j``.
 
         Round one ran in the probe loop of :meth:`_improved_place_pass`,
         which calls this only when it applies: its duplicate, ``dom`` on
@@ -1252,7 +1334,7 @@ class CompiledInstance:
     def _lookahead_base(self, st: "_FlatState", t: int, child: int) -> list[float]:
         """Per-processor arrival fold of ``child``'s *other* placed parents.
 
-        This part of ``PlacementEngine._lookahead_finish`` does not depend
+        This part of the lookahead estimate (:meth:`_lookahead`) does not depend
         on where ``t`` is probed, so the placement pass computes it once
         per task and shares it across all processor probes.  All values
         are >= 0, so folding from 0.0 and taking the max against the
@@ -1272,7 +1354,8 @@ class CompiledInstance:
         j_placed: int,
         placed_end: float,
     ) -> float:
-        """PlacementEngine._lookahead_finish replay over flat state."""
+        """Estimated earliest finish of ``child`` if ``t`` ends at
+        ``placed_end`` on ``j_placed`` (the reference's lookahead)."""
         q = self.q
         w_tc = self._succ_w[t][child]
         base_tc = placed_end + w_tc
@@ -1304,11 +1387,12 @@ class CompiledInstance:
                 best = finish
         return best
 
-    def _refine(self, st: "_FlatState", max_rounds: int) -> tuple[int, int]:
-        """refine_schedule replay: latest start first, 1e-9 acceptance.
+    def _refine(self, st: "_FlatState", max_rounds: int) -> tuple[int, int, int]:
+        """The refinement sweep: latest start first, 1e-9 acceptance.
 
-        Returns ``(visits, probes)``: the tasks without duplicates the
-        sweep visited and those it probed.  A visit skips the fold and
+        Returns ``(visits, probes, moves)``: the tasks without
+        duplicates the sweep visited, those it probed and the moves it
+        accepted.  A visit skips the fold and
         probe loop when ``st.lb[t] >= pend[t] - 1e-9`` (every end the
         probe could find is at least ``lb[t]``, so the acceptance test
         cannot pass) and the restore's ``start + (end - start)`` replay
@@ -1344,7 +1428,7 @@ class CompiledInstance:
         dups = st.dups
         lb = st.lb
         find_slot = st.find_slot
-        visits = probes = 0
+        visits = probes = moves = 0
         for _ in range(max_rounds):
             changed = False
             order = sorted(range(n), key=lambda t: (-pstart[t], strs[t]))
@@ -1401,6 +1485,7 @@ class CompiledInstance:
                     pdarg[t] = darg
                     pproc[t] = best_j
                     st.tl_add(best_j, t, best_start, rend)
+                    moves += 1
                     changed = True
                     for k in range(n):
                         v = gap_lo + etc_rows[k][old_j]
@@ -1420,12 +1505,13 @@ class CompiledInstance:
                 st.placed[t] = True
             if not changed:
                 break
-        return visits, probes
+        return visits, probes, moves
 
     def _children_deadline_ok(
         self, st: "_FlatState", t: int, j_new: int, new_end: float
     ) -> bool:
-        """_children_deadline_ok replay (no surviving duplicates of t)."""
+        """Would every placed copy of ``t``'s children get its data in
+        time if ``t`` ended at ``new_end`` on ``j_new`` (no duplicates)?"""
         placed = st.placed
         pstart = st.pstart
         pproc = st.pproc

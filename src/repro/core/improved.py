@@ -3,9 +3,10 @@
 One full list-scheduling pass is run per configured rank variant, each
 pass using the lookahead/duplication placement engine, followed by the
 refinement post-pass; the best resulting schedule wins.  Passes run in
-the compiled executor, which replays :meth:`PlacementEngine.place` and
-:func:`~repro.core.refinement.refine_schedule` float for float; only
-the winner is raised into a real
+the compiled executor, whose improved pass and refinement sweep are
+also what :meth:`PlacementEngine.place` and
+:func:`~repro.core.refinement.refine_schedule` run on a given schedule;
+only the winner is raised into a real
 :class:`~repro.schedule.schedule.Schedule`.  With
 :meth:`ImprovedConfig.baseline_heft` the algorithm reduces exactly to
 HEFT, which the test suite asserts — the improvements are strict

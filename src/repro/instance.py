@@ -21,6 +21,11 @@ from repro.types import ProcId, TaskId
 from repro.utils.rng import SeedLike
 
 
+#: Largest :meth:`Instance.time_scale` the decoders accept: past 2**33 an ulp
+#: exceeds 1.9e-6, more of a duration than the validator's tolerance.
+MAX_TIME_SCALE = 2.0 ** 32
+
+
 @dataclass(frozen=True)
 class Instance:
     """One static-scheduling problem instance.
@@ -142,6 +147,23 @@ class Instance:
             tail = max((best[s] for s in succ), default=0.0)
             best[t] = self.etc.best(t) + tail
             total = max(total, best[t])
+        return total
+
+    def time_scale(self) -> float:
+        """An upper bound on a list schedule's length: every task's
+        slowest ETC cell plus, on more than one processor, every edge's
+        dearest transfer (per link: the largest latency plus the volume
+        over the smallest bandwidth); ``inf`` or NaN on overflow."""
+        kernel = self.kernel
+        total = float(sum(self.etc.row_aggregate("worst")))
+        q = len(kernel.procs)
+        if q > 1 and kernel.out_const is not None:
+            total += sum(c for row in kernel.out_const.values() for c in row.values())
+        elif q > 1:
+            lat, bw = kernel.link_tables()
+            off = [(i, j) for i in range(q) for j in range(q) if i != j]
+            top, low = max(lat[i][j] for i, j in off), min(bw[i][j] for i, j in off)
+            total += sum(top + d / low for row in kernel.edge_data.values() for d in row.values())
         return total
 
     @cached_property

@@ -25,7 +25,7 @@ import numpy as np
 
 from repro.dag import io as dag_io
 from repro.exceptions import ParseError, ReproError
-from repro.instance import Instance
+from repro.instance import MAX_TIME_SCALE, Instance
 from repro.machine.cluster import Machine
 from repro.machine.comm import (
     CommunicationModel,
@@ -158,7 +158,7 @@ def instance_from_json(text: str) -> Instance:
             [decode_id(p) for p in etc_doc["procs"]],
             np.asarray(etc_doc["values"], dtype=float),
         )
-        return Instance(
+        instance = Instance(
             dag=dag, machine=machine, etc=etc,
             name=doc.get("name", ""), deadline=doc.get("deadline"),
         )
@@ -167,6 +167,9 @@ def instance_from_json(text: str) -> Instance:
     except (KeyError, TypeError, ValueError, AttributeError) as exc:
         # A missing section, a field of the wrong type or a ragged ETC row.
         raise ParseError(f"malformed instance JSON: {type(exc).__name__}: {exc}") from None
+    if not instance.time_scale() <= MAX_TIME_SCALE:  # NaN fails too
+        raise ParseError(f"instance time scale exceeds {MAX_TIME_SCALE!r}")
+    return instance
 
 
 # ----------------------------------------------------------------------

@@ -482,7 +482,7 @@ def decode_instance(buf: bytes | memoryview) -> "Instance":
 
     from repro.dag.graph import TaskDAG
     from repro.dag.task import Task
-    from repro.instance import Instance
+    from repro.instance import MAX_TIME_SCALE, Instance
     from repro.machine.cluster import Machine
     from repro.machine.comm import (
         LinkCommunication,
@@ -586,10 +586,13 @@ def decode_instance(buf: bytes | memoryview) -> "Instance":
             [proc_ids[j] for j in etc_proc_perm],
             np.array(etc_values, dtype=float).reshape(rows, cols),
         )
-        return Instance(dag=dag, machine=machine, etc=etc, name=name,
-                        deadline=deadline)
+        instance = Instance(dag=dag, machine=machine, etc=etc, name=name,
+                            deadline=deadline)
     except IndexError:
         raise WireFormatError("wire instance references an out-of-range index") from None
+    if not instance.time_scale() <= MAX_TIME_SCALE:  # NaN fails too
+        raise WireFormatError(f"instance time scale exceeds {MAX_TIME_SCALE!r}")
+    return instance
 
 
 # ----------------------------------------------------------------------

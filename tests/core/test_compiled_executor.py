@@ -277,7 +277,8 @@ def test_improved_spans_split_place_refine_and_materialize(population):
     times the primary and plain engines make four ``sched.place`` spans,
     each with one ``sched.refine`` child, and the winner is raised under
     one ``sched.materialize`` in ``sched.run``.  Each refinement span
-    counts the tasks it visited and probed; the plain passes probe none.
+    counts the tasks it visited and probed and the moves it accepted;
+    the plain passes probe none.
     The payload is the untraced one."""
     label, inst = population[0]
     assert label.startswith("het") and not inst.is_homogeneous()
@@ -295,6 +296,7 @@ def test_improved_spans_split_place_refine_and_materialize(population):
                                                            "primary", "primary"]
     for engine, attrs in refines:
         assert 0 <= attrs["probes"] <= attrs["visits"], (engine, attrs)
+        assert type(attrs["moves"]) is int and attrs["moves"] >= 0, (engine, attrs)
         if engine == "plain":
             assert attrs["probes"] == 0, attrs
     assert _payload(traced, inst, "IMP") == _payload(plain, inst, "IMP")
@@ -310,6 +312,39 @@ def test_plain_passes_run_no_refinement_probe(population):
         assert plain, label
         for attrs in plain:
             assert attrs["visits"] > 0 and attrs["probes"] == 0, (label, attrs)
+
+
+def test_refine_span_moves_equal_refine_schedule(population):
+    """Each ``sched.refine`` span's ``moves`` is the number of moves its
+    sweep accepted: ``refine_schedule`` on the schedule the same
+    placement pass leaves returns it and ends where the refined pass
+    ends."""
+    from repro.core import refine_schedule
+    from repro.obs import Tracer, use_tracer
+    from repro.schedulers.ranking import upward_ranks
+
+    total = 0
+    for label, inst in population[::6]:
+        ci = compile_instance(inst)
+        ranks = upward_ranks(inst)
+        pos = inst.kernel.pos
+        order = ci.order_indices(sorted(inst.dag.tasks(), key=lambda t: (-ranks[t], pos[t])))
+        for la, dup in ((True, True), (False, False), (True, False)):
+            def run(refinement):
+                return ci.schedule_improved(
+                    order, [ranks[t] for t in ci.tasks], lookahead=la, duplication=dup,
+                    insertion=True, refinement=refinement, refinement_rounds=2)
+
+            tracer = Tracer(name="t")
+            with use_tracer(tracer):
+                refined = ci.materialize(run(True), inst.machine, "X")
+            [span] = [s for s in tracer.spans() if s["name"] == "sched.refine"]
+            moves = span["attrs"]["moves"]
+            placed = ci.materialize(run(False), inst.machine, "X")
+            assert refine_schedule(placed, inst, 2) == moves, (label, la, dup)
+            assert _payload(placed, inst, "X") == _payload(refined, inst, "X"), (label, la, dup)
+            total += moves
+    assert total > 0
 
 
 def test_insertion_off_matches_object_path(population):

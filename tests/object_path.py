@@ -4,9 +4,12 @@ Every instance lowers into the compiled executor, and every production
 scheduler runs there.  The differential reference it is checked against
 is :class:`ObjectEngine`: the executor's entry points run over real
 :class:`~repro.schedule.schedule.Schedule` objects through the public
-object primitives — ``eft_placement``/``est_placement``/``placement_on``,
-``PlacementEngine.place``, ``refine_schedule`` and ``decode_assignment``
-— plus DLS's dynamic-level pairing loop.  :func:`object_path` makes
+object primitives ``eft_placement``/``est_placement``/``placement_on``
+and ``decode_assignment``, the object placement engine and refinement
+sweep of ``tests/placement_reference.py`` (``PlacementEngine.place``
+and ``refine_schedule`` run on the executor too, so they reach these
+through :meth:`ObjectEngine.place_task` and :meth:`ObjectEngine.refine`
+here) and DLS's dynamic-level pairing loop.  :func:`object_path` makes
 ``InstanceKernel.compiled()`` hand every scheduler that engine instead,
 so the schedulers run unchanged and both engines see identical orders,
 ranks and pins.  The benchmarks import it the same way they import
@@ -25,8 +28,6 @@ from repro.core import (
     ImprovedConfig,
     ImprovedScheduler,
     LookaheadScheduler,
-    PlacementEngine,
-    refine_schedule,
 )
 from repro.instance import Instance
 from repro.kernels import InstanceKernel
@@ -34,6 +35,7 @@ from repro.schedule.schedule import Schedule
 from repro.schedulers.base import eft_placement, est_placement, placement_on
 from repro.schedulers.heft import HEFT
 from repro.schedulers.meta.decoder import decode_assignment
+from tests.placement_reference import ReferencePlacementEngine, reference_refine_schedule
 
 #: Every scheduler the compiled executor serves; the HEFT variants
 #: cover all four rank aggregations.
@@ -145,18 +147,28 @@ class ObjectEngine:
         self, order, ranks, *, lookahead, duplication, insertion, refinement,
         refinement_rounds, max_duplications_per_task=3,
     ) -> ObjectResult:
-        """``PlacementEngine.place`` per task, then ``refine_schedule``."""
-        inst = self.instance
-        engine = PlacementEngine(lookahead=lookahead, duplication=duplication,
-                                 insertion=insertion,
-                                 max_duplications_per_task=max_duplications_per_task)
+        """:meth:`place_task` per task, then :meth:`refine`."""
         rank = dict(zip(self.tasks, ranks))
-        schedule = Schedule(inst.machine)
+        schedule = Schedule(self.instance.machine)
         for t in order:
-            engine.place(schedule, inst, self.tasks[t], rank)
+            self.place_task(schedule, self.tasks[t], rank, lookahead=lookahead,
+                            duplication=duplication, insertion=insertion,
+                            max_duplications_per_task=max_duplications_per_task)
         if refinement:
-            refine_schedule(schedule, inst, max_rounds=refinement_rounds)
+            self.refine(schedule, refinement_rounds)
         return ObjectResult(schedule)
+
+    def place_task(self, schedule, task, ranks, *, lookahead, duplication, insertion,
+                   max_duplications_per_task=3):
+        """``PlacementEngine.place``: the reference engine's ``place``."""
+        engine = ReferencePlacementEngine(
+            lookahead=lookahead, duplication=duplication, insertion=insertion,
+            max_duplications_per_task=max_duplications_per_task)
+        return engine.place(schedule, self.instance, task, ranks)
+
+    def refine(self, schedule, max_rounds) -> int:
+        """``refine_schedule``: the reference refinement sweep."""
+        return reference_refine_schedule(schedule, self.instance, max_rounds)
 
     def materialize(self, result: ObjectResult, machine, name: str) -> Schedule:
         result.schedule.name = name

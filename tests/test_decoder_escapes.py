@@ -12,7 +12,12 @@ to escape as a bare built-in exception:
 - a JSON DAG edge without ``dst`` raised ``KeyError``, and a ragged ETC
   row raised NumPy's ``ValueError``;
 - deeply nested JSON raised ``RecursionError``, and a schedule document
-  record without ``start`` raised ``KeyError``.
+  record without ``start`` raised ``KeyError``;
+- an instance whose link latency decoded as 3.8e129 (four mutated bytes
+  of a golden frame) came back, and HEFT then placed three tasks at
+  that time with every duration rounded away, a schedule ``validate``
+  rejects; both decoders now refuse an instance whose time scale passes
+  ``MAX_TIME_SCALE``.
 """
 
 from __future__ import annotations
@@ -233,3 +238,30 @@ def test_malformed_schedule_documents_are_parse_errors(change):
     change(doc)
     with pytest.raises(ParseError, match="malformed schedule JSON"):
         schedule_from_json(json.dumps(doc), machine)
+
+
+def test_instance_past_the_time_scale_is_rejected_by_both_decoders():
+    from pathlib import Path
+
+    from repro.instance import MAX_TIME_SCALE
+    from repro.machine.comm import UniformCommunication
+    from repro.schedule.validation import violations
+
+    golden = Path(__file__).parent / "service" / "golden" / "consistent-small.instance.hex"
+    frame = bytearray(bytes.fromhex(golden.read_text().strip()))
+    # The four bytes a mutation probe replaced: the latency's f64.
+    frame[470:474] = b"\x04\xf7\xd5Z"
+    with pytest.raises(WireFormatError, match="time scale"):
+        wire.decode_instance(bytes(frame))
+    good = wire.decode_instance(bytes.fromhex(golden.read_text().strip()))
+    huge = Instance(dag=good.dag, machine=Machine(
+        [good.machine.processor(p) for p in good.machine.proc_ids()],
+        UniformCommunication(3.8e129, 1.0)), etc=good.etc)
+    assert huge.time_scale() > MAX_TIME_SCALE
+    assert violations(get_scheduler("HEFT").schedule(huge), huge)
+    with pytest.raises(WireFormatError, match="time scale"):
+        wire.decode_instance(wire.encode_instance(huge))
+    with pytest.raises(ParseError, match="time scale"):
+        instance_from_json(instance_to_json(huge))
+    assert good.time_scale() <= MAX_TIME_SCALE
+    assert instance_from_json(instance_to_json(good)).fingerprint() == good.fingerprint()
