@@ -1,11 +1,12 @@
 """Metaheuristic decode-throughput benchmark for the compiled core.
 
 Times the GA fitness loop both ways on representative instances — the
-object path (genome -> assignment dict -> ``decode_assignment`` ->
-``Schedule.makespan``, exactly what the GA inner loop did before the
-compiled core) against ``CompiledInstance.decode_batch`` — verifies the
-spans are bit-identical, times full GA/SA runs with the compiled core on
-vs forced off, and writes ``BENCH_meta.json`` at the repo root.
+object path (genome -> assignment dict -> ``decode_assignment`` under
+``object_path()``, which places through the object primitives ->
+``Schedule.makespan``, what the GA inner loop did before the compiled
+core) against ``CompiledInstance.decode_batch`` — verifies the spans are
+bit-identical, times full GA/SA runs with the compiled core on vs forced
+off, and writes ``BENCH_meta.json`` at the repo root.
 
 Run directly to regenerate the JSON:
 
@@ -54,17 +55,19 @@ def _bench_decode(num_tasks: int, num_procs: int) -> dict:
     population = rng.integers(0, num_procs, size=(POP, num_tasks))
 
     # Object path: what GeneticScheduler.evaluate() cost per genome
-    # before the compiled core, conversion included.
-    t0 = time.perf_counter()
+    # before the compiled core, conversion included.  Outside
+    # ``object_path()`` ``decode_assignment`` runs the compiled list pass.
     object_spans = []
-    for _ in range(ROUNDS):
-        object_spans = [
-            decode_assignment(
-                inst, {t: procs[int(g)] for t, g in zip(tasks, genome)}, order
-            ).makespan
-            for genome in population
-        ]
-    object_s = (time.perf_counter() - t0) / (ROUNDS * POP)
+    with object_path():
+        t0 = time.perf_counter()
+        for _ in range(ROUNDS):
+            object_spans = [
+                decode_assignment(
+                    inst, {t: procs[int(g)] for t, g in zip(tasks, genome)}, order
+                ).makespan
+                for genome in population
+            ]
+        object_s = (time.perf_counter() - t0) / (ROUNDS * POP)
 
     t0 = time.perf_counter()
     for _ in range(ROUNDS):

@@ -46,6 +46,7 @@ from repro.bench import workloads as W
 from repro.compiled import compile_instance
 from repro.obs import NULL_TRACER, Tracer, get_tracer, use_tracer
 from repro.schedule.schedule import Schedule
+from repro.schedulers.base import checked_order
 from repro.schedulers.heft import HEFT
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -148,12 +149,10 @@ def _bench_decode_overhead() -> dict:
 def _heft_raw(scheduler: HEFT, inst) -> Schedule:
     """``ListScheduler.schedule``'s compiled branch with the tracer
     hooks deleted."""
-    order = scheduler.priority_order(inst)
-    if set(order) != set(inst.dag.tasks()) or len(order) != inst.num_tasks:
-        raise AssertionError("priority order does not cover the instance")
+    idx = checked_order(inst, scheduler.priority_order(inst), scheduler.name)
     ci = compile_instance(inst)
     result = ci.schedule_list(
-        ci.order_indices(order),
+        idx,
         insertion=scheduler.insertion,
         policy=scheduler.compiled_policy,
     )

@@ -372,7 +372,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         workers=args.workers,
         cache_size=args.cache_size,
         queue_depth=args.queue_depth,
-        batch_size=args.batch_size,
         default_timeout=args.timeout,
         max_respawns=args.max_respawns,
         respawn_window=args.respawn_window,
@@ -681,8 +680,6 @@ def build_parser() -> argparse.ArgumentParser:
                               "recovers it and comes back warm")
     p_serve.add_argument("--queue-depth", type=int, default=64,
                          help="bounded request queue (full -> 429)")
-    p_serve.add_argument("--batch-size", type=int, default=8,
-                         help="max requests dispatched per batch")
     p_serve.add_argument("--max-respawns", type=int, default=3,
                          help="worker-pool respawns allowed per window before "
                               "the engine closes (default 3)")

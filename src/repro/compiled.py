@@ -15,9 +15,9 @@ into flat arrays (:class:`CompiledInstance`, cached on
 
 The passes walk those arrays with plain floats and per-processor
 start/end lists: one static list pass (:meth:`~CompiledInstance.schedule_list`
-for HEFT, CPOP, HCPT, PETS, HLFET and MCP, and
-:meth:`~CompiledInstance.schedule_onto` for the online simulator's
-pre-occupied timelines), the DLS loop, the improved pass (the paper's
+for HEFT, CPOP, HCPT, PETS, HLFET, MCP and LMT and, every task pinned,
+``decode_assignment``; :meth:`~CompiledInstance.schedule_onto` for the
+online simulator's pre-occupied timelines), the DLS loop, the improved pass (the paper's
 scheduler, LA-HEFT, DUP-HEFT) and the GA/SA decode.  Only the winner
 becomes a :class:`~repro.schedule.schedule.Schedule`, as columns
 (:meth:`CompiledInstance.materialize`); ``PlacementEngine.place`` and
@@ -30,7 +30,7 @@ object path's :meth:`~repro.schedule.timeline.Timeline.find_slot`
 helper (:func:`~repro.schedule.timeline.scan_slots`) returns, and is
 tested equal to it; the GA/SA decode calls that helper itself.  Every
 arithmetic operation replays the float sequence of the object
-implementations exactly (``eft_placement``, ``decode_assignment`` and
+implementations exactly (``eft_placement``, ``placement_on`` and
 the test-side ``tests/placement_reference.py``), so results are
 bit-identical to them (``tests/core/test_compiled_executor.py``,
 ``tests/property/test_property_placement.py`` and others assert it,
@@ -285,7 +285,8 @@ class CompiledInstance:
         The SA inner loop calls this directly; GA populations go through
         :meth:`decode_batch`.
 
-        Replays ``decode_assignment`` float-for-float: per task, the
+        Replays ``decode_assignment`` (the pinned list pass) float for
+        float: per task, the
         ready time is the max over parents of ``end`` (same processor)
         or ``end + cost`` (cross processor); the start comes from the
         shared insertion scan; the busy interval is inserted in

@@ -8,16 +8,22 @@ All list schedulers follow the same two-phase loop:
 This module supplies the placement side — duplication-aware ready times,
 earliest-start/earliest-finish computation with or without insertion —
 plus the :class:`Scheduler` interface and a :class:`ListScheduler`
-template so each algorithm only spells out its policies.
+template so each algorithm only spells out its policies.  Orders and
+assignments fixed before placement run the compiled list pass
+(:class:`ListScheduler`, :func:`decode_assignment`); the object
+primitives serve schedulers whose next choice reads the partial
+schedule, and user :meth:`ListScheduler.place` overrides.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Mapping, Sequence
 
-from repro.exceptions import SchedulingError, UnknownProcessorError
+import numpy as np
+
+from repro.exceptions import ScheduleError, SchedulingError, UnknownProcessorError, UnknownTaskError
 from repro.instance import Instance
 from repro.obs import get_tracer
 from repro.schedule.schedule import Schedule
@@ -122,33 +128,6 @@ def placement_on(
     return Placement(proc=proc, start=start, end=start + duration)
 
 
-def schedule_task_on(
-    schedule: Schedule,
-    instance: Instance,
-    task: TaskId,
-    proc: ProcId,
-    insertion: bool = True,
-):
-    """Place ``task`` on ``proc`` at its earliest slot, in one step.
-
-    The same float sequence as :func:`placement_on` followed by
-    ``schedule.add`` — duration, ready time, insertion slot search —
-    without materialising the intermediate :class:`Placement`.  This is
-    the object-path decoder's per-task step (the compiled core replays
-    it over flat arrays); returns the :class:`ScheduledTask` recorded.
-    """
-    duration = instance.exec_time(task, proc)
-    ready = ready_time(schedule, instance, task, proc)
-    start = schedule.timeline(proc).find_slot(ready, duration, insertion=insertion)
-    # ``end - start`` (not ``duration``) replays the historical float
-    # sequence Placement callers produce; the recorded end is
-    # ``start + (end - start)``, which can differ from ``start +
-    # duration`` in the last ulp.  Bit-compatibility with existing
-    # schedules (and the compiled decoder) depends on matching it.
-    end = start + duration
-    return schedule.add(task, proc, start, end - start)
-
-
 def _earliest_placement(
     schedule: Schedule,
     instance: Instance,
@@ -232,15 +211,82 @@ def topological_by_priority(dag, key) -> list[TaskId]:
     return out
 
 
+def checked_order(instance: Instance, order: Sequence[TaskId], who: str) -> list[int]:
+    """Canonical task indices of ``order``, checked before any placement.
+
+    ``order`` must list every task once, each after all its parents: the
+    compiled list pass trusts its order.  Raises :class:`SchedulingError`
+    otherwise; for a task listed before a parent it names the pair the
+    object loop's ready-time fold stops at (the first such task in
+    ``order``, its first late parent in predecessor order).
+    """
+    kern = instance.kernel
+    try:
+        idx = [kern.ti[t] for t in order]
+    except KeyError as exc:
+        raise SchedulingError(f"{who}: unknown task {exc.args[0]!r} in order") from None
+    at = np.full(len(kern.tasks), -1)
+    at[idx] = np.arange(len(idx))
+    if len(idx) != len(at) or (at < 0).any():
+        raise SchedulingError(f"{who}: order lists {len(idx)} tasks, "
+                              f"{(at >= 0).sum()} distinct of the instance's {len(at)}")
+    _, child, parent, _ = kern.pred_csr()
+    late = np.flatnonzero(at[parent] > at[child])
+    if late.size:
+        e = late[np.argmin(at[child[late]])]
+        raise SchedulingError(f"{who}: parent {kern.tasks[parent[e]]!r} of "
+                              f"{kern.tasks[child[e]]!r} is unscheduled")
+    return idx
+
+
+def decode_assignment(
+    instance: Instance,
+    assignment: Mapping[TaskId, ProcId],
+    order: Sequence[TaskId] | None = None,
+    name: str = "decoded",
+) -> Schedule:
+    """The schedule a fixed ``{task: processor}`` assignment induces.
+
+    Tasks go in ``order`` (default: decreasing mean upward rank), each
+    to its assigned processor's earliest insertion slot: the compiled
+    list pass with every task pinned.  Raises ``KeyError`` for a task
+    missing from ``assignment``, :class:`UnknownTaskError` or
+    :class:`UnknownProcessorError` for an unknown id,
+    :class:`ScheduleError` for a task listed twice and
+    :class:`SchedulingError` for an order that omits a task or lists one
+    before a parent.
+    """
+    kern = instance.kernel
+    if order is None:
+        order = kern.rank_order("mean")
+    ti, pi = kern.ti, kern.pi
+    pinned = [-1] * len(ti)
+    for task in order:
+        proc = assignment[task]
+        t = ti.get(task)
+        if t is None:
+            raise UnknownTaskError(task)
+        j = pi.get(proc)
+        if j is None:
+            raise UnknownProcessorError(proc)
+        if pinned[t] >= 0:
+            raise ScheduleError(f"task {task!r} already has a primary placement")
+        pinned[t] = j
+    idx = checked_order(instance, order, name)
+    ci = kern.compiled()
+    return ci.materialize(ci.schedule_list(idx, pinned=pinned), instance.machine, name)
+
+
 class ListScheduler(Scheduler):
     """Template for static-priority list schedulers.
 
     Subclasses provide :meth:`priority_order` (a full topological-
-    compatible task order) and optionally override :meth:`place` (the
-    default is EFT, or EST under the ``"est"`` policy).  A scheduler
-    with a :attr:`compiled_policy` and the default :meth:`place` runs
-    its list pass in the compiled executor; any other places each task
-    through :meth:`place` over a real :class:`Schedule`.
+    compatible task order, checked by :func:`checked_order` before any
+    placement) and optionally override :meth:`place` (the default is
+    EFT, or EST under the ``"est"`` policy).  A scheduler with a
+    :attr:`compiled_policy` and the default :meth:`place` runs its list
+    pass in the compiled executor; any other places each task through
+    :meth:`place` over a real :class:`Schedule`.
     """
 
     #: Whether the placement phase may use idle-gap insertion.
@@ -266,11 +312,7 @@ class ListScheduler(Scheduler):
         with tracer.span("sched.run", alg=self.name, tasks=instance.num_tasks) as run:
             with tracer.span("sched.rank", alg=self.name):
                 order = self.priority_order(instance)
-            if set(order) != set(instance.dag.tasks()) or len(order) != instance.num_tasks:
-                raise SchedulingError(
-                    f"{self.name}: priority order covers {len(order)} tasks, "
-                    f"instance has {instance.num_tasks}"
-                )
+            idx = checked_order(instance, order, self.name)
             compiled = (
                 self.compiled_policy is not None and type(self).place is ListScheduler.place
             )
@@ -278,7 +320,7 @@ class ListScheduler(Scheduler):
                 if compiled:
                     ci = instance.kernel.compiled()
                     result = ci.schedule_list(
-                        ci.order_indices(order),
+                        idx,
                         insertion=self.insertion,
                         policy=self.compiled_policy,
                     )

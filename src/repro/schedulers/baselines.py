@@ -2,59 +2,46 @@
 
 These are not from the literature's comparison tables; they exist to
 anchor the experiments from below (any serious heuristic must clearly
-beat them) and to exercise the substrate in tests.
+beat them) and to exercise the substrate in tests.  Both draw their
+whole assignment up front, in topological order, and place it through
+:func:`~repro.schedulers.base.decode_assignment` in that order.
 """
 
 from __future__ import annotations
 
 from repro.instance import Instance
 from repro.schedule.schedule import Schedule
-from repro.schedulers.base import ListScheduler, Placement, placement_on
-from repro.types import TaskId
+from repro.schedulers.base import Scheduler, decode_assignment
 from repro.utils.rng import SeedLike, as_generator
 
 
-class RoundRobinScheduler(ListScheduler):
+class RoundRobinScheduler(Scheduler):
     """Topological order, processors assigned cyclically."""
 
-    insertion = True
     name = "RoundRobin"
 
-    def __init__(self) -> None:
-        self._next = 0
-
-    def priority_order(self, instance: Instance) -> list[TaskId]:
-        self._next = 0
-        return instance.dag.topological_order()
-
-    def place(self, schedule: Schedule, instance: Instance, task: TaskId) -> Placement:
+    def schedule(self, instance: Instance) -> Schedule:
+        order = instance.dag.topological_order()
         procs = instance.machine.proc_ids()
-        proc = procs[self._next % len(procs)]
-        self._next += 1
-        return placement_on(schedule, instance, task, proc, insertion=True)
+        assignment = {t: procs[k % len(procs)] for k, t in enumerate(order)}
+        return decode_assignment(instance, assignment, order, f"{self.name}:{instance.name}")
 
 
-class RandomScheduler(ListScheduler):
+class RandomScheduler(Scheduler):
     """Topological order, processor drawn uniformly at random.
 
     Deterministic for a given ``seed``; each :meth:`schedule` call
     re-derives its stream from the seed so repeated runs agree.
     """
 
-    insertion = True
     name = "Random"
 
     def __init__(self, seed: SeedLike = 0) -> None:
         self._seed = seed
-        self._rng = None
 
-    def priority_order(self, instance: Instance) -> list[TaskId]:
-        # Re-seed per schedule() call so repeated runs on the same
-        # instance produce the same placements.
-        self._rng = as_generator(self._seed)
-        return instance.dag.topological_order()
-
-    def place(self, schedule: Schedule, instance: Instance, task: TaskId) -> Placement:
+    def schedule(self, instance: Instance) -> Schedule:
+        rng = as_generator(self._seed)
+        order = instance.dag.topological_order()
         procs = instance.machine.proc_ids()
-        proc = procs[int(self._rng.integers(0, len(procs)))]
-        return placement_on(schedule, instance, task, proc, insertion=True)
+        assignment = {t: procs[int(rng.integers(0, len(procs)))] for t in order}
+        return decode_assignment(instance, assignment, order, f"{self.name}:{instance.name}")

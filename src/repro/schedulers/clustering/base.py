@@ -9,8 +9,9 @@ A clustering scheduler runs three phases:
    least-loaded processor (the standard load-balancing fold, cf. the
    "cluster merging" step of the literature);
 3. **order & place**: tasks are placed in decreasing upward-rank order,
-   each on its assigned processor at the earliest insertion slot, which
-   yields a feasible schedule and concrete start times.
+   each on its assigned processor at the earliest insertion slot
+   (:func:`~repro.schedulers.base.decode_assignment`), which yields a
+   feasible schedule and concrete start times.
 
 Phases 2 and 3 are shared here so DSC and linear clustering differ only
 in the clustering policy — mirroring how this library isolates the
@@ -24,8 +25,7 @@ from abc import abstractmethod
 from repro.exceptions import SchedulingError
 from repro.instance import Instance
 from repro.schedule.schedule import Schedule
-from repro.schedulers.base import Scheduler, placement_on
-from repro.schedulers.ranking import upward_ranks
+from repro.schedulers.base import Scheduler, decode_assignment
 from repro.types import ProcId, TaskId
 
 
@@ -75,12 +75,4 @@ class ClusteringScheduler(Scheduler):
             )
 
         assignment = self.map_clusters(instance, clusters)
-        ranks = upward_ranks(instance)
-        pos = {t: i for i, t in enumerate(instance.dag.topological_order())}
-        order = sorted(instance.dag.tasks(), key=lambda t: (-ranks[t], pos[t]))
-
-        schedule = Schedule(instance.machine, name=f"{self.name}:{instance.name}")
-        for task in order:
-            placed = placement_on(schedule, instance, task, assignment[task], insertion=True)
-            schedule.add(task, placed.proc, placed.start, placed.end - placed.start)
-        return schedule
+        return decode_assignment(instance, assignment, name=f"{self.name}:{instance.name}")

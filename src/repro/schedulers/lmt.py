@@ -11,26 +11,21 @@ from __future__ import annotations
 
 from repro.dag.analysis import graph_levels
 from repro.instance import Instance
-from repro.schedule.schedule import Schedule
-from repro.schedulers.base import Scheduler, eft_placement
+from repro.schedulers.base import ListScheduler
+from repro.types import TaskId
 
 
-class LMT(Scheduler):
-    """Levelized Min Time scheduler."""
+class LMT(ListScheduler):
+    """Levelized Min Time scheduler: an EFT list pass in level order."""
 
     name = "LMT"
+    compiled_policy = "eft"
 
-    def schedule(self, instance: Instance) -> Schedule:
-        dag = instance.dag
-        levels = graph_levels(dag)
-        pos = {t: i for i, t in enumerate(dag.topological_order())}
-        max_level = max(levels.values(), default=0)
-
-        schedule = Schedule(instance.machine, name=f"{self.name}:{instance.name}")
-        for lvl in range(max_level + 1):
-            members = [t for t in dag.tasks() if levels[t] == lvl]
-            members.sort(key=lambda t: (-instance.avg_exec_time(t), pos[t]))
-            for task in members:
-                placed = eft_placement(schedule, instance, task, insertion=True)
-                schedule.add(task, placed.proc, placed.start, placed.end - placed.start)
-        return schedule
+    def priority_order(self, instance: Instance) -> list[TaskId]:
+        """Level by level; within a level, largest mean cost first, ties
+        by topological position."""
+        kern = instance.kernel
+        levels = graph_levels(instance.dag)
+        mean = kern.weights("mean")
+        pos = kern.pos
+        return sorted(kern.tasks, key=lambda t: (levels[t], -mean[t], pos[t]))

@@ -5,10 +5,10 @@ tasks in decreasing upward-rank order, each on its assigned processor at
 the earliest insertion slot — the same substrate as every list
 scheduler, so search quality differences are purely about assignments.
 
-:func:`decode_assignment` builds a real
-:class:`~repro.schedule.schedule.Schedule` (the specification, and what
-callers use to materialise the final winner); the GA/SA inner loops
-evaluate fitness through the compiled flat-array decoder
+:func:`decode_assignment` (defined in :mod:`repro.schedulers.base`)
+builds the final winner's :class:`~repro.schedule.schedule.Schedule`
+through the compiled list pass; the GA/SA inner loops evaluate fitness
+through the compiled flat-array decoder
 (:meth:`~repro.compiled.CompiledInstance.decode_batch` /
 :meth:`~repro.compiled.CompiledInstance.decode_span`), whose makespans
 are bit-identical to it.
@@ -16,12 +16,11 @@ are bit-identical to it.
 
 from __future__ import annotations
 
-from typing import Mapping, Sequence
-
 from repro.instance import Instance
-from repro.schedule.schedule import Schedule
-from repro.schedulers.base import schedule_task_on
-from repro.types import ProcId, TaskId
+from repro.schedulers.base import decode_assignment
+from repro.types import TaskId
+
+__all__ = ["decode_assignment", "rank_order"]
 
 
 def rank_order(instance: Instance) -> list[TaskId]:
@@ -31,23 +30,3 @@ def rank_order(instance: Instance) -> list[TaskId]:
     thousands of decodes share one rank pass.
     """
     return list(instance.kernel.rank_order("mean"))
-
-
-def decode_assignment(
-    instance: Instance,
-    assignment: Mapping[TaskId, ProcId],
-    order: Sequence[TaskId] | None = None,
-    name: str = "decoded",
-) -> Schedule:
-    """Build the schedule induced by ``assignment``.
-
-    ``order`` defaults to the rank order; callers running many decodes
-    should precompute it once via :func:`rank_order` (or decode through
-    the compiled decoder, which is makespan-bit-identical).
-    """
-    if order is None:
-        order = rank_order(instance)
-    schedule = Schedule(instance.machine, name=name)
-    for task in order:
-        schedule_task_on(schedule, instance, task, assignment[task], insertion=True)
-    return schedule

@@ -16,7 +16,7 @@ from __future__ import annotations
 from repro.exceptions import SchedulingError
 from repro.instance import Instance
 from repro.schedule.schedule import Schedule
-from repro.schedulers.base import Scheduler, placement_on
+from repro.schedulers.base import Scheduler, decode_assignment, placement_on
 from repro.schedulers.heft import HEFT
 from repro.types import TaskId
 
@@ -114,8 +114,7 @@ class BranchAndBoundScheduler(Scheduler):
         if best_moves is None:
             # HEFT was already optimal among explored candidates.
             return incumbent
-        out = Schedule(instance.machine, name=f"{self.name}:{instance.name}")
-        for task, proc in best_moves:
-            placed = placement_on(out, instance, task, proc, insertion=True)
-            out.add(task, placed.proc, placed.start, placed.end - placed.start)
-        return out
+        return decode_assignment(
+            instance, dict(best_moves), [t for t, _ in best_moves],
+            f"{self.name}:{instance.name}",
+        )

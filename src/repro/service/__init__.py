@@ -9,7 +9,7 @@ a process pool, and exposes its own counters and latency percentiles.
 
 Pieces
 ------
-* :mod:`repro.service.engine` — batching/coalescing compute core
+* :mod:`repro.service.engine` — coalescing compute core
   (:class:`SchedulingEngine`, :class:`EngineConfig`)
 * :mod:`repro.service.cache` — content-addressed LRU
   (:class:`ScheduleCache`, :func:`request_key`)

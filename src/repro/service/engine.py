@@ -8,8 +8,8 @@ Request lifecycle::
         │                                          ├───────> share the
         └──> bounded queue (full -> 429) ──> dispatcher      same future)
                                                 │
-                       drains <= batch_size jobs, then hands each job
-                       to its own worker slot (one slot per worker)
+                   takes one job, waits for a worker slot (one per
+                   worker), hands the job to it, takes the next
                                                 │
                                   ProcessPoolExecutor worker
                         (compute_in_worker -> compute_schedule_payload:
@@ -85,7 +85,6 @@ class EngineConfig:
     workers: int = 2
     cache_size: int = 256
     queue_depth: int = 64
-    batch_size: int = 8
     default_timeout: float = 30.0
     #: Pool self-healing: how many pool respawns are allowed within one
     #: sliding ``respawn_window`` before the engine declares itself
@@ -107,8 +106,6 @@ class EngineConfig:
             raise ValueError(f"workers must be >= 0, got {self.workers}")
         if self.queue_depth < 1:
             raise ValueError(f"queue_depth must be >= 1, got {self.queue_depth}")
-        if self.batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.default_timeout <= 0:
             raise ValueError(f"default_timeout must be > 0, got {self.default_timeout}")
         if self.max_respawns < 0:
@@ -264,8 +261,8 @@ class SchedulingEngine:
         if self._stop is not None:
             # A dedicated stop event, never an in-band queue sentinel: a
             # bounded queue can be full at stop time, and a sentinel
-            # that cannot be enqueued (or re-enqueued by the batch loop)
-            # would crash the dispatcher and deadlock shutdown.
+            # that cannot be enqueued would crash the dispatcher and
+            # deadlock shutdown.
             self._stop.set()
         if self._dispatcher is not None:
             try:
@@ -470,7 +467,13 @@ class SchedulingEngine:
     # dispatch
     # ------------------------------------------------------------------
     async def _dispatch_loop(self) -> None:
-        """Pull jobs off the queue in batches and fan them out.
+        """Pull jobs off the queue one at a time and fan them out.
+
+        A job leaves the queue only when the dispatcher can hand it a
+        worker slot next, so at most one dequeued job waits outside
+        ``queue_depth`` and :meth:`retry_after_hint` sees every other
+        waiting job.  ``batches``/``batched_jobs`` count one per
+        dispatched job.
 
         Shutdown is signalled by the dedicated ``self._stop`` event —
         never by an in-band queue sentinel, which a full bounded queue
@@ -495,25 +498,18 @@ class SchedulingEngine:
                     except asyncio.CancelledError:
                         pass
                     return  # hard stop; stop() fails whatever is queued
-                batch = [getter.result()]
-                while len(batch) < self.config.batch_size:
-                    try:
-                        batch.append(self._queue.get_nowait())
-                    except asyncio.QueueEmpty:
-                        break
-                self.metrics.batch(len(batch))
-                for job in batch:
-                    if not await self._acquire_slot(stop_wait):
-                        return  # hard stop mid-batch; stop() owns the futures
-                    # The dispatcher owns the slot lifecycle end to end:
-                    # acquired here, released in the done-callback.  A
-                    # release inside the job coroutine's ``finally``
-                    # would leak the slot if the task were cancelled
-                    # before its first await (the coroutine never enters
-                    # ``try``).
-                    task = asyncio.create_task(self._run_job(job))
-                    self._running.add(task)
-                    task.add_done_callback(self._job_task_done)
+                job = getter.result()
+                if not await self._acquire_slot(stop_wait):
+                    return  # hard stop; stop() fails this job with the rest
+                self.metrics.batch(1)
+                # The dispatcher owns the slot lifecycle end to end:
+                # acquired here, released in the done-callback.  A
+                # release inside the job coroutine's ``finally`` would
+                # leak the slot if the task were cancelled before its
+                # first await (the coroutine never enters ``try``).
+                task = asyncio.create_task(self._run_job(job))
+                self._running.add(task)
+                task.add_done_callback(self._job_task_done)
         finally:
             if not stop_wait.done():
                 stop_wait.cancel()

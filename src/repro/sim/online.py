@@ -42,7 +42,7 @@ from typing import Mapping, Sequence
 from repro.exceptions import ConfigurationError
 from repro.instance import Instance
 from repro.obs import get_tracer
-from repro.schedulers.base import ListScheduler
+from repro.schedulers.base import ListScheduler, checked_order
 from repro.schedulers.registry import get_scheduler
 from repro.sim.arrivals import Arrival, ArrivalProcess
 from repro.sim.cluster import ClusterState
@@ -77,16 +77,8 @@ class _TemplateState:
         self.name = name
         self.instance = instance
         self.order_ids = alg.priority_order(instance)
-        if (
-            set(self.order_ids) != set(instance.dag.tasks())
-            or len(self.order_ids) != instance.num_tasks
-        ):
-            raise ConfigurationError(
-                f"{alg.name}: priority order covers {len(self.order_ids)} tasks, "
-                f"template {name!r} has {instance.num_tasks}"
-            )
-        self.ci = ci = instance.kernel.compiled()
-        self.order_idx = ci.order_indices(self.order_ids)
+        self.order_idx = checked_order(instance, self.order_ids, f"{alg.name} on {name!r}")
+        self.ci = instance.kernel.compiled()
         #: canonical index per task id (noise factors are indexed by this)
         self.ti = instance.kernel.ti
 

@@ -1,14 +1,15 @@
 """Differential suite: the compiled flat-array decoder is behaviour-preserving.
 
-:func:`repro.schedulers.meta.decoder.decode_assignment` (the object
-path) is the specification.  Over the full differential corpus (uniform
-and per-link machines) this suite
-checks that :class:`repro.compiled.CompiledInstance` reproduces it
+:func:`repro.schedulers.meta.decoder.decode_assignment` run under
+``object_path()`` (the object primitives, through the test-side
+``tests/object_path.py`` helper) is the specification; outside it the
+function runs the compiled pinned list pass.  Over the full
+differential corpus (uniform and per-link machines) this suite checks
+that :class:`repro.compiled.CompiledInstance` reproduces it
 *bit-identically* — makespans, starts and processors — for HEFT-derived,
 random and degenerate assignments, that ``decode_batch`` equals
 per-genome decodes, and that the GA/SA schedulers are unchanged with the
-compiled core on vs off (the object decoder through the test-side
-``tests/object_path.py`` helper).
+compiled core on vs off.
 """
 
 from __future__ import annotations
@@ -59,7 +60,8 @@ def test_decode_fast_bit_identical_on_corpus(population):
         assert compiled is not None, label
         order = rank_order(inst)
         for genome in _assignments(inst, compiled, trials=5, seed=1234):
-            schedule = decode_assignment(inst, compiled.assignment_of(genome), order)
+            with object_path():
+                schedule = decode_assignment(inst, compiled.assignment_of(genome), order)
             span, starts, procs = compiled.decode_fast(genome)
             assert span == schedule.makespan, (label, genome)
             for i, task in enumerate(compiled.tasks):
@@ -194,7 +196,8 @@ def test_per_link_and_custom_models_compile():
         assert fast.makespan == legacy.makespan
         order = rank_order(inst)
         for genome in _assignments(inst, compiled, trials=4, seed=3):
-            schedule = decode_assignment(inst, compiled.assignment_of(genome), order)
+            with object_path():
+                schedule = decode_assignment(inst, compiled.assignment_of(genome), order)
             assert compiled.decode_span(list(genome)) == schedule.makespan
 
 

@@ -29,7 +29,7 @@ from repro.machine.etc import generate_etc
 from repro.schedule.validation import validate
 from repro.schedulers.registry import get_scheduler
 from repro.service.protocol import schedule_payload
-from tests.object_path import ROUTED, object_path, routed_insertion_off
+from tests.object_path import FIXED_ORDER, ROUTED, object_path, routed_insertion_off
 from tests.population import OpaqueCommunication, build_population, random_instance_on
 
 
@@ -43,16 +43,20 @@ def _payload(schedule, instance, alg) -> str:
 
 
 def test_full_corpus_payloads_bit_identical(population):
-    """Compiled vs object path over the whole population, all routed
-    schedulers, comparing the complete serialized payload (placements,
-    duplicates, makespan — everything a service response carries)."""
-    for label, inst in population:
-        for alg in ROUTED:
-            scheduler = get_scheduler(alg)
-            fast = scheduler.schedule(inst)
-            with object_path():
-                ref = scheduler.schedule(inst)
-            assert _payload(fast, inst, alg) == _payload(ref, inst, alg), (label, alg)
+    """Compiled vs object path over the whole population, all routed and
+    fixed-order schedulers (GA and SA, whose winners are decoded the
+    same way, on a slice), comparing the complete serialized payload
+    (placements, duplicates, makespan — everything a service response
+    carries)."""
+    cases = [(label, inst, alg) for label, inst in population
+             for alg in ROUTED + FIXED_ORDER]
+    cases += [(label, inst, alg) for label, inst in population[::10] for alg in ("GA", "SA")]
+    for label, inst, alg in cases:
+        scheduler = get_scheduler(alg)
+        fast = scheduler.schedule(inst)
+        with object_path():
+            ref = scheduler.schedule(inst)
+        assert _payload(fast, inst, alg) == _payload(ref, inst, alg), (label, alg)
 
 
 def test_three_way_equivalence_on_slice(population):
@@ -105,12 +109,14 @@ def _link_comm() -> LinkCommunication:
 def test_per_link_and_custom_comm_compile():
     """Per-link machines and a custom model that defines only ``link()``
     both lower and route through the executor with no fallback counted,
-    and every routed scheduler's payload equals the reference engine's."""
+    and every routed, fixed-order and metaheuristic scheduler's payload
+    equals the reference engine's."""
+    algs = ROUTED + FIXED_ORDER + ["GA", "SA"]
     for comm in (_link_comm(), OpaqueCommunication()):
         inst = _instance_on(comm)
         assert isinstance(compile_instance(inst), CompiledInstance)
         before = compiled.schedule_counters()
-        for alg in ROUTED:
+        for alg in algs:
             fast = get_scheduler(alg).schedule(inst)
             with object_path():
                 ref = get_scheduler(alg).schedule(inst)
@@ -118,7 +124,7 @@ def test_per_link_and_custom_comm_compile():
             assert _payload(fast, inst, alg) == _payload(ref, inst, alg), (comm, alg)
         after = compiled.schedule_counters()
         built = ("list_schedules", "dls_schedules", "improved_passes")
-        assert sum(after[k] - before[k] for k in built) >= len(ROUTED), comm
+        assert sum(after[k] - before[k] for k in built) >= len(algs), comm
         assert after["fallbacks"] == before["fallbacks"] == 0, comm
 
 

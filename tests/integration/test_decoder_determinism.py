@@ -77,6 +77,7 @@ def test_identical_tie_breaking_across_decode_paths():
     same processors and start times even when finish-time ties exist
     (a homogeneous machine maximises tie opportunities)."""
     from repro.bench import workloads as W
+    from tests.object_path import object_path
 
     inst = W.homogeneous_random_instance(np.random.default_rng(11), num_tasks=20, num_procs=4)
     compiled = compile_instance(inst)
@@ -85,7 +86,8 @@ def test_identical_tie_breaking_across_decode_paths():
     for _ in range(10):
         genome = rng.integers(0, inst.num_procs, size=inst.num_tasks)
         span, starts, procs = compiled.decode_fast(genome)
-        schedule = decode_assignment(inst, compiled.assignment_of(genome), order)
+        with object_path():
+            schedule = decode_assignment(inst, compiled.assignment_of(genome), order)
         assert span == schedule.makespan
         for i, task in enumerate(compiled.tasks):
             assert schedule.entry(task).start == starts[i]

@@ -5,15 +5,17 @@ scheduler runs there.  The differential reference it is checked against
 is :class:`ObjectEngine`: the executor's entry points run over real
 :class:`~repro.schedule.schedule.Schedule` objects through the public
 object primitives ``eft_placement``/``est_placement``/``placement_on``
-and ``decode_assignment``, the object placement engine and refinement
-sweep of ``tests/placement_reference.py`` (``PlacementEngine.place``
-and ``refine_schedule`` run on the executor too, so they reach these
-through :meth:`ObjectEngine.place_task` and :meth:`ObjectEngine.refine`
-here) and DLS's dynamic-level pairing loop.  :func:`object_path` makes
-``InstanceKernel.compiled()`` hand every scheduler that engine instead,
-so the schedulers run unchanged and both engines see identical orders,
-ranks and pins.  The benchmarks import it the same way they import
-``tests.population``.
+(a pinned task: ``decode_assignment``, and with it clustering, the naive
+baselines, OPT-BB's result and the GA/SA decode, reach this engine's
+:meth:`ObjectEngine.schedule_list`), the object placement engine and
+refinement sweep of ``tests/placement_reference.py``
+(``PlacementEngine.place`` and ``refine_schedule`` run on the executor
+too, so they reach these through :meth:`ObjectEngine.place_task` and
+:meth:`ObjectEngine.refine` here) and DLS's dynamic-level pairing
+loop.  :func:`object_path` makes ``InstanceKernel.compiled()`` hand
+every scheduler that engine instead, so the schedulers run unchanged
+and both engines see identical orders, ranks and pins.  The
+benchmarks import it the same way they import ``tests.population``.
 """
 
 from __future__ import annotations
@@ -34,7 +36,6 @@ from repro.kernels import InstanceKernel
 from repro.schedule.schedule import Schedule
 from repro.schedulers.base import eft_placement, est_placement, placement_on
 from repro.schedulers.heft import HEFT
-from repro.schedulers.meta.decoder import decode_assignment
 from tests.placement_reference import ReferencePlacementEngine, reference_refine_schedule
 
 #: Every scheduler the compiled executor serves; the HEFT variants
@@ -42,6 +43,13 @@ from tests.placement_reference import ReferencePlacementEngine, reference_refine
 ROUTED = ["HEFT", "HEFT-median", "HEFT-best", "HEFT-worst",
           "CPOP", "HCPT", "PETS", "DLS", "HLFET", "MCP", "IMP",
           "LA-HEFT", "DUP-HEFT"]
+
+#: Schedulers whose order and processors are fixed before placement
+#: starts: LMT's EFT list pass, and clustering and the naive baselines
+#: through ``decode_assignment``'s pinned pass.  They run on the
+#: executor too, but ``decode_assignment`` opens no ``sched.place``
+#: span, so they are listed apart from ``ROUTED``.
+FIXED_ORDER = ["LMT", "DSC", "LC", "RoundRobin", "Random"]
 
 
 def routed_insertion_off() -> list:
@@ -174,7 +182,7 @@ class ObjectEngine:
         result.schedule.name = name
         return result.schedule
 
-    # -- the GA/SA decoder: decode-order genomes through decode_assignment
+    # -- the GA/SA decoder: decode-order genomes, every task pinned
     def genome_of(self, assignment: Mapping) -> np.ndarray:
         return np.array([self._pi[assignment[t]] for t in self._order], dtype=np.int64)
 
@@ -182,9 +190,14 @@ class ObjectEngine:
         return {t: self.procs[int(g)] for t, g in zip(self._order, genome)}
 
     def _decode(self, assignment) -> Schedule:
+        """``decode_assignment``'s pinned list pass in the decode order,
+        on this engine whether or not :func:`object_path` is active."""
         if not isinstance(assignment, Mapping):
             assignment = self.assignment_of(assignment)
-        return decode_assignment(self.instance, assignment, self._order)
+        pinned = [-1] * len(self.tasks)
+        for t in self._order:
+            pinned[self._ti[t]] = self._pi[assignment[t]]
+        return self.schedule_list(self.order_indices(self._order), pinned=pinned).schedule
 
     def decode_span(self, genome: Sequence[int]) -> float:
         return self._decode(genome).makespan

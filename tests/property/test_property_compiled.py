@@ -191,7 +191,9 @@ def test_decode_span_equals_object_decode_on_asymmetric_links(params, genome_see
     instance = build_link(params)
     compiled = compile_instance(instance)
     genome = np.random.default_rng(genome_seed).integers(0, compiled.q, size=compiled.n)
-    schedule = decode_assignment(instance, compiled.assignment_of(genome), rank_order(instance))
+    with object_path():
+        schedule = decode_assignment(instance, compiled.assignment_of(genome),
+                                     rank_order(instance))
     assert compiled.decode_span(genome.tolist()) == schedule.makespan
 
 

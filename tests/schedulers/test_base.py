@@ -1,12 +1,22 @@
 """Tests for the shared list-scheduling machinery."""
 
+import numpy as np
 import pytest
 
-from repro.exceptions import SchedulingError
+from repro.bench import workloads as W
+from repro.exceptions import (
+    ScheduleError,
+    SchedulingError,
+    UnknownProcessorError,
+    UnknownTaskError,
+)
 from repro.instance import homogeneous_instance
 from repro.schedule.schedule import Schedule
+from repro.schedule.validation import validate
 from repro.schedulers.base import (
     ListScheduler,
+    checked_order,
+    decode_assignment,
     eft_placement,
     est_placement,
     placement_on,
@@ -124,6 +134,132 @@ class TestListSchedulerTemplate:
 
         with pytest.raises(SchedulingError):
             Reversed().schedule(instance)
+
+
+@pytest.fixture
+def rand12():
+    return W.random_instance(np.random.default_rng(3), num_tasks=12, num_procs=3)
+
+
+def _object_loop_error(instance, order):
+    """The error the object primitives raise placing ``order`` one task
+    at a time, or ``None`` when every task places."""
+    schedule = Schedule(instance.machine)
+    try:
+        for task in order:
+            placed = eft_placement(schedule, instance, task)
+            schedule.add(task, placed.proc, placed.start, placed.end - placed.start)
+    except SchedulingError as exc:
+        return str(exc)
+    return None
+
+
+class TestOrderCheck:
+    """One check, coverage plus precedence, runs before every list pass:
+    the compiled pass trusts its order and would place a child before
+    its parent."""
+
+    @pytest.mark.parametrize("policy", ["eft", "est", None])
+    def test_reversed_order_refused_on_every_path(self, rand12, policy):
+        class Reversed(ListScheduler):
+            name = "rev"
+            compiled_policy = policy
+
+            def priority_order(self, inst):
+                return list(reversed(inst.dag.topological_order()))
+
+        with pytest.raises(SchedulingError, match="is unscheduled"):
+            Reversed().schedule(rand12)
+
+    def test_names_the_pair_the_object_loop_stops_at(self, rand12):
+        rng = np.random.default_rng(0)
+        tasks = list(rand12.dag.tasks())
+        refused = 0
+        for k in range(40):
+            if k % 4 == 0:
+                keys = rng.random(len(tasks))
+                order = topological_by_priority(rand12.dag, key=lambda t: keys[tasks.index(t)])
+            else:
+                order = [tasks[i] for i in rng.permutation(len(tasks))]
+            expected = _object_loop_error(rand12, order)
+            if expected is None:
+                assert checked_order(rand12, order, "x") == [
+                    rand12.kernel.ti[t] for t in order
+                ]
+                continue
+            refused += 1
+            with pytest.raises(SchedulingError) as exc:
+                checked_order(rand12, order, "x")
+            assert str(exc.value) == f"x: {expected}"
+        assert refused >= 20
+
+    @pytest.mark.parametrize("order", [["a"], ["a", "b", "c", "c"], ["a", "b", "c", "d", "e"]])
+    def test_incomplete_order_refused_on_the_compiled_path(self, instance, order):
+        class Bad(ListScheduler):
+            name = "bad"
+            compiled_policy = "eft"
+
+            def priority_order(self, inst):
+                return order
+
+        with pytest.raises(SchedulingError):
+            Bad().schedule(instance)
+
+
+class TestDecodeAssignment:
+    """``decode_assignment`` runs the compiled pinned list pass, and
+    answers malformed input as the object decoder did, one row each."""
+
+    @pytest.fixture
+    def case(self, rand12):
+        from repro.schedulers.heft import HEFT
+
+        order = rand12.kernel.rank_order("mean")
+        return rand12, dict(HEFT().schedule(rand12).assignment()), list(order)
+
+    def test_heft_assignment_decodes(self, case):
+        inst, assignment, order = case
+        schedule = decode_assignment(inst, assignment, order, name="d")
+        validate(schedule, inst)
+        assert schedule.name == "d"
+        assert dict(schedule.assignment()) == assignment
+
+    def test_task_before_parent(self, case):
+        inst, assignment, order = case
+        child = next(t for t in order if inst.dag.predecessors(t))
+        parent = inst.dag.predecessors(child)[0]
+        bad = [t for t in order if t != parent]
+        bad.insert(bad.index(child) + 1, parent)
+        with pytest.raises(SchedulingError, match="is unscheduled"):
+            decode_assignment(inst, assignment, bad)
+
+    def test_task_missing_from_assignment(self, case):
+        inst, assignment, order = case
+        del assignment[order[-1]]
+        with pytest.raises(KeyError):
+            decode_assignment(inst, assignment, order)
+
+    def test_unknown_processor(self, case):
+        inst, assignment, order = case
+        assignment[order[0]] = "nope"
+        with pytest.raises(UnknownProcessorError):
+            decode_assignment(inst, assignment, order)
+
+    def test_unknown_task_in_order(self, case):
+        inst, assignment, order = case
+        assignment["ghost"] = inst.machine.proc_ids()[0]
+        with pytest.raises(UnknownTaskError):
+            decode_assignment(inst, assignment, order + ["ghost"])
+
+    def test_task_listed_twice(self, case):
+        inst, assignment, order = case
+        with pytest.raises(ScheduleError, match="already has a primary placement"):
+            decode_assignment(inst, assignment, order + [order[-1]])
+
+    def test_order_omitting_tasks_refused(self, case):
+        inst, assignment, order = case
+        with pytest.raises(SchedulingError, match="order lists 5 tasks"):
+            decode_assignment(inst, assignment, order[:5])
 
 
 class TestPlaceOverrides:

@@ -137,7 +137,7 @@ def test_backpressure_rejects_when_queue_full(monkeypatch):
 
     async def scenario():
         engine = SchedulingEngine(
-            EngineConfig(workers=0, queue_depth=1, batch_size=1, default_timeout=5.0)
+            EngineConfig(workers=0, queue_depth=1, default_timeout=5.0)
         )
         await engine.start()
         try:
@@ -284,28 +284,52 @@ def test_submit_before_start_refused():
     _run(scenario())
 
 
-def test_batching_dispatches_queued_requests_together(monkeypatch):
-    real = protocol.compute_schedule_payload
+def test_dequeued_jobs_stay_bounded_by_queue_depth(monkeypatch):
+    """The dispatcher takes a job off the bounded queue only when it can
+    hand it a worker slot next, so accepted but unanswered submissions
+    never exceed ``queue_depth`` queued, one per slot running and the
+    one job the dispatcher holds while it waits for a slot."""
+    import threading
 
-    def slow(text, alg):
-        time.sleep(0.05)
-        return real(text, alg)
+    release = threading.Semaphore(0)
 
-    monkeypatch.setattr(protocol, "compute_schedule_payload", slow)
+    def gated(text, alg):
+        release.acquire()
+        return {"alg": alg, "makespan": 0.0, "placements": []}
+
+    monkeypatch.setattr(protocol, "compute_schedule_payload", gated)
+    config = EngineConfig(workers=0, queue_depth=4)
+    bound = config.queue_depth + max(1, config.workers) + 1
 
     async def scenario():
-        engine = SchedulingEngine(EngineConfig(workers=0, batch_size=8, queue_depth=16))
+        engine = SchedulingEngine(config)
         await engine.start()
+        waiters: list[asyncio.Task] = []
+        peak = rejected = 0
         try:
-            instances = [_instance(seed) for seed in range(5)]
-            await asyncio.gather(*[engine.submit(i, "HEFT") for i in instances])
-            stats = engine.stats()
-            assert stats.batched_jobs == 5
-            assert stats.batches < 5, "queued requests should coalesce into batches"
+            for seed in range(40):
+                waiters.append(asyncio.create_task(engine.submit(_instance(seed), "HEFT")))
+                await asyncio.sleep(0.005)
+                if seed % 3 == 2:
+                    release.release()  # let one computation finish
+                    await asyncio.sleep(0.01)
+                unanswered = sum(not w.done() for w in waiters)
+                peak = max(peak, unanswered)
+            rejected = sum(
+                w.done() and isinstance(w.exception(), ServiceOverloadedError)
+                for w in waiters
+            )
         finally:
-            await engine.stop()
+            for _ in range(len(waiters)):
+                release.release()
+            await engine.stop(drain=False)
+            await asyncio.gather(*waiters, return_exceptions=True)
+        return peak, rejected, engine.stats()
 
-    _run(scenario())
+    peak, rejected, stats = _run(scenario())
+    assert rejected > 0, "scenario must drive the engine past its queue"
+    assert peak <= bound, (peak, bound)
+    assert stats.batches == stats.batched_jobs
 
 
 class _RecordingExecutor(ThreadPoolExecutor):
@@ -323,8 +347,8 @@ class _RecordingExecutor(ThreadPoolExecutor):
 def test_traced_and_untraced_engines_make_the_same_worker_calls(monkeypatch):
     """Tracing never changes routing: given the same queued jobs, a
     traced and an untraced engine hand the worker the same calls, one
-    per job, in queue order — neither chunks a drained batch into one
-    worker call."""
+    per job, in queue order — neither chunks jobs into one worker
+    call."""
     from repro.obs import Tracer
 
     real = protocol.compute_schedule_payload
@@ -339,13 +363,12 @@ def test_traced_and_untraced_engines_make_the_same_worker_calls(monkeypatch):
     async def scenario(tracer):
         recorder = _RecordingExecutor()
         asyncio.get_running_loop().set_default_executor(recorder)
-        engine = SchedulingEngine(EngineConfig(workers=0, batch_size=8, queue_depth=16),
-                                  tracer=tracer)
+        engine = SchedulingEngine(EngineConfig(workers=0, queue_depth=16), tracer=tracer)
         await engine.start()
         try:
             payloads = await asyncio.gather(*[engine.submit(i, "HEFT") for i in instances])
             stats = engine.stats()
-            assert (stats.batches, stats.batched_jobs) == (1, 5)
+            assert (stats.batches, stats.batched_jobs) == (5, 5)
         finally:
             await engine.stop()
         return recorder.calls, [p["placements"] for p in payloads]
@@ -370,8 +393,6 @@ def test_engine_config_validation():
         EngineConfig(workers=-1)
     with pytest.raises(ValueError):
         EngineConfig(queue_depth=0)
-    with pytest.raises(ValueError):
-        EngineConfig(batch_size=0)
     with pytest.raises(ValueError):
         EngineConfig(default_timeout=0)
 

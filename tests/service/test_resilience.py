@@ -302,7 +302,7 @@ def test_stop_with_full_queue_does_not_deadlock(monkeypatch):
 
     async def scenario():
         engine = SchedulingEngine(
-            EngineConfig(workers=0, queue_depth=2, batch_size=1, default_timeout=30.0)
+            EngineConfig(workers=0, queue_depth=2, default_timeout=30.0)
         )
         await engine.start()
         # Fill every stage: one job running (holding the only dispatch
@@ -348,7 +348,7 @@ def test_graceful_drain_with_queued_backlog(monkeypatch):
     monkeypatch.setattr(protocol, "compute_schedule_payload", slow)
 
     async def scenario():
-        engine = SchedulingEngine(EngineConfig(workers=0, queue_depth=8, batch_size=2))
+        engine = SchedulingEngine(EngineConfig(workers=0, queue_depth=8))
         await engine.start()
         waiters = [
             asyncio.create_task(engine.submit(_instance(seed), "HEFT"))

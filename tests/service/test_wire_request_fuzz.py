@@ -24,11 +24,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.compiled import compile_instance
-from repro.exceptions import ReproError
 from repro.schedule.validation import validate
 from repro.schedulers.registry import get_scheduler
 from repro.service import wire
+from tests.mutation import EDIT, check_schedules, mutate, read
 from tests.population import random_instance_on
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -49,54 +48,15 @@ SEEDS = _FRAMES + [
 IDS = ["het", "consistent", "homog", "link"] + [
     f"{name}-request" for name in ("het", "consistent", "homog", "link")]
 
-_EDIT = st.tuples(st.sampled_from(["replace", "insert", "delete"]),
-                  st.integers(0, 2 ** 16), st.binary(min_size=1, max_size=4))
-
-
-def _mutate(seed: bytes, edits) -> bytes:
-    data = bytearray(seed)
-    for op, at, chunk in edits:
-        at %= len(data) + 1
-        if op == "replace":
-            data[at:at + len(chunk)] = chunk
-        elif op == "insert":
-            data[at:at] = chunk
-        else:
-            del data[at:at + len(chunk)]
-    return bytes(data)
-
-
-def _read(read):
-    """``(True, value)`` or ``(False, None)`` on a typed error; any other
-    exception propagates and fails the example."""
-    try:
-        return True, read()
-    except ReproError:
-        return False, None
-
-
-def _lower_and_schedule(instance):
-    compile_instance(instance)
-    return get_scheduler("HEFT").schedule(instance)
-
-
-def _schedule(instance) -> None:
-    """Lower ``instance`` and schedule it with HEFT; a schedule that
-    comes out must be valid."""
-    ok, schedule = _read(lambda: _lower_and_schedule(instance))
-    if ok:
-        validate(schedule, instance)
-
-
 def _check_instance(buf) -> None:
-    ok, instance = _read(lambda: wire.decode_instance(buf))
+    ok, instance = read(lambda: wire.decode_instance(buf))
     if ok:
-        _schedule(instance)
+        check_schedules(instance)
 
 
 def _check(buf: bytes) -> None:
-    ok_request, request = _read(lambda: wire.decode_request(buf))
-    ok_peek, fingerprint = _read(lambda: wire.peek_request_fingerprint(buf))
+    ok_request, request = read(lambda: wire.decode_request(buf))
+    ok_peek, fingerprint = read(lambda: wire.peek_request_fingerprint(buf))
     assert ok_peek or not ok_request
     if ok_request:
         assert request[2] == fingerprint
@@ -125,9 +85,9 @@ def test_link_seed_keeps_deadline_and_tuple_ids():
 
 
 @settings(max_examples=300, deadline=timedelta(milliseconds=500))
-@given(pick=st.sampled_from(SEEDS), edits=st.lists(_EDIT, min_size=1, max_size=4))
+@given(pick=st.sampled_from(SEEDS), edits=st.lists(EDIT, min_size=1, max_size=4))
 def test_fuzz_mutated_instance_and_request_frames(pick, edits):
-    _check(_mutate(pick, edits))
+    _check(mutate(pick, edits))
 
 
 @settings(max_examples=100, deadline=timedelta(milliseconds=500))

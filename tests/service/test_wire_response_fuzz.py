@@ -25,11 +25,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.exceptions import ReproError
 from repro.schedulers.registry import get_scheduler
 from repro.service import wire
 from repro.service.protocol import WireScheduleResult, schedule_payload
 from repro.utils.encoding import decode_id
+from tests.mutation import EDIT, mutate, read
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -57,49 +57,23 @@ SEEDS = [
                          trace_id="req-1"),
 ]
 
-_EDIT = st.tuples(st.sampled_from(["replace", "insert", "delete"]),
-                  st.integers(0, 2 ** 16), st.binary(min_size=1, max_size=4))
-
-
-def _mutate(seed: bytes, edits) -> bytes:
-    data = bytearray(seed)
-    for op, at, chunk in edits:
-        at %= len(data) + 1
-        if op == "replace":
-            data[at:at + len(chunk)] = chunk
-        elif op == "insert":
-            data[at:at] = chunk
-        else:
-            del data[at:at + len(chunk)]
-    return bytes(data)
-
-
-def _read(read):
-    """``(True, value)`` or ``(False, None)`` on a typed error; any other
-    exception propagates and fails the example."""
-    try:
-        return True, read()
-    except ReproError:
-        return False, None
-
-
 def _tuples(payload: dict) -> tuple:
     return tuple((decode_id(r["task"]), decode_id(r["proc"]), r["start"], r["end"],
                   r["duplicate"]) for r in payload["placements"])
 
 
 def _check(buf: bytes) -> None:
-    ok_view, _ = _read(lambda: wire.ResponseView(buf))
-    ok_decode, decoded = _read(lambda: wire.decode_response(buf))
+    ok_view, _ = read(lambda: wire.ResponseView(buf))
+    ok_decode, decoded = read(lambda: wire.decode_response(buf))
     if not ok_view:
         assert not ok_decode
         return
-    ok_payload, payload = _read(lambda: wire.ResponseView(buf).payload)
+    ok_payload, payload = read(lambda: wire.ResponseView(buf).payload)
     assert ok_decode == ok_payload
     result = WireScheduleResult(wire.ResponseView(buf))
-    ok_placements, placements = _read(lambda: result.placements)
+    ok_placements, placements = read(lambda: result.placements)
     assert ok_placements == ok_payload
-    ok_schedule, _ = _read(lambda: result.to_schedule(_INSTANCE.machine))
+    ok_schedule, _ = read(lambda: result.to_schedule(_INSTANCE.machine))
     assert ok_placements or not ok_schedule
     if ok_payload:
         # ``repr`` compares floats bit for bit, NaN included.
@@ -116,9 +90,9 @@ def test_unmutated_seeds_read_whole(seed):
 
 
 @settings(max_examples=300, deadline=timedelta(milliseconds=500))
-@given(pick=st.sampled_from(SEEDS), edits=st.lists(_EDIT, min_size=1, max_size=4))
+@given(pick=st.sampled_from(SEEDS), edits=st.lists(EDIT, min_size=1, max_size=4))
 def test_fuzz_mutated_binary_responses(pick, edits):
-    _check(_mutate(pick, edits))
+    _check(mutate(pick, edits))
 
 
 @settings(max_examples=100, deadline=timedelta(milliseconds=500))

@@ -284,6 +284,21 @@ class TestValidation:
         with pytest.raises(ConfigurationError, match="does not qualify"):
             simulate_online(templates, stream, alg="all-on-first")
 
+    def test_order_with_a_child_before_its_parent_rejected(self, templates, stream,
+                                                            monkeypatch):
+        """The compiled pass trusts the template's order, so one that
+        lists a task before its parent is refused before any placement."""
+        from repro.exceptions import SchedulingError
+        from repro.schedulers.heft import HEFT
+
+        class Reversed(HEFT):
+            def priority_order(self, instance):
+                return list(reversed(instance.dag.topological_order()))
+
+        monkeypatch.setattr("repro.sim.online.get_scheduler", lambda name: Reversed())
+        with pytest.raises(SchedulingError, match="is unscheduled"):
+            simulate_online(templates, stream, alg="reversed")
+
     def test_unknown_policy_rejected(self, templates, stream):
         with pytest.raises(ConfigurationError):
             simulate_online(templates, stream, policy="nope")
